@@ -4,8 +4,8 @@ One workload, four ways: ``procs`` in-phase ticker processes burning
 ``events`` timeout events total, run on
 
 * the serial event-heap engine (the baseline every ratio is against),
-* the calendar-queue engine (batched same-timestamp dispatch, inlined
-  process resume),
+* the calendar-queue engine (timeouts in exact-timestamp buckets, each
+  bucket queued for dispatch at once),
 * the sharded parallel engine at ``jobs=1`` (the windowed protocol's
   serial reference — its cost over the plain engine is the barrier
   overhead), and

@@ -1,4 +1,4 @@
-"""Event-heap scheduler and generator-based processes.
+"""Event scheduler and generator-based processes.
 
 The engine models virtual time in **seconds** (floats).  All hardware and
 protocol latencies in the reproduction are expressed in seconds so that
@@ -19,34 +19,71 @@ which is re-raised inside every waiting process).  A :class:`Process` is
 itself an event that fires when the generator returns, so processes can wait
 on each other.
 
+Dispatch order
+--------------
+
+Events fire in ``(time, eid)`` order: by virtual time, and at equal times
+in the order they were triggered.  Two structures hold what is scheduled:
+
+* ``_heap``: timeouts due in the future (and cross-shard messages, see
+  :mod:`repro.sim.parallel`), as ``(time, eid, event)`` entries.  Only
+  these draw an ``eid``;
+* ``_ready``: a FIFO of events due *now*: ``succeed``/``fail``, timeouts
+  whose ``now + delay == now``, process bootstraps and immediate resumes.
+
+The clock only advances when ``_ready`` is empty (:meth:`Environment.
+_advance`).  Advancing to ``t`` moves *every* heap entry due at ``t`` onto
+``_ready`` in eid order, before any of them runs.  That preserves the
+``(time, eid)`` order exactly:
+
+* every heap entry due at ``t`` was pushed before the clock reached ``t``
+  (a positive delay lands strictly later), so its eid is smaller than that
+  of anything triggered at ``t``, and it sits ahead of all of those on
+  ``_ready``;
+* nothing is pushed onto the heap at the current time while ``_ready`` is
+  non-empty (a cross-shard message may arrive exactly at a window's end,
+  but it is injected between windows, when ``_ready`` is empty), so while
+  ``_ready`` is non-empty no heap entry is due;
+* within ``_ready``, FIFO order is trigger order, which is eid order.
+
 Performance notes
 -----------------
 
 This module is the host-side hot path of every experiment: a figure sweep
-processes tens of millions of events, each of which allocates an
-:class:`Event` (or :class:`Timeout`), pushes and pops a heap entry and runs
-a callback.  The implementation therefore trades a little uniformity for
-speed:
+processes tens of millions of events.  The implementation trades a little
+uniformity for speed:
 
-* every event class declares ``__slots__`` (no per-instance dict; faster
-  attribute access and much less allocator pressure).  The ``bio`` and
+* every event class declares ``__slots__``.  The ``bio`` and
   ``_blocked_item`` slots exist so higher layers (the ordered stacks and
   :mod:`repro.sim.resources`) can annotate events without re-introducing a
   ``__dict__``;
-* :class:`Timeout` bypasses ``Event.__init__``/``succeed`` and schedules
-  itself with one direct ``heappush`` — it is the single most-allocated
-  object in the simulator;
-* :meth:`Environment.run` inlines the pop-advance-dispatch loop (what
-  :meth:`Environment.step` does once) with the heap and ``heappop`` bound
-  to locals, and only swaps an event's callback list when it is non-empty.
+* an event due now costs one ``deque.append`` and one ``popleft``; only
+  future timeouts pay for a heap entry;
+* the hot factories (:meth:`Environment.timeout`, the process bootstrap,
+  a :class:`~repro.sim.resources.Resource` grant, an immediate
+  :class:`~repro.sim.resources.Store` get or put) build their
+  already-triggered events in one frame;
+* **inline resume**: when an event's only callback resumes a process,
+  :meth:`Environment.run` calls the generator's ``send``/``throw`` itself,
+  without the ``_resume``/``_step`` frames, and re-parks the process with
+  the same bound method;
+* **direct handoff**: when the resumed process yields an event with no
+  other callbacks that is certain to dispatch next — the head of
+  ``_ready``, after advancing the clock if ``_ready`` was empty — the run
+  loop consumes that event and keeps running the same generator.  An
+  already-processed target with ``_ready`` empty is handed off the same
+  way, since its immediate resume would be the next event.  Nothing else
+  can run in between, so this is the order the loop would produce anyway.
 
-The observable semantics are identical to the straightforward
-implementation; ``tests/sim/test_engine.py`` and the serial-vs-parallel
-bit-identity test in ``tests/harness/test_sweep.py`` pin that down.
+The observable semantics are identical to a plain ``(time, eid)`` heap:
+the order oracle in ``tests/properties/test_dispatch_order.py``, the
+engine unit tests and the serial-vs-parallel bit-identity test in
+``tests/harness/test_sweep.py`` pin that down.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heapify, heappop, heappush
 from itertools import count
 from typing import Any, Callable, Generator, Iterable, List, Optional
@@ -61,6 +98,8 @@ __all__ = [
     "Process",
     "Environment",
 ]
+
+_INF = float("inf")
 
 
 class SimulationError(Exception):
@@ -93,9 +132,9 @@ class Interrupt(Exception):
 
 # Event states.
 _PENDING = 0
-_TRIGGERED = 1  # scheduled on the heap, callbacks not yet run
+_TRIGGERED = 1  # scheduled (heap or ready queue), callbacks not yet run
 _PROCESSED = 2  # callbacks have run
-_CANCELLED = 3  # heap entry is dead; the run loop skips it
+_CANCELLED = 3  # scheduled entry is dead; the run loop skips it
 
 
 class Event:
@@ -150,8 +189,7 @@ class Event:
         self._ok = True
         self._value = value
         self._state = _TRIGGERED
-        env = self.env
-        heappush(env._heap, (env._now, next(env._eid), self))
+        self.env._ready.append(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -163,17 +201,8 @@ class Event:
         self._ok = False
         self._value = exception
         self._state = _TRIGGERED
-        env = self.env
-        heappush(env._heap, (env._now, next(env._eid), self))
+        self.env._ready.append(self)
         return self
-
-    def _run_callbacks(self) -> None:
-        self._state = _PROCESSED
-        callbacks = self.callbacks
-        if callbacks:
-            self.callbacks = []
-            for callback in callbacks:
-                callback(self)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} at {id(self):#x} state={self._state}>"
@@ -182,10 +211,8 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed virtual-time delay.
 
-    Timeouts are born triggered: the constructor writes the five event
-    fields directly and pushes one heap entry, skipping the generic
-    ``__init__``/``succeed`` path (this is the hottest allocation site in
-    the whole simulator).
+    Timeouts are born triggered.  :meth:`Environment.timeout` builds them
+    in one frame; this constructor is the equivalent generic path.
     """
 
     __slots__ = ("delay",)
@@ -199,22 +226,22 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         self.delay = delay
-        if env._buckets is None:
-            heappush(env._heap, (env._now + delay, next(env._eid), self))
+        now = env._now
+        when = now + delay
+        if when == now:
+            env._ready.append(self)
         else:
-            # Calendar scheduler (repro.sim.calendar): exact-timestamp
-            # buckets instead of one heap entry per timeout.
-            env._bucket_insert(self, env._now + delay)
+            env._schedule_timeout(self, when)
 
     def cancel(self) -> None:
         """Disarm a timeout that lost a race (e.g. the other arm of an
         ``any_of`` fired first).
 
-        The heap entry cannot be removed cheaply, so the timeout is marked
-        dead and the run loop skips it without advancing the clock; once
-        enough dead entries accumulate the environment compacts the heap in
-        one pass.  Without this, every completed watchdog arm would stay a
-        live heap entry until its expiry time — a real leak on long runs.
+        The scheduled entry cannot be removed cheaply, so the timeout is
+        marked dead and the run loop skips it without advancing the clock;
+        once enough dead entries accumulate the environment compacts them
+        in one pass.  Without this, every completed watchdog arm would stay
+        a live heap entry until its expiry time — a real leak on long runs.
         No-op if the timeout already fired.
 
         Cancellation is a *condition-visible* terminal state: a
@@ -241,6 +268,12 @@ class Condition(Event):
 
     Used for :meth:`Environment.all_of` and :meth:`Environment.any_of`.
     The condition value is a dict mapping each fired event to its value.
+    Once it fires it unhooks itself from the members that have not fired
+    yet, so a long-lived member does not collect dead callbacks (one per
+    ``any_of`` it ever took part in).  A member therefore must not rely on
+    the condition's callback to look "listened to" — in particular a
+    :class:`~repro.sim.resources.Resource` request belongs in a ``yield``,
+    not in a condition.
     """
 
     __slots__ = ("_events", "_evaluate", "_fired", "_dead")
@@ -260,6 +293,8 @@ class Condition(Event):
             self.succeed({})
             return
         for event in self._events:
+            if self._state != _PENDING:
+                break  # already decided: later members need no callback
             state = event._state
             if state == _PROCESSED:
                 self._on_event(event)
@@ -273,12 +308,14 @@ class Condition(Event):
             return
         if not event._ok:
             self.fail(event._value)
-            return
-        self._fired += 1
-        if self._evaluate(self._fired, len(self._events)):
+        else:
+            self._fired += 1
+            if not self._evaluate(self._fired, len(self._events)):
+                return
             self.succeed(
                 {ev: ev._value for ev in self._events if ev._state != _PENDING}
             )
+        self._detach()
 
     def _on_member_cancelled(self, event: Event) -> None:
         """A watched member was cancelled and can never fire.
@@ -300,6 +337,19 @@ class Condition(Event):
                 f"condition can never fire: {self._dead} of {total} "
                 "watched event(s) were cancelled"
             ))
+            self._detach()
+
+    def _detach(self) -> None:
+        """Remove this (now decided) condition's callback from members
+        whose callbacks have not run.  The callback would be a no-op, so
+        removing it cannot change what fires or when."""
+        callback = self._on_event
+        for event in self._events:
+            if event._state <= _TRIGGERED:
+                try:
+                    event.callbacks.remove(callback)
+                except ValueError:
+                    pass  # registration was skipped (decided at creation)
 
 
 def _all_fired(fired: int, total: int) -> bool:
@@ -316,18 +366,26 @@ class Process(Event):
     __slots__ = ("_generator", "_waiting_on", "_pending_resume")
 
     def __init__(self, env: "Environment", generator: Generator):
-        super().__init__(env)
         if not hasattr(generator, "send"):
             raise TypeError(f"process() requires a generator, got {generator!r}")
+        self.env = env
+        self.callbacks = []
+        self._state = _PENDING
+        self._ok = True
+        self._value = None
         self._generator = generator
         self._waiting_on: Optional[Event] = None
         #: The scheduled immediate-resume event while the process waits on
         #: an already-processed target; ``interrupt()`` must disarm it.
         self._pending_resume: Optional[Event] = None
         # Bootstrap: resume the generator at the current simulation time.
-        bootstrap = Event(env)
-        bootstrap.callbacks.append(self._resume)
-        bootstrap.succeed()
+        bootstrap = Event.__new__(Event)
+        bootstrap.env = env
+        bootstrap.callbacks = [self._resume]
+        bootstrap._state = _TRIGGERED
+        bootstrap._ok = True
+        bootstrap._value = None
+        env._ready.append(bootstrap)
 
     @property
     def is_alive(self) -> bool:
@@ -361,6 +419,10 @@ class Process(Event):
         wakeup.succeed()
 
     # -- internal ----------------------------------------------------------
+    #
+    # Environment.run inlines _resume/_step/_wait_for for the common case
+    # (see the module docstring); these methods serve step(), callback
+    # lists with more than one entry, and interrupts.
 
     def _resume(self, event: Event) -> None:
         self._waiting_on = None
@@ -411,13 +473,16 @@ class Process(Event):
         """Park the process on ``target`` (the tail half of a step)."""
         if target._state == _PROCESSED:
             # Already fired and callbacks ran: resume immediately (same
-            # time).  Tracked in _pending_resume so interrupt() can disarm.
-            immediate = Event(self.env)
+            # time) with the target's outcome.  Tracked in _pending_resume
+            # so interrupt() can disarm it.
+            immediate = Event.__new__(Event)
+            immediate.env = self.env
+            immediate.callbacks = [self._resume]
+            immediate._state = _TRIGGERED
+            immediate._ok = target._ok
+            immediate._value = target._value
             self._pending_resume = immediate
-            immediate.callbacks.append(
-                lambda _ev: self._resume(target)
-            )
-            immediate.succeed()
+            self.env._ready.append(immediate)
         else:
             # Pending, triggered, or cancelled.  A cancelled target can
             # never fire: the process parks forever (pinned semantics —
@@ -426,26 +491,24 @@ class Process(Event):
             target.callbacks.append(self._resume)
 
 
-#: The unbound resume function, so batched dispatchers (repro.sim.calendar)
-#: can recognize "this event's sole callback resumes a process" and inline
-#: the generator step without the _resume/_step call frames.
+#: The unbound resume function: the run loop recognizes "this event's sole
+#: callback resumes a process" by it and inlines the generator step.
 _RESUME = Process._resume
 
 
 class Environment:
-    """The simulation clock plus the pending-event heap."""
-
-    #: Calendar-scheduler hook: None on the heap engine.  When a subclass
-    #: (repro.sim.calendar.CalendarEnvironment) sets an instance dict here,
-    #: ``Timeout.__init__`` routes through ``_bucket_insert`` instead of
-    #: pushing a heap entry.
-    _buckets = None
+    """The simulation clock plus the scheduled events (see the module
+    docstring for the dispatch order)."""
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
+        #: Future timeouts: (time, eid, event).
         self._heap: List = []
-        #: Dead (cancelled) entries still sitting in the heap; the run
-        #: loops skip them and :meth:`_compact_heap` sweeps them in bulk.
+        #: Events due at the current time, in trigger order.
+        self._ready: deque = deque()
+        #: Dead (cancelled) entries still sitting in the heap or the ready
+        #: queue; the run loop skips them and :meth:`_compact_heap` sweeps
+        #: them in bulk.
         self._cancelled = 0
         self._eid = count()
         self._active_process: Optional[Process] = None
@@ -484,7 +547,24 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
+        """Build and schedule a timeout in one frame (the most executed
+        call in the simulator; field writes match ``Timeout.__init__``)."""
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay}")
+        timeout = Timeout.__new__(Timeout)
+        timeout.env = self
+        timeout.callbacks = []
+        timeout._state = _TRIGGERED
+        timeout._ok = True
+        timeout._value = value
+        timeout.delay = delay
+        now = self._now
+        when = now + delay
+        if when == now:
+            self._ready.append(timeout)
+        else:
+            heappush(self._heap, (when, next(self._eid), timeout))
+        return timeout
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
@@ -530,102 +610,199 @@ class Environment:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        heappush(self._heap, (self._now + delay, next(self._eid), event))
+    def _schedule_timeout(self, timeout: Timeout, when: float) -> None:
+        """Store a timeout due at ``when > now`` (``Timeout.__init__``;
+        :meth:`timeout` inlines it)."""
+        heappush(self._heap, (when, next(self._eid), timeout))
 
     def _note_cancelled(self) -> None:
-        """Account one newly-dead scheduled entry; compact when they pile
-        up.  Subclasses with extra scheduling structures override this."""
+        """Account one newly-dead scheduled entry; compact once they
+        outnumber the live ones."""
         self._cancelled += 1
-        if self._cancelled > 64 and self._cancelled * 2 > len(self._heap):
+        if self._cancelled > 64 and self._cancelled > self.live_heap_size():
             self._compact_heap()
 
     def _compact_heap(self) -> None:
-        """Drop cancelled entries in one pass and re-heapify.
+        """Drop cancelled entries from the heap and the ready queue in one
+        pass and re-heapify.
 
-        Filters in place: the run loops bind ``self._heap`` to a local, so
-        rebinding the attribute here would strand them on a stale list.
+        Filters in place: the run loop binds the ready queue's methods to
+        locals, so rebinding the attributes here would strand it on a
+        stale object.
         """
         self._heap[:] = [entry for entry in self._heap
                          if entry[2]._state != _CANCELLED]
         heapify(self._heap)
+        ready = self._ready
+        live = [event for event in ready if event._state != _CANCELLED]
+        ready.clear()
+        ready.extend(live)
         self._cancelled = 0
 
     def live_heap_size(self) -> int:
-        """Number of heap entries that can still fire (excludes cancelled)."""
-        return len(self._heap) - self._cancelled
+        """Number of scheduled entries that can still fire (excludes
+        cancelled ones)."""
+        return len(self._heap) + len(self._ready) - self._cancelled
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or +inf if none."""
+    def _advance(self, limit: float) -> bool:
+        """Called with ``_ready`` empty: move the clock to the earliest live
+        heap time, if it is ``<= limit``, and queue every entry due then
+        on ``_ready`` in eid order.  False if there is none."""
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            when = entry[0]
+            if when > limit:
+                return False
+            heappop(heap)
+            event = entry[2]
+            if event._state == _CANCELLED:
+                self._cancelled -= 1
+                continue
+            self._now = when
+            ready = self._ready
+            ready.append(event)
+            while heap and heap[0][0] == when:
+                ready.append(heappop(heap)[2])
+            return True
+        return False
+
+    def _next_scheduled(self) -> float:
+        """Time of the earliest live heap entry, or +inf (``_ready`` is
+        empty when this is called)."""
         heap = self._heap
         while heap and heap[0][2]._state == _CANCELLED:
             heappop(heap)
             self._cancelled -= 1
-        return heap[0][0] if heap else float("inf")
+        return heap[0][0] if heap else _INF
+
+    def peek(self) -> float:
+        """Time of the next scheduled event, or +inf if none."""
+        ready = self._ready
+        while ready and ready[0]._state == _CANCELLED:
+            ready.popleft()
+            self._cancelled -= 1
+        if ready:
+            return self._now
+        return self._next_scheduled()
 
     def step(self) -> None:
         """Process the single next (live) event."""
-        heap = self._heap
-        while heap:
-            when, _eid, event = heappop(heap)
-            if event._state == _CANCELLED:
-                self._cancelled -= 1
-                continue
-            self._now = when
-            event._state = _PROCESSED
-            callbacks = event.callbacks
-            if callbacks:
-                event.callbacks = []
-                for callback in callbacks:
-                    callback(event)
-            return
-        raise SimulationError("no more events to step")
+        ready = self._ready
+        while True:
+            if not ready and not self._advance(_INF):
+                raise SimulationError("no more events to step")
+            event = ready.popleft()
+            if event._state != _CANCELLED:
+                break
+            self._cancelled -= 1
+        event._state = _PROCESSED
+        callbacks = event.callbacks
+        if callbacks:
+            event.callbacks = []
+            for callback in callbacks:
+                callback(event)
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run until the heap drains or virtual time reaches ``until``.
+        """Run until nothing is scheduled or virtual time reaches ``until``.
 
         When ``until`` is given the clock is advanced exactly to it even if
         the last event fires earlier, so throughput windows are exact.
 
-        Both loops inline :meth:`step` (pop, advance the clock, run the
-        event's callbacks) with the heap bound to a local — this is the
-        innermost host-side loop of every experiment.
+        This is the innermost host-side loop of every experiment: it
+        inlines :meth:`step`, and inlines the process resume with direct
+        handoff (module docstring).  It is shared by every engine; they
+        differ only in :meth:`_advance`.
         """
-        heap = self._heap
-        pop = heappop
         if until is None:
-            while heap:
-                when, _eid, event = pop(heap)
-                if event._state == _CANCELLED:
-                    self._cancelled -= 1
-                    continue
-                self._now = when
-                event._state = _PROCESSED
-                callbacks = event.callbacks
-                if callbacks:
-                    event.callbacks = []
-                    for callback in callbacks:
-                        callback(event)
-            self._raise_if_deadlocked()
-            return
-        if until < self._now:
+            limit = _INF
+        elif until < self._now:
             raise ValueError(f"until={until} is in the past (now={self._now})")
-        while heap and heap[0][0] <= until:
-            when, _eid, event = pop(heap)
+        else:
+            limit = until
+        ready = self._ready
+        popleft = ready.popleft
+        advance = self._advance
+        while True:
+            if not ready and not advance(limit):
+                break
+            event = popleft()
             if event._state == _CANCELLED:
                 self._cancelled -= 1
                 continue
-            self._now = when
             event._state = _PROCESSED
             callbacks = event.callbacks
-            if callbacks:
-                event.callbacks = []
+            if not callbacks:
+                continue
+            event.callbacks = []
+            if (len(callbacks) != 1
+                    or getattr(callbacks[0], "__func__", None) is not _RESUME):
                 for callback in callbacks:
                     callback(event)
-        if not heap or self._cancelled >= len(heap):
-            # The heap is empty, or every remaining entry is a cancelled
-            # husk past `until`: nothing can ever fire again, so a watched
-            # waiter is genuinely stuck.
+                continue
+            # The sole callback resumes a process: Process._resume/_step,
+            # inlined.  The loop runs the generator across handoffs.
+            resume = callbacks[0]
+            proc = resume.__self__
+            if proc._state != _PENDING:
+                continue
+            proc._waiting_on = None
+            proc._pending_resume = None
+            gen = proc._generator
+            ok = event._ok
+            value = event._value
+            while True:
+                self._active_process = proc
+                try:
+                    if ok:
+                        target = gen.send(value)
+                    else:
+                        target = gen.throw(value)
+                except StopIteration as stop:
+                    self._active_process = None
+                    proc.succeed(stop.value)
+                    break
+                except Interrupt:
+                    # Escaped the generator: clean termination.
+                    self._active_process = None
+                    proc.succeed(None)
+                    break
+                except BaseException:
+                    self._active_process = None
+                    raise
+                self._active_process = None
+                if not isinstance(target, Event):
+                    proc._step(throw=TypeError(
+                        f"process yielded a non-event: {target!r}"))
+                    break
+                state = target._state
+                if state == _TRIGGERED:
+                    if (not target.callbacks
+                            and (ready or advance(limit))
+                            and ready[0] is target):
+                        # Direct handoff: the target is the next event.
+                        popleft()
+                        target._state = _PROCESSED
+                        ok = target._ok
+                        value = target._value
+                        continue
+                elif state == _PROCESSED:
+                    if not ready:
+                        # Its immediate resume would be the next event.
+                        ok = target._ok
+                        value = target._value
+                        continue
+                    proc._wait_for(target)
+                    break
+                proc._waiting_on = target
+                target.callbacks.append(resume)
+                break
+        if until is None:
+            self._raise_if_deadlocked()
+            return
+        if self.live_heap_size() == 0:
+            # Nothing scheduled can ever fire again (at most cancelled
+            # husks past `until` remain): a watched waiter is stuck.
             self._raise_if_deadlocked()
         self._now = until
 

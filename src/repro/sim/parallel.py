@@ -118,7 +118,10 @@ class ShardContext:
         """Schedule inbound messages, already sorted (arrival, src, seq).
 
         Event ids are allocated here, in that order, before the next
-        window runs — the determinism rule.
+        window runs — the determinism rule.  The entries go straight onto
+        the heap, even one arriving exactly at the window's end (the
+        current time): between windows the ready queue is empty, so the
+        engine's dispatch order stays ``(time, eid)``.
         """
         env = self.env
         handler = self._handler

@@ -10,9 +10,14 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional
 
-from repro.sim.engine import Environment, Event, SimulationError
+from repro.sim.engine import _TRIGGERED, Environment, Event, SimulationError
 
 __all__ = ["Store", "Resource"]
+
+#: Granted puts, gets and requests are already-triggered events; the
+#: factories below build them in one frame, with exactly the field writes
+#: of ``Event(env).succeed(value)``.
+_new_event = Event.__new__
 
 
 class Store:
@@ -41,27 +46,41 @@ class Store:
         return tuple(self._items)
 
     def put(self, item: Any) -> Event:
-        event = Event(self.env)
         if self._getters:
             # Hand the item straight to the oldest waiting getter.
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            event.succeed()
+            self._getters.popleft().succeed(item)
         elif self.capacity is None or len(self._items) < self.capacity:
             self._items.append(item)
-            event.succeed()
         else:
+            event = Event(self.env)
             event._blocked_item = item  # type: ignore[attr-defined]
             self._putters.append(event)
+            return event
+        env = self.env
+        event = _new_event(Event)
+        event.env = env
+        event.callbacks = []
+        event._state = _TRIGGERED
+        event._ok = True
+        event._value = None
+        env._ready.append(event)
         return event
 
     def get(self) -> Event:
-        event = Event(self.env)
-        if self._items:
-            event.succeed(self._items.popleft())
-            self._admit_blocked_putter()
-        else:
+        env = self.env
+        if not self._items:
+            event = Event(env)
             self._getters.append(event)
+            return event
+        event = _new_event(Event)
+        event.env = env
+        event.callbacks = []
+        event._state = _TRIGGERED
+        event._ok = True
+        event._value = self._items.popleft()
+        env._ready.append(event)
+        if self._putters:
+            self._admit_blocked_putter()
         return event
 
     def try_get(self) -> Optional[Any]:
@@ -112,12 +131,19 @@ class Resource:
         having no registered callbacks at grant time, so an event parked
         un-yielded across other waits would be mistaken for abandoned.
         """
-        event = Event(self.env)
+        env = self.env
         if self._in_use < self.capacity:
             self._in_use += 1
-            event.succeed()
-        else:
-            self._waiters.append(event)
+            event = _new_event(Event)
+            event.env = env
+            event.callbacks = []
+            event._state = _TRIGGERED
+            event._ok = True
+            event._value = None
+            env._ready.append(event)
+            return event
+        event = Event(env)
+        self._waiters.append(event)
         return event
 
     def release(self) -> None:

@@ -6,8 +6,10 @@ run the identical fixed-seed workload with and without an
 :class:`~repro.sim.obs.Observability` attached and demand *bit-identical*
 outcomes — final sim time, every journal-commit timestamp, per-SSD service
 counts, driver command counts, and even the number of events the engine
-ever allocated.
+ever scheduled.
 """
+
+from collections import deque
 
 import pytest
 
@@ -19,9 +21,20 @@ from repro.sim.obs import Observability
 KINDS = ("ext4", "horaefs", "riofs")
 
 
+class CountingDeque(deque):
+    """The engine's ready queue, counting every event put on it."""
+
+    appended = 0
+
+    def append(self, event):
+        self.appended += 1
+        super().append(event)
+
+
 def probe(kind: str, instrumented: bool, iterations: int = 6):
     """The Fig. 14 fsync probe; returns a tuple of observable outcomes."""
     env = Environment()
+    env._ready = CountingDeque()
     if instrumented:
         Observability(env)
     cluster = build_cluster("optane", env=env, seed=42)
@@ -45,15 +58,18 @@ def probe(kind: str, instrumented: bool, iterations: int = 6):
         ssd.commands_served
         for target in cluster.targets for ssd in target.ssds
     )
-    # Event ids come from an itertools.count; peeking its next value counts
-    # every event the engine ever allocated without consuming one.
-    events_allocated = env._eid.__reduce__()[1][0]
+    # Future timeouts draw an event id from an itertools.count (peeking its
+    # next value consumes none); everything due at the current time goes
+    # through the ready queue.  A heap entry moved onto the ready queue
+    # when the clock reaches it is counted by both, identically in both
+    # runs, so any extra event scheduled by observability shows up.
+    events_scheduled = env._eid.__reduce__()[1][0] + env._ready.appended
     return {
         "now": env.now,
         "breakdowns": breakdowns,
         "ssd_commands_served": served,
         "driver_commands_sent": cluster.driver.commands_sent,
-        "events_allocated": events_allocated,
+        "events_scheduled": events_scheduled,
     }
 
 
