@@ -14,7 +14,8 @@ onto the reserved NVMe-oF command fields of Table 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Optional
 
 from repro.nvmeof.command import (
@@ -123,13 +124,28 @@ class OrderingAttribute:
     def covers(self, seq: int) -> bool:
         return self.start_seq <= seq <= self.end_seq
 
+    def copy(self, **changes) -> "OrderingAttribute":
+        """A shallow copy with ``changes`` applied, field for field what
+        ``dataclasses.replace(self, **changes)`` returns, at a fraction of
+        its cost: the constructor takes every field positionally, then only
+        the changed ones are set.  ``__post_init__`` reruns on the changed
+        copy only when a field it checks changed."""
+        if not _FIELDS.issuperset(changes):
+            raise TypeError(
+                f"unknown field(s): {sorted(changes.keys() - _FIELDS)}")
+        clone = OrderingAttribute(*_field_values(self))
+        for name, value in changes.items():
+            setattr(clone, name, value)
+        if not _CHECKED.isdisjoint(changes):
+            clone.__post_init__()
+        return clone
+
     def clone_fragment(self, index: int, total: int, lba: int, nblocks: int
                        ) -> "OrderingAttribute":
         """Attribute for one fragment of a divided request (§4.5)."""
         if total < 2:
             raise ValueError("splitting requires at least two fragments")
-        return replace(
-            self,
+        return self.copy(
             split=True,
             split_index=index,
             split_total=total,
@@ -182,3 +198,11 @@ class OrderingAttribute:
             f"<Attr s{self.stream_id} seq={seq} prev={self.prev} "
             f"lba={self.lba}+{self.nblocks} {marks}>"
         )
+
+
+_FIELD_NAMES = tuple(f.name for f in fields(OrderingAttribute))
+_FIELDS = frozenset(_FIELD_NAMES)
+#: Every field's value, in constructor order.
+_field_values = attrgetter(*_FIELD_NAMES)
+#: The fields ``OrderingAttribute.__post_init__`` validates.
+_CHECKED = frozenset({"start_seq", "end_seq", "prev", "split", "merged"})

@@ -23,7 +23,6 @@ not the submitting core.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.block.mq import BlockLayer, observe_merge
@@ -115,8 +114,8 @@ class RioIoScheduler:
                 )
         else:
             ns, request = fragments[0]
-            request.attr = replace(
-                bio.attr, lba=request.lba, nblocks=request.nblocks
+            request.attr = bio.attr.copy(
+                lba=request.lba, nblocks=request.nblocks
             )
         stream_id = bio.stream_id % len(self._queues)
         queue = self._queues[stream_id]

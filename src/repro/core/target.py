@@ -23,7 +23,6 @@ records to the initiator and executing discard requests during roll-back.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.attributes import ATTRIBUTE_SIZE, OrderingAttribute
@@ -72,8 +71,7 @@ class AttributeLog:
             yield waiter
         log_pos = self.tail
         self.tail += 1
-        record = replace(attr)
-        record.log_pos = log_pos  # type: ignore[attr-defined]
+        record = attr.copy(log_pos=log_pos)
         self._records[log_pos] = record
         yield from self.pmr.persist(
             core, self.offset_of(log_pos), ATTRIBUTE_SIZE, record

@@ -49,16 +49,24 @@ class Core:
 
         Usage: ``yield from core.run(0.5e-6)``.  Work on the same core is
         serialized FIFO; busy time accrues only while work actually runs.
+        A free core and a wait that would dispatch next complete in place,
+        so this may return without ever yielding (the in-place waits of
+        :mod:`repro.sim.engine`).
         """
         if duration < 0:
             raise ValueError(f"negative CPU work: {duration}")
-        yield self._resource.request()
+        resource = self._resource
+        grant = resource.request_or_none()
+        if grant is not None:
+            yield grant
         self.tracker.begin()
         try:
-            yield self.env.timeout(duration)
+            timeout = self.env.timeout_or_none(duration)
+            if timeout is not None:
+                yield timeout
         finally:
             self.tracker.end()
-            self._resource.release()
+            resource.release()
 
     def context_switch(self):
         """Generator: charge one sleep/wake context-switch pair."""

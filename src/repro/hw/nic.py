@@ -20,7 +20,12 @@ NIC_BANDWIDTH = 25e9
 
 
 class Nic:
-    """One RDMA NIC port with independent TX and RX bandwidth pipes."""
+    """One RDMA NIC port with independent TX and RX bandwidth pipes.
+
+    A free pipe and a wire time that would dispatch next complete in place
+    (the in-place waits of :mod:`repro.sim.engine`), so ``occupy_tx`` and
+    ``occupy_rx`` may return without ever yielding.
+    """
 
     def __init__(
         self,
@@ -44,21 +49,33 @@ class Nic:
 
     def occupy_tx(self, nbytes: int):
         """Generator: hold the TX pipe for the wire time of ``nbytes``."""
-        yield self._tx.request()
+        pipe = self._tx
+        grant = pipe.request_or_none()
+        if grant is not None:
+            yield grant
         try:
-            yield self.env.timeout(nbytes / self.bandwidth * self.inflation)
+            timeout = self.env.timeout_or_none(
+                nbytes / self.bandwidth * self.inflation)
+            if timeout is not None:
+                yield timeout
             self.bytes_sent += nbytes
         finally:
-            self._tx.release()
+            pipe.release()
 
     def occupy_rx(self, nbytes: int):
         """Generator: hold the RX pipe for the wire time of ``nbytes``."""
-        yield self._rx.request()
+        pipe = self._rx
+        grant = pipe.request_or_none()
+        if grant is not None:
+            yield grant
         try:
-            yield self.env.timeout(nbytes / self.bandwidth * self.inflation)
+            timeout = self.env.timeout_or_none(
+                nbytes / self.bandwidth * self.inflation)
+            if timeout is not None:
+                yield timeout
             self.bytes_received += nbytes
         finally:
-            self._rx.release()
+            pipe.release()
 
     def __repr__(self) -> str:
         return f"<Nic {self.name} {self.bandwidth / 1e9:.0f} GB/s>"

@@ -599,12 +599,12 @@ class NvmeSsd:
     def _serve_write(self, io: DiskIO, epoch: int):
         profile = self.profile
         # Concurrency slot (channel parallelism).
-        yield self._slots.request()
+        yield from self._slots.acquire()
         try:
             # Host DMA over the interface.
-            yield self._interface.request()
+            yield from self._interface.acquire()
             try:
-                yield self.env.timeout(
+                yield from self.env.sleep(
                     self._service_time(io.nbytes / profile.interface_bandwidth)
                 )
             finally:
@@ -617,17 +617,17 @@ class NvmeSsd:
                 # their submission order (§2.2's barrier interface).
                 if io.barrier:
                     yield from self._await_barrier_turn(io, epoch)
-                    yield self._barrier_lane.request()
+                    yield from self._barrier_lane.acquire()
                 try:
-                    yield self._media_pipe.request()
+                    yield from self._media_pipe.acquire()
                     try:
-                        yield self.env.timeout(self._service_time(
+                        yield from self.env.sleep(self._service_time(
                             io.nbytes / profile.media_bandwidth
                         ))
                     finally:
                         self._media_pipe.release()
                     self._check_epoch(epoch)
-                    yield self.env.timeout(self._service_time(
+                    yield from self.env.sleep(self._service_time(
                         self.rng.jitter(profile.write_latency, 0.05)
                     ))
                     self._check_epoch(epoch)
@@ -640,7 +640,7 @@ class NvmeSsd:
             else:
                 # Into the volatile write cache (waiting for space if full).
                 yield from self._wait_for_cache_space(io.nbytes, epoch)
-                yield self.env.timeout(self._service_time(
+                yield from self.env.sleep(self._service_time(
                     self.rng.jitter(profile.write_latency, 0.05)
                 ))
                 self._check_epoch(epoch)
@@ -693,15 +693,15 @@ class NvmeSsd:
 
     def _serve_read(self, io: DiskIO, epoch: int):
         profile = self.profile
-        yield self._slots.request()
+        yield from self._slots.acquire()
         try:
-            yield self.env.timeout(
+            yield from self.env.sleep(
                 self._service_time(self.rng.jitter(profile.read_latency, 0.05))
             )
             self._check_epoch(epoch)
-            yield self._interface.request()
+            yield from self._interface.acquire()
             try:
-                yield self.env.timeout(
+                yield from self.env.sleep(
                     self._service_time(io.nbytes / profile.interface_bandwidth)
                 )
             finally:
@@ -717,7 +717,8 @@ class NvmeSsd:
     def _serve_flush(self, epoch: int):
         self.flushes_served += 1
         if self.profile.plp or not self.profile.cache_capacity:
-            yield self.env.timeout(self._service_time(self.profile.flush_base_latency))
+            yield from self.env.sleep(
+                self._service_time(self.profile.flush_base_latency))
             self._check_epoch(epoch)
             return
         # Snapshot: everything admitted so far must drain before we return.
@@ -728,7 +729,7 @@ class NvmeSsd:
             self._kick_drain()
             yield waiter
             self._check_epoch(epoch)
-        yield self.env.timeout(self._service_time(
+        yield from self.env.sleep(self._service_time(
             self.rng.jitter(self.profile.flush_base_latency, 0.1)
         ))
         self._check_epoch(epoch)
@@ -846,9 +847,9 @@ class NvmeSsd:
             # drain serves WA x the host bytes (the sustained-write regime
             # qualification cells run the PM981 in).
             wa = self.write_amplification()
-            yield self._media_pipe.request()
+            yield from self._media_pipe.acquire()
             try:
-                yield self.env.timeout(
+                yield from self.env.sleep(
                     nbytes * wa / self.profile.media_bandwidth
                 )
             finally:

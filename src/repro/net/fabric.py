@@ -217,7 +217,7 @@ class QueuePair:
                     if epoch != sender.epoch:
                         continue
             yield from sender.nic.occupy_tx(message.nbytes)
-            yield self.env.timeout(
+            yield from self.env.sleep(
                 self.rng.jitter(self.propagation_delay, 0.15)
             )
             yield from receiver.nic.occupy_rx(message.nbytes)
@@ -232,13 +232,13 @@ class QueuePair:
     def one_sided_transfer(self, requester: QpEndpoint, nbytes: int):
         """Generator: RDMA READ/WRITE timing — RTT plus wire time."""
         responder = requester.peer
-        yield self.env.timeout(
+        yield from self.env.sleep(
             self.rng.jitter(self.propagation_delay, 0.15)
         )
         # Data moves through both NICs' pipes; charge the responder TX and
         # requester RX for a READ (symmetric for WRITE — same wire time).
         yield from responder.nic.occupy_tx(nbytes)
-        yield self.env.timeout(
+        yield from self.env.sleep(
             self.rng.jitter(self.propagation_delay, 0.15)
         )
         yield from requester.nic.occupy_rx(nbytes)

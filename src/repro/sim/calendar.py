@@ -15,11 +15,14 @@ arrival in a tick).  Instead of one binary-heap entry per timeout it keeps
 Everything else is the engine's: events due now go on the shared ready
 queue, the inherited ``_heap`` holds whatever is pushed there directly
 (cross-shard messages from :mod:`repro.sim.parallel`), and the run loop,
-with its inline resume and direct handoff, is
-:meth:`~repro.sim.engine.Environment.run` itself.  Only :meth:`_advance`
-differs: it moves a whole bucket onto the ready queue at once, merged with
-any heap entries due at the same time by eid.  Dispatch order is therefore
-exactly the heap engine's ``(time, eid)`` order, and results are
+with its inline resume, direct handoff and in-place waits, is
+:meth:`~repro.sim.engine.Environment.run` itself.  Two decisions look at
+the buckets: :meth:`_advance` moves a whole bucket onto the ready queue at
+once, merged with any heap entries due at the same time by eid, and
+:meth:`timeout_or_none`, the in-place advance, checks the earliest bucket
+time as well as the heap in its "nothing due by then" test.  Dispatch
+order is therefore exactly the heap engine's ``(time, eid)`` order, and
+results are
 **bit-identical** (asserted against real saturation cells in
 ``tests/sim/test_calendar.py`` and by the order oracle in
 ``tests/properties/test_dispatch_order.py``).
@@ -118,6 +121,17 @@ class CalendarEnvironment(Environment):
 
     def live_heap_size(self) -> int:
         return super().live_heap_size() + self._bucket_count
+
+    def timeout_or_none(self, delay: float):
+        """The engine's in-place advance, with the buckets in its "nothing
+        due by the wake time" test: a bucket due at or before it goes
+        first, so the timeout is returned.  A stale bucket time (bucket
+        consumed) at the top of ``_times`` only makes the test more
+        conservative."""
+        times = self._times
+        if times and delay >= 0 and times[0] <= self._now + delay:
+            return self.timeout(delay)
+        return super().timeout_or_none(delay)
 
     # -- advancing the clock -------------------------------------------------
 

@@ -8,6 +8,7 @@ The programming model is cooperative coroutines::
 
     def worker(env):
         yield env.timeout(1e-6)          # wait 1 microsecond
+        yield from env.sleep(1e-6)       # the same, in place when it can be
         result = yield some_event        # wait for an event, receive value
 
     env = Environment()
@@ -46,6 +47,40 @@ _advance`).  Advancing to ``t`` moves *every* heap entry due at ``t`` onto
   ``_ready`` is non-empty no heap entry is due;
 * within ``_ready``, FIFO order is trigger order, which is eid order.
 
+In-place waits
+--------------
+
+Two waits finish without creating an event when that event would be the
+very next one dispatched.  Both apply only while the process is driven by
+:meth:`Environment.run`'s inline loop: ``run()`` stores its ``until`` in
+``_inline_limit`` and :meth:`Process._step` masks it to ``-inf`` while it
+drives a generator, because its caller (:meth:`~Environment.step`,
+:meth:`~Environment.run_until_event`, an event with several callbacks, an
+interrupt) may have more to run at the current time.
+
+* **Synchronous grant** (:meth:`repro.sim.resources.Resource.
+  request_or_none`, and the generator ``acquire`` built on it): a free
+  slot is taken with no grant event and no yield when ``_ready`` is
+  empty.  The grant would be appended to the empty ``_ready`` and the
+  yield handed straight off to it (direct handoff, below), so nothing
+  could run in between.
+* **In-place advance** (:meth:`Environment.timeout_or_none`, and the
+  generator :meth:`Environment.sleep` built on it): the clock moves to
+  ``when = now + delay`` with no event when ``_ready`` is empty,
+  ``when <= until`` and no heap entry is due at or before ``when``
+  (strictly later, since an entry due at ``when`` has a smaller eid and
+  fires first; a cancelled entry counts as due, which only makes in-place
+  advances rarer).  The timeout would have been the unique earliest
+  entry, the clock would have advanced to it, and the yield would have
+  been handed off to it.
+
+In both cases the process continues at the same time, with the same
+value, before any other event, exactly as in the ``(time, eid)`` order;
+only an event, its heap or queue entry and the trip up and down the
+``yield from`` chain are saved.  Skipped eids leave the relative order of
+the others unchanged.  In every other case both fall back to the plain
+event.
+
 Performance notes
 -----------------
 
@@ -73,7 +108,11 @@ uniformity for speed:
   loop consumes that event and keeps running the same generator.  An
   already-processed target with ``_ready`` empty is handed off the same
   way, since its immediate resume would be the next event.  Nothing else
-  can run in between, so this is the order the loop would produce anyway.
+  can run in between, so this is the order the loop would produce anyway;
+* **in-place waits** (above) go one step further and skip the event.
+
+``sim.events_per_op`` in ``bench/`` counts heap pops, so handoffs and
+in-place waits lower it without the model doing less.
 
 The observable semantics are identical to a plain ``(time, eid)`` heap:
 the order oracle in ``tests/properties/test_dispatch_order.py``, the
@@ -100,6 +139,7 @@ __all__ = [
 ]
 
 _INF = float("inf")
+_NEG_INF = float("-inf")
 
 
 class SimulationError(Exception):
@@ -437,36 +477,44 @@ class Process(Event):
             return
         env = self.env
         gen = self._generator
-        while True:
-            env._active_process = self
-            try:
-                if throw is not None:
-                    target = gen.throw(throw)
-                else:
-                    target = gen.send(send)
-            except StopIteration as stop:
+        # Our caller, not run()'s inline loop, dispatches next: no in-place
+        # waits while this generator runs (module docstring).
+        inline_limit = env._inline_limit
+        env._inline_limit = _NEG_INF
+        try:
+            while True:
+                env._active_process = self
+                try:
+                    if throw is not None:
+                        target = gen.throw(throw)
+                    else:
+                        target = gen.send(send)
+                except StopIteration as stop:
+                    env._active_process = None
+                    self.succeed(stop.value)
+                    return
+                except Interrupt:
+                    # Interrupt escaped the generator: treat as clean
+                    # termination.
+                    env._active_process = None
+                    self.succeed(None)
+                    return
+                except BaseException:
+                    env._active_process = None
+                    raise
                 env._active_process = None
-                self.succeed(stop.value)
-                return
-            except Interrupt:
-                # Interrupt escaped the generator: treat as clean
-                # termination.
-                env._active_process = None
-                self.succeed(None)
-                return
-            except BaseException:
-                env._active_process = None
-                raise
-            env._active_process = None
-            if isinstance(target, Event):
-                break
-            # Non-event yield: throw into the generator and loop, so a
-            # generator that catches the error and returns (or yields a
-            # real event next) goes through the same StopIteration /
-            # registration paths as a plain send — no raw StopIteration
-            # can leak out of callback dispatch.
-            send = None
-            throw = TypeError(f"process yielded a non-event: {target!r}")
+                if isinstance(target, Event):
+                    break
+                # Non-event yield: throw into the generator and loop, so a
+                # generator that catches the error and returns (or yields a
+                # real event next) goes through the same StopIteration /
+                # registration paths as a plain send — no raw StopIteration
+                # can leak out of callback dispatch.
+                send = None
+                throw = TypeError(
+                    f"process yielded a non-event: {target!r}")
+        finally:
+            env._inline_limit = inline_limit
         self._wait_for(target)
 
     def _wait_for(self, target: Event) -> None:
@@ -511,6 +559,10 @@ class Environment:
         #: them in bulk.
         self._cancelled = 0
         self._eid = count()
+        #: ``until`` of the running :meth:`run` while its inline loop drives
+        #: a generator, else -inf: the bound for in-place waits (module
+        #: docstring).
+        self._inline_limit = _NEG_INF
         self._active_process: Optional[Process] = None
         #: Liveness registry: token -> (event, description).  Checked when
         #: the heap drains; see :class:`SimDeadlock`.
@@ -565,6 +617,36 @@ class Environment:
         else:
             heappush(self._heap, (when, next(self._eid), timeout))
         return timeout
+
+    def timeout_or_none(self, delay: float) -> Optional[Timeout]:
+        """:meth:`timeout`, or None when that timeout would be the next
+        event dispatched: then the clock has moved to ``now + delay`` in
+        place (module docstring, "In-place waits").  The caller yields what
+        it gets back, if anything::
+
+            timeout = env.timeout_or_none(delay)
+            if timeout is not None:
+                yield timeout
+        """
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay}")
+        when = self._now + delay
+        if not self._ready and when <= self._inline_limit:
+            heap = self._heap
+            if not heap or heap[0][0] > when:
+                self._now = when
+                return None
+        return self.timeout(delay)
+
+    def sleep(self, delay: float):
+        """Generator: wait ``delay`` seconds — ``yield from env.sleep(d)``.
+
+        Behaves as ``yield env.timeout(delay)``, but completes in place,
+        with no event and no yield, when :meth:`timeout_or_none` can.
+        """
+        timeout = self.timeout_or_none(delay)
+        if timeout is not None:
+            yield timeout
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
@@ -711,8 +793,9 @@ class Environment:
 
         This is the innermost host-side loop of every experiment: it
         inlines :meth:`step`, and inlines the process resume with direct
-        handoff (module docstring).  It is shared by every engine; they
-        differ only in :meth:`_advance`.
+        handoff (module docstring).  While it runs, ``_inline_limit`` is
+        ``until``, which enables the in-place waits.  It is shared by every
+        engine; they differ only in :meth:`_advance`.
         """
         if until is None:
             limit = _INF
@@ -720,6 +803,22 @@ class Environment:
             raise ValueError(f"until={until} is in the past (now={self._now})")
         else:
             limit = until
+        self._inline_limit = limit
+        try:
+            self._run(limit)
+        finally:
+            self._inline_limit = _NEG_INF
+        if until is None:
+            self._raise_if_deadlocked()
+            return
+        if self.live_heap_size() == 0:
+            # Nothing scheduled can ever fire again (at most cancelled
+            # husks past `until` remain): a watched waiter is stuck.
+            self._raise_if_deadlocked()
+        self._now = until
+
+    def _run(self, limit: float) -> None:
+        """The dispatch loop of :meth:`run`."""
         ready = self._ready
         popleft = ready.popleft
         advance = self._advance
@@ -797,14 +896,6 @@ class Environment:
                 proc._waiting_on = target
                 target.callbacks.append(resume)
                 break
-        if until is None:
-            self._raise_if_deadlocked()
-            return
-        if self.live_heap_size() == 0:
-            # Nothing scheduled can ever fire again (at most cancelled
-            # husks past `until` remain): a watched waiter is stuck.
-            self._raise_if_deadlocked()
-        self._now = until
 
     def run_until_event(self, event: Event, limit: float = float("inf")) -> Any:
         """Run until ``event`` fires; returns its value. Raises on failure."""

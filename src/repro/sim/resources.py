@@ -159,6 +159,32 @@ class Resource:
                 return
         self._in_use -= 1
 
+    def request_or_none(self) -> Optional[Event]:
+        """:meth:`request`, or None when the slot is free and its grant
+        would be the next event dispatched (the ready queue is empty and
+        :meth:`Environment.run`'s inline loop drives the process): then the
+        slot is taken in place (the synchronous grant of
+        :mod:`repro.sim.engine`'s "In-place waits").  The caller yields
+        what it gets back, if anything::
+
+            grant = resource.request_or_none()
+            if grant is not None:
+                yield grant
+        """
+        env = self.env
+        if (self._in_use < self.capacity and not env._ready
+                and env._now <= env._inline_limit):
+            self._in_use += 1
+            return None
+        return self.request()
+
     def acquire(self):
-        """Generator helper: ``yield from resource.acquire()``."""
-        yield self.request()
+        """Generator: take a slot — ``yield from resource.acquire()``.
+
+        Behaves as ``yield resource.request()``, but completes in place,
+        with no grant event and no yield, when :meth:`request_or_none`
+        can.
+        """
+        grant = self.request_or_none()
+        if grant is not None:
+            yield grant

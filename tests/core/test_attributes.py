@@ -1,5 +1,7 @@
 """Unit tests for ordering attributes (§4.2)."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.core.attributes import CoveredRequest, OrderingAttribute
@@ -54,6 +56,47 @@ def test_clone_fragment_sets_split_metadata():
 def test_clone_fragment_requires_multiple():
     with pytest.raises(ValueError):
         attr().clone_fragment(index=0, total=1, lba=0, nblocks=1)
+
+
+def _field_values(a):
+    return {f.name: getattr(a, f.name) for f in fields(a)}
+
+
+@pytest.mark.parametrize("changes", [
+    {},
+    {"lba": 104, "nblocks": 4},
+    {"log_pos": 17},
+    {"split": True, "split_index": 1, "split_total": 3, "merged": False},
+    {"end_seq": 9, "merged": True},
+])
+def test_copy_equals_replace_field_for_field(changes):
+    source = attr(start_seq=5, end_seq=6, prev=2, lba=100, nblocks=10,
+                  covered_ids=[CoveredRequest(5, 0, 100, 10, True)],
+                  target_name="t0", server_pos=3, ack_seq=1)
+    copied = source.copy(**changes)
+    expected = replace(source, **changes)
+    assert copied is not source
+    assert type(copied) is OrderingAttribute
+    assert _field_values(copied) == _field_values(expected)
+    assert copied.__dict__ == expected.__dict__
+    # Shallow, like replace: the covered-id list is shared, the fields are
+    # the copy's own.
+    assert copied.covered_ids is source.covered_ids
+    copied.persist = 1
+    assert source.persist == 0
+
+
+def test_copy_validates_when_a_checked_field_changes():
+    source = attr(start_seq=5, end_seq=6, prev=2)
+    for bad in ({"prev": 5}, {"end_seq": 4}, {"start_seq": 0}):
+        with pytest.raises(ValueError):
+            replace(source, **bad)
+        with pytest.raises(ValueError):
+            source.copy(**bad)
+    with pytest.raises(ValueError):
+        attr(merged=True).copy(split=True)
+    with pytest.raises(TypeError):
+        source.copy(no_such_field=1)
 
 
 def test_to_rio_fields_maps_flags():

@@ -17,6 +17,16 @@ non-event yields, and a driver that alternates ``run(until=...)`` (each
 followed by cross-shard message injection, as the sharded engine does),
 ``run_until_event`` and ``step``.  Every resume, callback and segment
 boundary is logged; the logs must be equal.
+
+The programs also exercise the engines' in-place waits: ``env.sleep`` and
+``Core.run``-shaped holds (``Resource.acquire``, ``env.sleep``, release;
+on a real :class:`~repro.hw.cpu.Core` too, whose busy time is logged), on
+a resource that ``request()`` holds contend for.  Their wake times tie
+with pending heap entries and with ``run(until=...)``, and processes are
+resumed by ``step()``, ``run_until_event`` and events with several
+callbacks, where a wait must not complete in place.  The reference never
+takes the in-place path: its ``run()`` leaves the engine's inline limit at
+``-inf``.
 """
 
 from collections import deque
@@ -24,6 +34,7 @@ from heapq import heapify, heappop, heappush
 
 from hypothesis import example, given, settings, strategies as st
 
+from repro.hw.cpu import Core
 from repro.sim import (
     CalendarEnvironment,
     Environment,
@@ -141,6 +152,10 @@ def play(env_cls, scripts, segments):
     procs = []
     stores = (Store(env), Store(env, capacity=1))
     resource = Resource(env, capacity=1)
+    core = Core(env, 0)
+
+    def delay(k):
+        return _DELAYS[k % len(_DELAYS)]
 
     def timeout(k):
         t = env.timeout(_DELAYS[k % len(_DELAYS)], value=f"t{len(timeouts)}")
@@ -152,6 +167,20 @@ def play(env_cls, scripts, segments):
         tag = f"{pid}.{n}"
         if kind == "sleep":
             return (yield timeout(op[1]))
+        if kind == "nap":
+            yield from env.sleep(delay(op[1]))
+            return env.now
+        if kind == "charge":
+            # Core.run's shape on the resource "hold" requests contend for.
+            yield from resource.acquire()
+            try:
+                yield from env.sleep(delay(op[1]))
+            finally:
+                resource.release()
+            return env.now
+        if kind == "core":
+            yield from core.run(delay(op[1]))
+            return (core.tracker.busy_time, core.queued_work)
         if kind == "succeed":
             if not events[op[1] % _EVENTS].triggered:
                 events[op[1] % _EVENTS].succeed(tag)
@@ -255,7 +284,8 @@ def play(env_cls, scripts, segments):
 
 
 _OP = st.one_of(
-    st.tuples(st.just("sleep"), st.integers(0, 5)),
+    st.tuples(st.sampled_from(["sleep", "nap", "charge", "core"]),
+              st.integers(0, 5)),
     st.tuples(st.sampled_from(["succeed", "fail", "renew", "wait",
                                "fire_wait", "observe", "interrupt",
                                "cancel", "spawn", "join"]),
@@ -284,6 +314,34 @@ _DRIVER = st.lists(
 # t: the message's smaller eid must fire first on the calendar too.
 @example(scripts=[[("sleep", 2), ("sleep", 2)]],
          segments=[("until", 0, [2])])
+# A nap whose wake time ties with a pending timeout: the timeout's smaller
+# eid fires first.
+@example(scripts=[[("sleep", 4)], [("nap", 4), ("nap", 2)]], segments=[])
+# Naps and core charges landing exactly on run(until=...), then more
+# after the boundary; a contended core.
+@example(scripts=[[("nap", 2), ("nap", 2), ("core", 2)]],
+         segments=[("until", 1, []), ("until", 1, [])])
+@example(scripts=[[("nap", 2), ("core", 2)], [("core", 3), ("nap", 2)]],
+         segments=[("until", 1, []), ("until", 2, [1]), ("until", 3, [])])
+# Two processes resumed by one event (several callbacks) inside run():
+# the first must not nap in place before the second runs.  Then the same
+# program bootstrapped by step().
+@example(scripts=[[("wait", 0), ("nap", 2), ("charge", 2)],
+                  [("wait", 0), ("nap", 2)],
+                  [("sleep", 2), ("succeed", 0), ("sleep", 5)]],
+         segments=[("until", 3, [])])
+@example(scripts=[[("wait", 0), ("nap", 2), ("charge", 2)],
+                  [("wait", 0), ("nap", 2)],
+                  [("sleep", 2), ("succeed", 0), ("sleep", 5)]],
+         segments=[("step",), ("step",), ("step",), ("until", 3, [])])
+# An observer callback ahead of a process on the event it waits for; then
+# resumption by run_until_event.
+@example(scripts=[[("observe", 1), ("wait", 1), ("core", 3), ("nap", 2)],
+                  [("sleep", 2), ("succeed", 1), ("sleep", 5)]],
+         segments=[("until", 3, [])])
+@example(scripts=[[("observe", 1), ("wait", 1), ("core", 3), ("nap", 2)],
+                  [("charge", 2), ("fire_wait", 1), ("nap", 3)]],
+         segments=[("until_event", 0), ("step",)])
 def test_engines_fire_the_reference_sequence(scripts, segments):
     expected = play(ReferenceEnvironment, scripts, segments)
     assert play(Environment, scripts, segments) == expected
@@ -307,3 +365,22 @@ def test_oracle_rejects_a_lifo_ready_queue():
     expected = play(ReferenceEnvironment, scripts, [])
     assert play(Environment, scripts, []) == expected
     assert play(LifoEnvironment, scripts, []) != expected
+
+
+def test_sleep_rejects_a_negative_delay_like_timeout():
+    env = Environment()
+    outcomes = []
+
+    def body():
+        try:
+            yield env.timeout(-1)
+        except ValueError as exc:
+            outcomes.append(str(exc))
+        try:
+            yield from env.sleep(-1)
+        except ValueError as exc:
+            outcomes.append(str(exc))
+
+    env.process(body())
+    env.run()
+    assert outcomes == ["negative timeout delay: -1"] * 2

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError
+from repro.sim import (
+    CalendarEnvironment,
+    Environment,
+    Interrupt,
+    Resource,
+    SimulationError,
+)
 
 
 def test_timeout_advances_clock():
@@ -696,3 +702,63 @@ def test_immediate_resume_still_works_without_interrupt():
     env.process(waiter(env))
     env.run()
     assert seen == ["open"]
+
+
+# -- in-place waits -----------------------------------------------------------
+
+ENGINES = (Environment, CalendarEnvironment)
+
+
+def _hold(env, resource, trace):
+    yield from resource.acquire()
+    trace.append((env.now, resource.in_use))
+    yield from env.sleep(1e-6)
+    trace.append(env.now)
+    resource.release()
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_free_grant_and_next_wake_complete_in_place_under_run(engine):
+    env = engine()
+    resource = Resource(env)
+    trace = []
+    env.process(_hold(env, resource, trace))
+    env.run()
+    assert trace == [(0.0, 1), 1e-6]
+    assert next(env._eid) == 0  # no timeout was ever scheduled
+    assert resource.in_use == 0
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_waits_take_events_when_stepped(engine):
+    env = engine()
+    resource = Resource(env)
+    trace = []
+    env.run_until_event(env.process(_hold(env, resource, trace)))
+    assert trace == [(0.0, 1), 1e-6]
+    assert next(env._eid) == 1  # the sleep scheduled its timeout
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_sleep_past_until_waits_for_the_next_run(engine):
+    env = engine()
+    resource = Resource(env)
+    trace = []
+    env.process(_hold(env, resource, trace))
+    env.run(until=0.5e-6)
+    assert trace == [(0.0, 1)]
+    assert env.now == 0.5e-6
+    env.run(until=1e-6)  # lands exactly on until: completes
+    assert trace == [(0.0, 1), 1e-6]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_busy_resource_and_pending_work_are_not_skipped(engine):
+    env = engine()
+    resource = Resource(env)
+    trace = []
+    env.process(_hold(env, resource, trace))
+    env.process(_hold(env, resource, trace))
+    env.run()
+    # The second holder queues behind the first and is granted at 1us.
+    assert trace == [(0.0, 1), 1e-6, (1e-6, 1), 2e-6]
