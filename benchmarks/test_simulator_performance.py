@@ -167,99 +167,3 @@ def test_saturated_iops_simulation_rate(benchmark):
         ops / benchmark.stats.stats.mean
     )
 
-
-# ---------------------------------------------------------------------------
-# Batched / sharded engines (gated against the serial floors)
-# ---------------------------------------------------------------------------
-
-#: Floor for the calendar engine on its home turf: many processes ticking
-#: in phase, so every dispatch drains a whole same-timestamp bucket with
-#: the inlined resume path.  CI pins this at 2x the serial floor
-#: (REPRO_CALENDAR_EVENTS_FLOOR=500000 in the engine-smoke job); the local
-#: default matches the serial floor so 1-core dev hosts still gate real
-#: regressions without asserting parallel-grade speedups.
-CALENDAR_EVENTS_FLOOR = float(os.environ.get("REPRO_CALENDAR_EVENTS_FLOOR",
-                                             "250000"))
-
-#: Floor for *aggregate* events/s across forked shard workers.  Scales
-#: with worker count on multi-core CI (where the 2x acceptance bar is
-#: enforced); the local default only catches order-of-magnitude breakage.
-PARALLEL_EVENTS_FLOOR = float(os.environ.get("REPRO_PARALLEL_EVENTS_FLOOR",
-                                             "100000"))
-
-#: Worker count for the parallel benchmark (CI sets 2 to match its
-#: --jobs 2 bit-identity run; 0 means one worker per host core).
-PARALLEL_JOBS = int(os.environ.get("REPRO_PARALLEL_JOBS", "0"))
-
-
-def test_calendar_engine_batched_throughput(benchmark):
-    """Batched same-timestamp dispatch rate of the calendar engine (gated).
-
-    The workload is the serial gate's ticker scaled out to 50 in-phase
-    processes: all 50 timeouts land in one bucket per tick, which is the
-    shape saturation sweeps produce (one completion burst per arrival
-    batch).
-    """
-    from repro.sim import CalendarEnvironment
-
-    EVENTS = 5000
-    PROCS = 50
-
-    def run():
-        env = CalendarEnvironment()
-
-        def ticker(env):
-            for _ in range(EVENTS // PROCS):
-                yield env.timeout(1e-6)
-
-        for _ in range(PROCS):
-            env.process(ticker(env))
-        env.run()
-        return env.now
-
-    result = benchmark(run)
-    assert result > 0
-    events_per_sec = EVENTS / benchmark.stats.stats.mean
-    benchmark.extra_info["events_per_sec"] = events_per_sec
-    assert events_per_sec > CALENDAR_EVENTS_FLOOR, (
-        f"calendar engine regressed: {events_per_sec:,.0f} events/s "
-        f"(floor {CALENDAR_EVENTS_FLOOR:,.0f})"
-    )
-
-
-def test_parallel_engine_aggregate_throughput(benchmark):
-    """Aggregate events/s across forked shard workers (gated).
-
-    Eight independent ticker shards advanced in one infinite-lookahead
-    window — the embarrassingly-parallel upper bound.  The metric is
-    total events processed across all shards per wall second; on an
-    N-core host it should approach N x the serial rate (the CI floor
-    enforces the 2x bar on its multi-core runners).
-    """
-    from repro.sim import run_sharded
-    from repro.sim.parallel import default_jobs, tick_shard
-
-    EVENTS_PER_SHARD = 2000
-    SHARDS = 8
-    jobs = PARALLEL_JOBS or default_jobs()
-
-    def run():
-        results = run_sharded(
-            [(lambda ctx: tick_shard(ctx, events=EVENTS_PER_SHARD))
-             for _ in range(SHARDS)],
-            lookahead=float("inf"),
-            until=EVENTS_PER_SHARD * 1e-6,
-            jobs=jobs,
-            engine="calendar",
-        )
-        return sum(r["events"] for r in results)
-
-    total = benchmark(run)
-    assert total == EVENTS_PER_SHARD * SHARDS
-    events_per_sec = total / benchmark.stats.stats.mean
-    benchmark.extra_info["aggregate_events_per_sec"] = events_per_sec
-    benchmark.extra_info["jobs"] = jobs
-    assert events_per_sec > PARALLEL_EVENTS_FLOOR, (
-        f"sharded engine regressed: {events_per_sec:,.0f} aggregate "
-        f"events/s with jobs={jobs} (floor {PARALLEL_EVENTS_FLOOR:,.0f})"
-    )

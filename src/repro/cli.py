@@ -389,11 +389,6 @@ def main(argv=None) -> int:
                               "flow-hash"),
                      help="target/initiator IRQ+completion steering policy")
     sat.add_argument("--seed", type=int, default=42)
-    sat.add_argument("--engine", default="heap",
-                     choices=("heap", "calendar"),
-                     help="simulation engine per cell: the classic event "
-                     "heap, or the calendar-queue batched dispatcher "
-                     "(bit-identical results, separately cached)")
     sat.add_argument("--jobs", type=int, default=1,
                      help="worker processes for the load-grid cells")
     sat_cache = sat.add_mutually_exclusive_group()
@@ -538,7 +533,7 @@ def main(argv=None) -> int:
     qual.add_argument("--out-dir", default=None, metavar="DIR",
                       help="write qualify.json + qualify.md under DIR")
     qual.add_argument("--bench-out", default=None, metavar="FILE",
-                      help="write the perf-trajectory artifact "
+                      help="write the trajectory artifact "
                       "(BENCH_qualify.json shape) to FILE")
     qual.add_argument("--floor", action="append", default=[],
                       metavar="CELL:NAME=VALUE",
@@ -561,24 +556,6 @@ def main(argv=None) -> int:
     trace.add_argument("--validate", action="store_true",
                        help="validate the export against the trace_event "
                        "schema before writing")
-    bench = sub.add_parser(
-        "bench-engine",
-        help="measure the simulation engines (serial heap, calendar, "
-        "sharded parallel) and emit the BENCH_engine.json trajectory "
-        "artifact",
-    )
-    bench.add_argument("--events", type=int, default=100000,
-                       help="timeout events per measurement")
-    bench.add_argument("--procs", type=int, default=50,
-                       help="in-phase processes (same-timestamp batch size)")
-    bench.add_argument("--jobs", type=int, default=0,
-                       help="parallel-engine worker processes "
-                       "(default: one per host core)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="timed rounds per engine (best is recorded)")
-    bench.add_argument("--out", default=None, metavar="FILE",
-                       help="write the JSON artifact here "
-                       "(default: results/BENCH_engine.json)")
     metrics = sub.add_parser(
         "metrics", help="export the metrics registry of an instrumented run"
     )
@@ -662,7 +639,6 @@ def main(argv=None) -> int:
             systems=systems, loads_kiops=loads, layout=args.layout,
             initiators=args.initiators, tenants=args.tenants,
             duration=args.duration, steering=args.steering, seed=args.seed,
-            engine=args.engine,
         )
         if args.format == "markdown":
             print(result.render_markdown())
@@ -874,28 +850,6 @@ def main(argv=None) -> int:
             print(f"metrics -> {args.out}")
         else:
             print(text, end="")
-        return 0
-
-    if args.command == "bench-engine":
-        import json
-
-        from repro.harness.bench_engine import bench_engines
-
-        report = bench_engines(
-            events=args.events, procs=args.procs,
-            jobs=args.jobs or None, repeats=args.repeats,
-        )
-        out = args.out or os.path.join("results", "BENCH_engine.json")
-        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        for point in report["engines"]:
-            print(f"{point['engine']:>16}: "
-                  f"{point['events_per_sec']:>12,.0f} events/s "
-                  f"({point['speedup_vs_serial']:.2f}x serial)")
-        print(f"[bench-engine: host cores={report['host']['cpus']}; "
-              f"artifact -> {out}]")
         return 0
 
     if args.command == "list":

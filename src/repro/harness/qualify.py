@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -64,7 +63,6 @@ __all__ = [
     "qualify_sweep",
     "qualify_report",
     "write_report",
-    "perf_baseline",
     "bench_artifact",
 ]
 
@@ -693,46 +691,13 @@ def write_report(report: QualifyReport, out_dir) -> List[str]:
 
 
 # ----------------------------------------------------------------------
-# Perf-trajectory artifact (BENCH_qualify.json)
+# Trajectory artifact (BENCH_qualify.json)
 # ----------------------------------------------------------------------
 
 
-def perf_baseline(events: int = 200_000) -> Dict[str, float]:
-    """Wall-clock engine + stack throughput on this machine.
-
-    The same two numbers the benchmark floors watch
-    (``benchmarks/test_simulator_performance.py``): raw event rate of the
-    simulator core, and end-to-end ordered writes/s through the rio stack.
-    Wall-clock, so *not* deterministic — this feeds the committed perf
-    trajectory, not the golden reports.
-    """
-    from repro.harness.experiment import fio_run
-    from repro.sim.engine import Environment
-
-    env = Environment()
-
-    def ticker():
-        while True:
-            yield env.timeout(1e-6)
-
-    env.process(ticker())
-    start = time.perf_counter()
-    env.run(until=events * 1e-6)
-    events_per_sec = events / max(time.perf_counter() - start, 1e-9)
-
-    start = time.perf_counter()
-    run = fio_run("rio", "optane", threads=2, duration=2e-3)
-    writes_per_sec = run.ops / max(time.perf_counter() - start, 1e-9)
-
-    return {
-        "engine_events_per_sec": round(events_per_sec),
-        "stack_writes_per_sec": round(writes_per_sec),
-    }
-
-
 def bench_artifact(report: QualifyReport) -> dict:
-    """The committed perf-trajectory record: qualification headline
-    numbers (deterministic) plus this machine's engine throughput."""
+    """The committed trajectory record: qualification headline numbers
+    (deterministic).  Host cost is measured by ``bench/run.py``."""
     def headline(cell: QualifyCell) -> dict:
         picked = {
             name: cell.metrics[name]
@@ -753,5 +718,4 @@ def bench_artifact(report: QualifyReport) -> dict:
         "cells_pass": report.passed,
         "cells_total": len(report.cells),
         "cells": {cell.key: headline(cell) for cell in report.cells},
-        "host_perf": perf_baseline(),
     }

@@ -32,7 +32,6 @@ from repro.harness.sweep import RunSpec, Sweep, run_sweep
 
 __all__ = [
     "DEFAULT_LOADS_KIOPS",
-    "ENGINES",
     "SATURATE_SYSTEMS",
     "probe_saturation",
     "saturation_sweep",
@@ -53,13 +52,6 @@ SATURATE_SYSTEMS = ("linux", "horae", "rio", "barrier")
 KNEE_THRESHOLD = 0.9
 
 
-#: Simulation-engine choices for a saturation cell.  "heap" is the
-#: classic event-heap run loop; "calendar" is the bucketed batched-
-#: dispatch scheduler (repro.sim.calendar) — bit-identical results,
-#: different host-side cost profile.
-ENGINES = ("heap", "calendar")
-
-
 def probe_saturation(
     system: str,
     layout: str,
@@ -72,7 +64,6 @@ def probe_saturation(
     pattern: str = "rand",
     steering: str = "pin",
     seed: int = 42,
-    engine: str = "heap",
 ) -> Dict[str, float]:
     """One saturation cell: fresh scale-out testbed, one open-loop run.
 
@@ -85,14 +76,11 @@ def probe_saturation(
         ShardedStack,
         run_open_loop,
     )
-    from repro.sim.calendar import CalendarEnvironment
     from repro.sim.engine import Environment
 
     if layout not in LAYOUTS:
         raise ValueError(f"unknown layout {layout!r} (have {sorted(LAYOUTS)})")
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r} (have {ENGINES})")
-    env = (CalendarEnvironment if engine == "calendar" else Environment)()
+    env = Environment()
     cluster = ScaleOutCluster(
         env, LAYOUTS[layout], num_initiators=initiators, seed=seed,
         steering=steering,
@@ -128,23 +116,17 @@ def saturation_sweep(
     duration: float = 2e-3,
     steering: str = "pin",
     seed: int = 42,
-    engine: str = "heap",
 ) -> Sweep:
     """The saturation experiment as independent cells + a reduce step."""
     loads = sorted(loads_kiops)
     cells = [(system, load) for system in systems for load in loads]
-    # The default engine is omitted from the cell kwargs so every cell
-    # cached before the engine knob existed keeps its digest; a
-    # non-default engine keys its own cells (results are asserted
-    # bit-identical, but a scheduler bug must never poison heap cells).
-    engine_kwargs = {} if engine == "heap" else {"engine": engine}
     specs = [
         RunSpec.make(
             probe_saturation,
             label=f"saturate/{system}/{load:g}k",
             system=system, layout=layout, offered_kiops=load,
             initiators=initiators, tenants=tenants, duration=duration,
-            steering=steering, seed=seed, **engine_kwargs,
+            steering=steering, seed=seed,
         )
         for system, load in cells
     ]
@@ -199,13 +181,12 @@ def saturation_curves(
     duration: float = 2e-3,
     steering: str = "pin",
     seed: int = 42,
-    engine: str = "heap",
 ) -> FigureResult:
     """Run the saturation sweep on the process-wide runner."""
     return run_sweep(saturation_sweep(
         systems=systems, loads_kiops=loads_kiops, layout=layout,
         initiators=initiators, tenants=tenants, duration=duration,
-        steering=steering, seed=seed, engine=engine,
+        steering=steering, seed=seed,
     ))
 
 

@@ -13,7 +13,6 @@ env.timeout(...)``), implemented from scratch so the reproduction has no
 dependencies beyond the standard library.
 """
 
-from repro.sim.calendar import CalendarEnvironment
 from repro.sim.engine import (
     Environment,
     Event,
@@ -23,7 +22,6 @@ from repro.sim.engine import (
     SimulationError,
     Timeout,
 )
-from repro.sim.parallel import ShardContext, map_shards, run_sharded
 from repro.sim.faults import FaultPlan, FaultRecord
 from repro.sim.resources import Resource, Store
 from repro.sim.rng import DeterministicRNG
@@ -40,10 +38,6 @@ __all__ = [
     "SimDeadlock",
     "SimulationError",
     "Timeout",
-    "CalendarEnvironment",
-    "ShardContext",
-    "map_shards",
-    "run_sharded",
     "Resource",
     "Store",
     "DeterministicRNG",

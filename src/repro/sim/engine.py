@@ -26,9 +26,8 @@ Dispatch order
 Events fire in ``(time, eid)`` order: by virtual time, and at equal times
 in the order they were triggered.  Two structures hold what is scheduled:
 
-* ``_heap``: timeouts due in the future (and cross-shard messages, see
-  :mod:`repro.sim.parallel`), as ``(time, eid, event)`` entries.  Only
-  these draw an ``eid``;
+* ``_heap``: timeouts due in the future, as ``(time, eid, event)``
+  entries.  Only these draw an ``eid``;
 * ``_ready``: a FIFO of events due *now*: ``succeed``/``fail``, timeouts
   whose ``now + delay == now``, process bootstraps and immediate resumes.
 
@@ -41,10 +40,9 @@ _advance`).  Advancing to ``t`` moves *every* heap entry due at ``t`` onto
   (a positive delay lands strictly later), so its eid is smaller than that
   of anything triggered at ``t``, and it sits ahead of all of those on
   ``_ready``;
-* nothing is pushed onto the heap at the current time while ``_ready`` is
-  non-empty (a cross-shard message may arrive exactly at a window's end,
-  but it is injected between windows, when ``_ready`` is empty), so while
-  ``_ready`` is non-empty no heap entry is due;
+* nothing is ever pushed onto the heap at the current time (a timeout
+  due now goes to ``_ready``), so while ``_ready`` is non-empty no heap
+  entry is due;
 * within ``_ready``, FIFO order is trigger order, which is eid order.
 
 In-place waits
@@ -271,7 +269,7 @@ class Timeout(Event):
         if when == now:
             env._ready.append(self)
         else:
-            env._schedule_timeout(self, when)
+            heappush(env._heap, (when, next(env._eid), self))
 
     def cancel(self) -> None:
         """Disarm a timeout that lost a race (e.g. the other arm of an
@@ -692,11 +690,6 @@ class Environment:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _schedule_timeout(self, timeout: Timeout, when: float) -> None:
-        """Store a timeout due at ``when > now`` (``Timeout.__init__``;
-        :meth:`timeout` inlines it)."""
-        heappush(self._heap, (when, next(self._eid), timeout))
-
     def _note_cancelled(self) -> None:
         """Account one newly-dead scheduled entry; compact once they
         outnumber the live ones."""
@@ -794,8 +787,7 @@ class Environment:
         This is the innermost host-side loop of every experiment: it
         inlines :meth:`step`, and inlines the process resume with direct
         handoff (module docstring).  While it runs, ``_inline_limit`` is
-        ``until``, which enables the in-place waits.  It is shared by every
-        engine; they differ only in :meth:`_advance`.
+        ``until``, which enables the in-place waits.
         """
         if until is None:
             limit = _INF

@@ -258,7 +258,6 @@ def _run_saturate(spec: ScenarioSpec) -> ScenarioOutcome:
         duration=workload["duration"],
         steering=spec.topology["steering"],
         seed=workload["seed"],
-        engine=workload["engine"],
     )
     return ScenarioOutcome(spec=spec, result=result)
 

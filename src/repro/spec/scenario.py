@@ -335,8 +335,6 @@ _WORKLOADS: Dict[str, Dict[str, _Field]] = {
         "tenants": _Field("int", default=4, minimum=1),
         "duration": _Field("float", default=2e-3, minimum=0.0),
         "seed": _Field("int", default=42),
-        "engine": _Field("str", default="heap",
-                         choices=("heap", "calendar")),
     },
     "overload": {
         "mode": _Field("str", default="metastable",

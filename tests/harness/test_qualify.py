@@ -194,8 +194,7 @@ def test_bench_artifact_shape():
     assert artifact["kind"] == "repro-bench-qualify"
     assert artifact["report_digest"] == report.digest()
     assert artifact["cells_pass"] == len(report.cells)
-    assert artifact["host_perf"]["engine_events_per_sec"] > 0
-    assert artifact["host_perf"]["stack_writes_per_sec"] > 0
+    assert "host_perf" not in artifact
     first = artifact["cells"]["matrix/rio/4K/qd1/seq"]
     assert first["ok"] is True and first["kiops"] > 0
 

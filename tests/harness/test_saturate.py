@@ -108,42 +108,3 @@ def test_saturation_curves_uses_default_runner():
                                duration=5e-4)
     assert len(result.rows) == 1
     assert result.rows[0]["system"] == "rio"
-
-
-# ---------------------------------------------------------------------------
-# The engine= knob: bit-identity across schedulers, digest hygiene
-# ---------------------------------------------------------------------------
-
-ENGINE_GRID = dict(systems=("linux", "rio"), loads_kiops=(50, 200),
-                   duration=5e-4, tenants=2, initiators=1)
-
-
-def test_calendar_sweep_rows_bit_identical_to_heap():
-    heap = SweepRunner(jobs=1).run(
-        saturation_sweep(engine="heap", **ENGINE_GRID))
-    calendar = SweepRunner(jobs=1).run(
-        saturation_sweep(engine="calendar", **ENGINE_GRID))
-    assert heap.rows == calendar.rows
-    assert heap.notes == calendar.notes
-
-
-def test_default_engine_keeps_legacy_cell_digests():
-    # The heap engine is the default and must be *omitted* from cell
-    # kwargs, so every cell cached before the knob existed keeps its
-    # digest; the calendar engine keys distinct cells.
-    explicit = saturation_sweep(engine="heap", **ENGINE_GRID)
-    implicit = saturation_sweep(**ENGINE_GRID)
-    calendar = saturation_sweep(engine="calendar", **ENGINE_GRID)
-    for old, new, keyed in zip(implicit.specs, explicit.specs,
-                               calendar.specs):
-        assert old.digest() == new.digest()
-        assert keyed.digest() != old.digest()
-        assert "engine" not in new.call_kwargs()
-        assert keyed.call_kwargs()["engine"] == "calendar"
-
-
-def test_sweep_rejects_unknown_engine():
-    with pytest.raises(ValueError, match="unknown engine"):
-        SweepRunner(jobs=1).run(saturation_sweep(
-            engine="abacus", systems=("rio",), loads_kiops=(50,),
-            duration=5e-4))

@@ -199,41 +199,6 @@ def test_saturation_specs_are_per_cell_and_steering_aware():
                 & {s.digest() for s in steered.specs})
 
 
-def test_sharded_saturation_reduce_is_bit_identical_to_serial():
-    # The sharded-DES acceptance path: fan the saturation cells out over
-    # forked shard workers (repro.sim.map_shards) and reduce — rows must
-    # be float-for-float identical to the serial SweepRunner.
-    from repro.harness.saturate import saturation_sweep
-    from repro.sim import map_shards
-
-    serial = SweepRunner(jobs=1).run(saturation_sweep(**SMALL_SATURATE))
-    sweep = saturation_sweep(**SMALL_SATURATE)
-    sharded = sweep.reduce(
-        map_shards([spec.execute for spec in sweep.specs], jobs=2))
-    assert serial.rows == sharded.rows  # == on floats: bit-identical
-    assert serial.render() == sharded.render()
-
-
-def test_calendar_engine_sweep_keys_distinct_cache_cells(tmp_path):
-    # engine="calendar" cells are cached under their own digests: a warm
-    # heap cache must not serve them, and vice versa.
-    from repro.harness.saturate import saturation_sweep
-
-    cache = ResultCache(root=tmp_path, version="test")
-    heap_runner = SweepRunner(jobs=1, cache=cache)
-    heap = heap_runner.run(saturation_sweep(**SMALL_SATURATE))
-    assert heap_runner.stats.executed == 4
-
-    calendar_runner = SweepRunner(
-        jobs=1, cache=ResultCache(root=tmp_path, version="test"))
-    calendar = calendar_runner.run(
-        saturation_sweep(engine="calendar", **SMALL_SATURATE))
-    assert calendar_runner.stats.cache_hits == 0, (
-        "calendar cells must not hit heap-keyed cache entries")
-    assert calendar_runner.stats.executed == 4
-    assert heap.rows == calendar.rows  # ...while the results stay equal
-
-
 # ----------------------------------------------------------------------
 # Bit-identity: qualification cells
 # ----------------------------------------------------------------------

@@ -1,24 +1,23 @@
-"""Order oracle: both engines fire exactly what a plain ``(time, eid)``
+"""Order oracle: the engine fires exactly what a plain ``(time, eid)``
 heap fires, in the same order.
 
-``ReferenceEnvironment`` is the minimal dispatcher the engines must match:
+``ReferenceEnvironment`` is the minimal dispatcher the engine must match:
 every trigger — ``succeed``/``fail``, zero-delay timeouts, process
 bootstraps, immediate resumes, resource grants — becomes an ordinary
 ``(time, eid)`` heap entry, and ``run()`` pops one entry at a time and
 calls its callbacks.  No ready queue, no inline resume, no direct handoff,
-and conditions keep their dead callbacks.  The engines share their event
+and conditions keep their dead callbacks.  The engine shares its event
 classes with it, so what is checked is the dispatcher alone.
 
 Hypothesis generates small programs of cooperating processes mixing
 zero-delay succeeds and fails, tied timestamps, ``Store`` and ``Resource``
 handoffs, ``any_of``/``all_of`` (with the watchdog cancel), ``interrupt()``
 (including inside the immediate-resume window), ``Timeout.cancel``,
-non-event yields, and a driver that alternates ``run(until=...)`` (each
-followed by cross-shard message injection, as the sharded engine does),
+non-event yields, and a driver that alternates ``run(until=...)``,
 ``run_until_event`` and ``step``.  Every resume, callback and segment
 boundary is logged; the logs must be equal.
 
-The programs also exercise the engines' in-place waits: ``env.sleep`` and
+The programs also exercise the engine's in-place waits: ``env.sleep`` and
 ``Core.run``-shaped holds (``Resource.acquire``, ``env.sleep``, release;
 on a real :class:`~repro.hw.cpu.Core` too, whose busy time is logged), on
 a resource that ``request()`` holds contend for.  Their wake times tie
@@ -35,16 +34,8 @@ from heapq import heapify, heappop, heappush
 from hypothesis import example, given, settings, strategies as st
 
 from repro.hw.cpu import Core
-from repro.sim import (
-    CalendarEnvironment,
-    Environment,
-    Interrupt,
-    Resource,
-    SimulationError,
-    Store,
-)
+from repro.sim import Environment, Interrupt, Resource, SimulationError, Store
 from repro.sim.engine import _CANCELLED, _PROCESSED, Condition, _all_fired, _any_fired
-from repro.sim.parallel import ShardContext
 
 _INF = float("inf")
 
@@ -253,20 +244,12 @@ def play(env_cls, scripts, segments):
     def spawn(script):
         procs.append(env.process(body(len(procs), script)))
 
-    shard = ShardContext(env, 0, 1, lookahead=1e-6)
-    shard.on_message(
-        lambda src, payload: log.append(("message", payload, env.now)))
     for script in scripts:
         spawn(script)
     for segment in segments:
         kind = segment[0]
         if kind == "until":
             env.run(until=env.now + _SEGMENTS[segment[1] % len(_SEGMENTS)])
-            # Cross-shard messages land between windows, as in
-            # run_sharded: arrivals at or after the window's end.
-            shard._inject(sorted(
-                (env.now + _SEGMENTS[k], 0, seq, f"m{len(log)}.{seq}")
-                for seq, k in enumerate(segment[2])))
         elif kind == "until_event":
             try:
                 value = env.run_until_event(
@@ -299,8 +282,7 @@ _OP = st.one_of(
 _SCRIPTS = st.lists(st.lists(_OP, max_size=8), min_size=1, max_size=5)
 _DRIVER = st.lists(
     st.one_of(
-        st.tuples(st.just("until"), st.integers(0, 3),
-                  st.lists(st.integers(0, 3), max_size=3)),
+        st.tuples(st.just("until"), st.integers(0, 3)),
         st.tuples(st.just("until_event"), st.integers(0, 7)),
         st.tuples(st.just("step")),
     ),
@@ -310,42 +292,40 @@ _DRIVER = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(scripts=_SCRIPTS, segments=_DRIVER)
-# A message injected for t=2us, then a timeout pushed later for the same
-# t: the message's smaller eid must fire first on the calendar too.
+# A zero-length run(until=now) window ahead of two chained timeouts.
 @example(scripts=[[("sleep", 2), ("sleep", 2)]],
-         segments=[("until", 0, [2])])
+         segments=[("until", 0)])
 # A nap whose wake time ties with a pending timeout: the timeout's smaller
 # eid fires first.
 @example(scripts=[[("sleep", 4)], [("nap", 4), ("nap", 2)]], segments=[])
 # Naps and core charges landing exactly on run(until=...), then more
 # after the boundary; a contended core.
 @example(scripts=[[("nap", 2), ("nap", 2), ("core", 2)]],
-         segments=[("until", 1, []), ("until", 1, [])])
+         segments=[("until", 1), ("until", 1)])
 @example(scripts=[[("nap", 2), ("core", 2)], [("core", 3), ("nap", 2)]],
-         segments=[("until", 1, []), ("until", 2, [1]), ("until", 3, [])])
+         segments=[("until", 1), ("until", 2), ("until", 3)])
 # Two processes resumed by one event (several callbacks) inside run():
 # the first must not nap in place before the second runs.  Then the same
 # program bootstrapped by step().
 @example(scripts=[[("wait", 0), ("nap", 2), ("charge", 2)],
                   [("wait", 0), ("nap", 2)],
                   [("sleep", 2), ("succeed", 0), ("sleep", 5)]],
-         segments=[("until", 3, [])])
+         segments=[("until", 3)])
 @example(scripts=[[("wait", 0), ("nap", 2), ("charge", 2)],
                   [("wait", 0), ("nap", 2)],
                   [("sleep", 2), ("succeed", 0), ("sleep", 5)]],
-         segments=[("step",), ("step",), ("step",), ("until", 3, [])])
+         segments=[("step",), ("step",), ("step",), ("until", 3)])
 # An observer callback ahead of a process on the event it waits for; then
 # resumption by run_until_event.
 @example(scripts=[[("observe", 1), ("wait", 1), ("core", 3), ("nap", 2)],
                   [("sleep", 2), ("succeed", 1), ("sleep", 5)]],
-         segments=[("until", 3, [])])
+         segments=[("until", 3)])
 @example(scripts=[[("observe", 1), ("wait", 1), ("core", 3), ("nap", 2)],
                   [("charge", 2), ("fire_wait", 1), ("nap", 3)]],
          segments=[("until_event", 0), ("step",)])
 def test_engines_fire_the_reference_sequence(scripts, segments):
     expected = play(ReferenceEnvironment, scripts, segments)
     assert play(Environment, scripts, segments) == expected
-    assert play(CalendarEnvironment, scripts, segments) == expected
 
 
 def test_oracle_rejects_a_lifo_ready_queue():

@@ -1,16 +1,16 @@
 """Property-based tests of event-heap cancellation accounting.
 
 The invariant under test: across any interleaving of timeout scheduling,
-cancellation, compaction, and stepping — on either engine — a live
-(uncancelled) waiter is never lost, and ``live_heap_size()`` stays exactly
-equal to the number of entries that can still fire.  This is the contract
+cancellation, compaction, and stepping, a live (uncancelled) waiter is
+never lost, and ``live_heap_size()`` stays exactly equal to the number of
+entries that can still fire.  This is the contract
 the lazy-cancel + bulk-compact scheme must uphold: compaction is a pure
 host-side optimization with no observable effect on the simulation.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import CalendarEnvironment, Environment
+from repro.sim import Environment
 
 #: Op stream: each element schedules, cancels, compacts, or steps.
 #: ("schedule", delay_index), ("cancel", victim_index), ("compact",),
@@ -80,23 +80,3 @@ def _check_engine(env_cls, ops):
 @given(ops=_OPS)
 def test_heap_engine_never_loses_live_waiters(ops):
     _check_engine(Environment, ops)
-
-
-@settings(max_examples=120, deadline=None)
-@given(ops=_OPS)
-def test_calendar_engine_never_loses_live_waiters(ops):
-    _check_engine(CalendarEnvironment, ops)
-
-
-@settings(max_examples=60, deadline=None)
-@given(ops=_OPS)
-def test_engines_agree_on_fired_sequence(ops):
-    """Both engines deliver the same values in the same order — the op
-    stream is deterministic, so the engines must be interchangeable."""
-    logs = []
-    for env_cls in (Environment, CalendarEnvironment):
-        env = env_cls()
-        _scheduled, fired = _apply(env, ops)
-        env.run()
-        logs.append(fired)
-    assert logs[0] == logs[1]

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    CalendarEnvironment,
-    Environment,
-    Interrupt,
-    Resource,
-    SimulationError,
-)
+from repro.sim import Environment, Interrupt, Resource, SimulationError
 
 
 def test_timeout_advances_clock():
@@ -706,7 +700,7 @@ def test_immediate_resume_still_works_without_interrupt():
 
 # -- in-place waits -----------------------------------------------------------
 
-ENGINES = (Environment, CalendarEnvironment)
+ENGINES = (Environment,)
 
 
 def _hold(env, resource, trace):

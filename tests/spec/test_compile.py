@@ -232,23 +232,6 @@ def test_failing_chaos_trial_yields_a_narrowed_spec(monkeypatch):
     assert ScenarioSpec.from_json(repro_spec.canonical_json()) == repro_spec
 
 
-def test_saturate_engine_spec_matches_kwargs_and_heap_results():
-    from repro.harness.saturate import saturation_curves
-
-    outcome = run_scenario(ScenarioSpec.from_dict(
-        {"scenario": "saturate",
-         "workload": {"systems": ["rio"], "loads_kiops": [100],
-                      "duration": 1e-3, "engine": "calendar"}}
-    ))
-    legacy = saturation_curves(systems=("rio",), loads_kiops=(100,),
-                               duration=1e-3, engine="calendar")
-    assert outcome.render() == legacy.render()
-    # And the calendar engine's figure is bit-identical to the heap one.
-    heap = saturation_curves(systems=("rio",), loads_kiops=(100,),
-                             duration=1e-3)
-    assert outcome.render() == heap.render()
-
-
 def test_tenants_curves_spec_matches_kwargs():
     from repro.harness.tenants import tenant_curves
 

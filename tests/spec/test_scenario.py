@@ -325,29 +325,12 @@ def test_every_scenario_has_a_minimal_document():
         assert ScenarioSpec.from_json(spec.canonical_json()) == spec
 
 
-# ----------------------------------------------------------------------
-# The engine knob (saturate workload)
-# ----------------------------------------------------------------------
-
-
-def test_saturate_engine_defaults_to_heap():
-    spec = ScenarioSpec.from_dict({"scenario": "saturate"})
-    assert spec.workload["engine"] == "heap"
-
-
-def test_saturate_engine_accepts_calendar_and_keys_digest():
-    heap = ScenarioSpec.from_dict({"scenario": "saturate"})
-    calendar = ScenarioSpec.from_dict(
-        {"scenario": "saturate", "workload": {"engine": "calendar"}}
-    )
-    assert calendar.workload["engine"] == "calendar"
-    assert calendar.canonical_json() != heap.canonical_json()
-
-
-def test_saturate_engine_rejects_unknown_value():
+def test_saturate_rejects_an_engine_field():
+    # There is one engine; a document that still picks one is rejected
+    # like any other unknown field.
     with pytest.raises(SpecError, match="engine"):
         ScenarioSpec.from_dict(
-            {"scenario": "saturate", "workload": {"engine": "abacus"}}
+            {"scenario": "saturate", "workload": {"engine": "heap"}}
         )
 
 
