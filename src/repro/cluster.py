@@ -13,157 +13,37 @@ harness, the examples and the integration tests::
     layer = BlockLayer(env, cluster.driver, cluster.volume())
     core = cluster.initiator.cpus.pick(0)
 
+It is :class:`repro.scale.ScaleOutCluster` with one initiator host, and
+takes the same keyword arguments except ``num_initiators``:
 ``target_ssds`` is one inner sequence per target server; ``transport``
 selects ``"rdma"`` or ``"tcp"``; pass a
 :class:`~repro.nvmeof.initiator.DriverHardening` to arm timeouts/retries
 (the fault plane's recovery side).  Striped (multi-SSD) block access goes
 through :meth:`Cluster.volume`; :meth:`Cluster.namespaces_with_profile`
-picks out namespaces by device model.
+picks out namespaces by device model.  Its one host is named
+``initiator`` (CPU set ``initiator-cpu``, NIC ``initiator-nic``).
 
 For where this testbed sits in the overall stack — and what the layers it
 wires together actually do — see ``docs/architecture.md``.  The
-multi-initiator variant of this assembly lives in :mod:`repro.multi`.
+multi-initiator form of this assembly is :mod:`repro.scale`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
-from repro.block.volume import LogicalVolume
-from repro.hw.cpu import CpuSet
-from repro.hw.nic import Nic
-from repro.hw.pmr import PersistentMemoryRegion
-from repro.hw.ssd import NvmeSsd, SsdProfile
-from repro.net.fabric import Fabric
-from repro.nvmeof.costs import DEFAULT_COSTS, CpuCosts
-from repro.nvmeof.initiator import (
-    DriverHardening,
-    InitiatorDriver,
-    InitiatorServer,
-    RemoteNamespace,
-)
-from repro.nvmeof.target import TargetServer
+from repro.hw.ssd import SsdProfile
+from repro.scale.cluster import DEFAULT_CORES, ScaleOutCluster
 from repro.sim.engine import Environment
-from repro.sim.rng import DeterministicRNG
 
-__all__ = ["Cluster"]
-
-#: 2 × 18 cores per server, as in the paper's testbed.
-DEFAULT_CORES = 36
+__all__ = ["Cluster", "DEFAULT_CORES"]
 
 
-class Cluster:
+class Cluster(ScaleOutCluster):
     """A connected initiator/targets testbed over one RDMA fabric."""
 
-    def __init__(
-        self,
-        env: Environment,
-        target_ssds: Sequence[Sequence[SsdProfile]],
-        initiator_cores: int = DEFAULT_CORES,
-        target_cores: int = DEFAULT_CORES,
-        num_qps: Optional[int] = None,
-        costs: CpuCosts = DEFAULT_COSTS,
-        seed: int = 42,
-        transport: str = "rdma",
-        pmr_size: Optional[int] = None,
-        hardening: Optional[DriverHardening] = None,
-        steering: str = "pin",
-        qp_steering: str = "pin",
-    ):
-        if not target_ssds:
-            raise ValueError("need at least one target server")
-        self.env = env
-        self.costs = costs
-        self.transport = transport
-        self.steering = steering
-        self.rng = DeterministicRNG(seed)
-        num_qps = num_qps or initiator_cores
+    host_name = "initiator"
 
-        self.initiator = InitiatorServer(
-            env,
-            name="initiator",
-            cpus=CpuSet(env, initiator_cores, name="initiator-cpu"),
-            nic=Nic(env, name="initiator-nic"),
-        )
-        self.driver = InitiatorDriver(
-            env, self.initiator, costs=costs, hardening=hardening,
-            steering=steering,
-        )
-        self.fabric = Fabric(env, self.rng.fork("fabric"), transport=transport)
-
-        self.targets: List[TargetServer] = []
-        self.namespaces: List[RemoteNamespace] = []
-        for tid, profiles in enumerate(target_ssds):
-            if not profiles:
-                raise ValueError(f"target {tid} has no SSDs")
-            name = f"target{tid}"
-            ssds = [
-                NvmeSsd(
-                    env,
-                    profile,
-                    rng=self.rng.fork(f"{name}-ssd{sid}"),
-                    name=f"{name}-ssd{sid}",
-                )
-                for sid, profile in enumerate(profiles)
-            ]
-            target = TargetServer(
-                env,
-                name=name,
-                cpus=CpuSet(env, target_cores, name=f"{name}-cpu"),
-                nic=Nic(env, name=f"{name}-nic"),
-                ssds=ssds,
-                pmr=PersistentMemoryRegion(
-                    env,
-                    **({"size": pmr_size} if pmr_size else {}),
-                    name=f"{name}-pmr",
-                ),
-                costs=costs,
-                steering=steering,
-            )
-            qps = self.fabric.connect(self.initiator.nic, target.nic, num_qps)
-            initiator_eps = [qp.endpoints[0] for qp in qps]
-            target_eps = [qp.endpoints[1] for qp in qps]
-            target.attach_connection(target_eps)
-            self.driver.register_connection(initiator_eps)
-            self.targets.append(target)
-            for sid in range(len(ssds)):
-                self.namespaces.append(
-                    RemoteNamespace(target, nsid=sid, endpoints=initiator_eps,
-                                    qp_steering=qp_steering)
-                )
-
-    # ------------------------------------------------------------------
-
-    def volume(
-        self,
-        namespaces: Optional[List[RemoteNamespace]] = None,
-        stripe_blocks: int = 1,
-    ) -> LogicalVolume:
-        """A logical volume over ``namespaces`` (default: all of them)."""
-        return LogicalVolume(namespaces or self.namespaces, stripe_blocks)
-
-    def namespaces_with_profile(self, profile_name: str) -> List[RemoteNamespace]:
-        """All namespaces backed by SSDs of the given profile."""
-        return [
-            ns
-            for ns in self.namespaces
-            if ns.target.ssds[ns.nsid].profile.name == profile_name
-        ]
-
-    # -- measurement helpers -------------------------------------------------
-
-    def start_cpu_window(self) -> None:
-        self.initiator.cpus.start_window()
-        for target in self.targets:
-            target.cpus.start_window()
-
-    def stop_cpu_window(self) -> None:
-        self.initiator.cpus.stop_window()
-        for target in self.targets:
-            target.cpus.stop_window()
-
-    def initiator_busy_cores(self, elapsed: float) -> float:
-        return self.initiator.cpus.busy_cores(elapsed)
-
-    def target_busy_cores(self, elapsed: float) -> float:
-        return sum(t.cpus.busy_cores(elapsed) for t in self.targets)
+    def __init__(self, env: Environment,
+                 target_ssds: Sequence[Sequence[SsdProfile]], **kwargs):
+        super().__init__(env, target_ssds, num_initiators=1, **kwargs)

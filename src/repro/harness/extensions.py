@@ -12,7 +12,9 @@ paper's forward-looking claims:
 * :func:`transport_comparison` — §4.5's claim that Principle 2 (and the
   whole design) carries to TCP transports;
 * :func:`multi_initiator_scaling` — the §4.9 extension: multiple
-  initiator servers sharing one target array.
+  initiator servers sharing one target array, built as a
+  :class:`~repro.scale.ScaleOutCluster` with one
+  :class:`~repro.core.api.RioDevice` per node.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from typing import Sequence
 
 from repro.apps.fio import run_block_workload
 from repro.cluster import Cluster
+from repro.core.api import RioDevice
 from repro.harness.experiment import FigureResult, build_cluster, fio_run
 from repro.hw.ssd import OPTANE_905P
-from repro.multi import MultiInitiatorCluster
+from repro.scale.cluster import ScaleOutCluster
 from repro.sim.engine import Environment
 from repro.systems import make_stack
 from repro.systems.rio import RioStack
@@ -230,21 +233,29 @@ def multi_initiator_scaling(
     )
     for count in initiator_counts:
         env = Environment()
-        multi = MultiInitiatorCluster(
+        cluster = ScaleOutCluster(
             env,
             target_ssds=((OPTANE_905P,), (OPTANE_905P,)),
             num_initiators=count,
-            streams_per_initiator=streams_per_initiator,
         )
+        devices = [
+            RioDevice(
+                node,
+                num_streams=streams_per_initiator,
+                stream_base=cluster.directory.allocate(streams_per_initiator),
+            )
+            for node in cluster.nodes
+        ]
         done = [0]
 
         def writer(node, stream):
-            core = node.server.cpus.pick(stream)
+            core = node.cpus.pick(stream)
+            rio = devices[node.index]
             area = (node.index * streams_per_initiator + stream) * 8_000_000
             inflight = []
             i = 0
             while env.now < duration:
-                event = yield from node.rio.write(
+                event = yield from rio.write(
                     core, stream, lba=area + i * 2, nblocks=1,
                 )
                 i += 1
@@ -256,7 +267,7 @@ def multi_initiator_scaling(
                             done[0] += 1
                     inflight = [e for e in inflight if not e.triggered]
 
-        for node in multi.initiators:
+        for node in cluster.nodes:
             for stream in range(streams_per_initiator):
                 env.process(writer(node, stream))
         env.run(until=duration)

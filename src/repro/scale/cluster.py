@@ -1,32 +1,39 @@
-"""Sharded multi-initiator cluster: N hosts fan in to M targets.
+"""Testbed assembly: N initiator hosts fan in to M shared targets.
 
-:class:`ScaleOutCluster` generalizes :class:`repro.cluster.Cluster` the
-same way :class:`repro.multi.MultiInitiatorCluster` does — shared target
-servers, per-initiator NIC/driver/connections — but is *system-agnostic*:
-instead of baking in a :class:`~repro.core.api.RioDevice` per node, it
-assembles bare :class:`ScaleNode` hosts and lets :class:`ShardedStack`
-put any compared system (rio / horae / linux / barrier / orderless) on
-top.  It also threads the scale-out plane's steering knobs down the
-stack: ``steering`` selects the target- and initiator-side
-IRQ/completion steering policy (:data:`repro.hw.cpu.STEERING_POLICIES`),
-``qp_steering`` the block-queue-to-QP mapping.
+The paper's testbed (§6.1) and its §4.9 multi-initiator sketch are one
+topology at different N.  Each initiator host — a :class:`ScaleNode`,
+the per-host cluster view stacks and :class:`~repro.core.api.RioDevice`
+are built on — has its own CPU set, NIC, driver and connections; the
+target servers, SSDs and PMRs are shared.  :class:`repro.cluster.Cluster`
+is this assembly at N=1.  ``steering`` selects the target- and
+initiator-side IRQ/completion steering policy
+(:data:`repro.hw.cpu.STEERING_POLICIES`), ``qp_steering`` the
+block-queue-to-QP mapping.
 
-Stream sharding works by *congruence*, not translation: global stream
-``s`` is owned by node ``s % N``, so each node's stack only ever sees
-stream ids from its own residue class — disjoint across nodes by
-construction, which is all the shared targets' per-stream ordering state
-needs (§4.5: streams are fully independent).  Rio is the one exception:
-its sequencer indexes streams densely, so the facade maps ``s`` to the
-node-local index ``s // N`` and the node's
-:class:`~repro.core.api.RioDevice` (configured with a disjoint
-wire-stream range from the :class:`~repro.multi.StreamDirectory`)
-translates to the wire.
+:class:`StreamDirectory` — the paper's "distributed sequencer service",
+a trivially fast in-memory allocator per the paper's argument — hands
+each node's :class:`~repro.core.api.RioDevice` a disjoint global
+wire-stream range, into which the device translates its *local* stream
+ids.  Streams are fully independent (§4.5), and the targets' submission
+gates, PMR attribute logs and recovery key by global stream id, so two
+initiators never couple::
 
-Recovery after a full-cluster crash runs once, from node 0: the PMR
-attribute logs on the shared targets are keyed by global wire stream id,
-so the coordinator's scan covers every initiator's streams (§4.9; proven
-by ``tests/core/test_multi_initiator.py`` and the multi-initiator cells
-of the ``repro check`` matrix).
+    cluster = ScaleOutCluster(env, target_ssds=((OPTANE_905P,),))
+    devices = [RioDevice(node, num_streams=4,
+                         stream_base=cluster.directory.allocate(4))
+               for node in cluster.nodes]
+
+:class:`ShardedStack` puts any compared system on every node and shards
+by *congruence*: global stream ``s`` is owned by node ``s % N``, so each
+node's stack only sees its own residue class.  Rio's sequencer indexes
+streams densely, so for Rio the facade maps ``s`` to the node-local
+index ``s // N`` and the node's device translates to the wire.
+
+Recovery after a full-cluster crash runs once, from node 0: the PMR logs
+are keyed by global wire stream id, so the coordinator's scan covers
+every initiator's streams (§4.9; proven by
+``tests/core/test_multi_initiator.py`` and the multi-initiator cells of
+the ``repro check`` matrix).
 """
 
 from __future__ import annotations
@@ -35,12 +42,10 @@ from typing import Any, List, Optional, Sequence
 
 from repro.block.request import Bio, WriteFlags
 from repro.block.volume import LogicalVolume
-from repro.core.api import RioDevice
 from repro.hw.cpu import Core, CpuSet
 from repro.hw.nic import Nic
 from repro.hw.pmr import PersistentMemoryRegion
 from repro.hw.ssd import NvmeSsd, SsdProfile
-from repro.multi import StreamDirectory
 from repro.net.fabric import Fabric
 from repro.nvmeof.costs import DEFAULT_COSTS, CpuCosts
 from repro.nvmeof.initiator import (
@@ -53,63 +58,103 @@ from repro.nvmeof.target import TargetServer
 from repro.sim.engine import Environment
 from repro.sim.rng import DeterministicRNG
 
-__all__ = ["ScaleNode", "ScaleOutCluster", "ShardedStack"]
+__all__ = ["DEFAULT_CORES", "ScaleNode", "ScaleOutCluster", "ShardedStack",
+           "StreamDirectory"]
+
+#: 2 × 18 cores per server, as in the paper's testbed.
+DEFAULT_CORES = 36
 
 #: Systems whose per-node stack is a RioDevice with dense local streams.
 _RIO_SYSTEMS = ("rio", "rio-nomerge")
 
 
-class _NodeClusterView:
-    """Adapter giving one node's stack its per-initiator cluster view."""
+class StreamDirectory:
+    """Allocates disjoint global stream-id ranges to initiators.
 
-    def __init__(self, scale: "ScaleOutCluster", server: InitiatorServer,
-                 driver: InitiatorDriver, namespaces: List[RemoteNamespace]):
-        self.env = scale.env
-        self.costs = scale.costs
-        self.initiator = server
-        self.driver = driver
-        self.targets = scale.targets
-        self.namespaces = namespaces
+    The paper's "distributed sequencer" reduced to its essence: a
+    monotonically advancing range allocator.  (Allocation happens at
+    setup time, so its cost is irrelevant — exactly the paper's argument
+    for why distributed concurrency control is not the slow part.)
+    """
 
-    def volume(self, namespaces=None, stripe_blocks: int = 1) -> LogicalVolume:
-        return LogicalVolume(namespaces or self.namespaces, stripe_blocks)
+    def __init__(self, capacity: Optional[int] = None) -> None:
+        if capacity is not None and capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
+        self._next_base = 0
+        self.allocations: List[tuple] = []
+
+    def allocate(self, count: int) -> int:
+        if count < 1:
+            raise ValueError("need at least one stream")
+        if self.capacity is not None and self._next_base + count > self.capacity:
+            raise ValueError(
+                f"stream directory exhausted: requested {count}, "
+                f"{self.capacity - self._next_base} of {self.capacity} left"
+            )
+        base = self._next_base
+        self._next_base += count
+        self.allocations.append((base, count))
+        return base
 
 
 class ScaleNode:
-    """One initiator host: CPU set, NIC, driver, connections."""
+    """One initiator host: the per-host cluster view stacks are built on.
 
-    def __init__(
-        self,
-        index: int,
-        server: InitiatorServer,
-        driver: InitiatorDriver,
-        namespaces: List[RemoteNamespace],
-        view: _NodeClusterView,
-    ):
+    Carries what a stack or :class:`~repro.core.api.RioDevice` reads from
+    "its cluster": ``env``, ``costs``, the shared ``targets``, this host's
+    ``initiator`` server, ``driver`` and ``namespaces``, and
+    :meth:`volume`.
+    """
+
+    def __init__(self, cluster: "ScaleOutCluster", index: int,
+                 initiator: InitiatorServer, driver: InitiatorDriver,
+                 namespaces: List[RemoteNamespace]):
+        self.env = cluster.env
+        self.costs = cluster.costs
+        self.targets = cluster.targets
         self.index = index
-        self.server = server
+        self.initiator = initiator
         self.driver = driver
         self.namespaces = namespaces
-        self.view = view
 
     @property
     def cpus(self) -> CpuSet:
-        return self.server.cpus
+        return self.initiator.cpus
+
+    def volume(self, namespaces: Optional[List[RemoteNamespace]] = None,
+               stripe_blocks: int = 1) -> LogicalVolume:
+        """A logical volume over ``namespaces`` (default: all of this
+        host's)."""
+        if namespaces is None:
+            namespaces = self.namespaces
+        return LogicalVolume(namespaces, stripe_blocks)
 
     def __repr__(self) -> str:
-        return f"<ScaleNode {self.index} ({self.server.name})>"
+        return f"<ScaleNode {self.index} ({self.initiator.name})>"
 
 
 class ScaleOutCluster:
-    """N initiator hosts sharing M target servers over one fabric."""
+    """N initiator hosts sharing M target servers over one fabric.
+
+    ``target_ssds`` is one inner sequence per target server; ``transport``
+    selects ``"rdma"`` or ``"tcp"``; pass a
+    :class:`~repro.nvmeof.initiator.DriverHardening` to arm
+    timeouts/retries (the fault plane's recovery side).
+    """
+
+    #: Name of host i, formatted with i; its CPU set and NIC add ``-cpu``
+    #: and ``-nic``.  Names seed the driver's jitter RNG and key obs
+    #: gauges, so each entry point keeps its own.
+    host_name = "initiator{}"
 
     def __init__(
         self,
         env: Environment,
         target_ssds: Sequence[Sequence[SsdProfile]],
         num_initiators: int = 2,
-        initiator_cores: int = 36,
-        target_cores: int = 36,
+        initiator_cores: int = DEFAULT_CORES,
+        target_cores: int = DEFAULT_CORES,
         num_qps: Optional[int] = None,
         costs: CpuCosts = DEFAULT_COSTS,
         seed: int = 42,
@@ -117,6 +162,7 @@ class ScaleOutCluster:
         steering: str = "pin",
         qp_steering: str = "pin",
         hardening: Optional[DriverHardening] = None,
+        pmr_size: Optional[int] = None,
     ):
         if num_initiators < 1:
             raise ValueError("need at least one initiator host")
@@ -130,7 +176,8 @@ class ScaleOutCluster:
         self.rng = DeterministicRNG(seed)
         self.fabric = Fabric(env, self.rng.fork("fabric"), transport=transport)
         self.directory = StreamDirectory()
-        num_qps = num_qps or initiator_cores
+        if num_qps is None:
+            num_qps = initiator_cores
 
         # ---- shared target servers ----
         self.targets: List[TargetServer] = []
@@ -150,7 +197,11 @@ class ScaleOutCluster:
                     cpus=CpuSet(env, target_cores, name=f"{name}-cpu"),
                     nic=Nic(env, name=f"{name}-nic"),
                     ssds=ssds,
-                    pmr=PersistentMemoryRegion(env, name=f"{name}-pmr"),
+                    pmr=PersistentMemoryRegion(
+                        env,
+                        **({"size": pmr_size} if pmr_size else {}),
+                        name=f"{name}-pmr",
+                    ),
                     costs=costs,
                     steering=steering,
                 )
@@ -159,11 +210,12 @@ class ScaleOutCluster:
         # ---- per-initiator hosts ----
         self.nodes: List[ScaleNode] = []
         for iid in range(num_initiators):
+            name = self.host_name.format(iid)
             server = InitiatorServer(
                 env,
-                name=f"initiator{iid}",
-                cpus=CpuSet(env, initiator_cores, name=f"initiator{iid}-cpu"),
-                nic=Nic(env, name=f"initiator{iid}-nic"),
+                name=name,
+                cpus=CpuSet(env, initiator_cores, name=f"{name}-cpu"),
+                nic=Nic(env, name=f"{name}-nic"),
             )
             driver = InitiatorDriver(
                 env, server, costs=costs, hardening=hardening,
@@ -182,8 +234,13 @@ class ScaleOutCluster:
                                         endpoints=initiator_eps,
                                         qp_steering=qp_steering)
                     )
-            view = _NodeClusterView(self, server, driver, namespaces)
-            self.nodes.append(ScaleNode(iid, server, driver, namespaces, view))
+            self.nodes.append(ScaleNode(self, iid, server, driver, namespaces))
+        # Single-host callers (every N=1 experiment, the crash oracle's
+        # workload and recovery drivers) address "the initiator": on N
+        # hosts that is the coordinator, node 0.
+        self.initiator = self.nodes[0].initiator
+        self.driver = self.nodes[0].driver
+        self.namespaces = self.nodes[0].namespaces
 
     # -- robustness plane --------------------------------------------------
 
@@ -217,25 +274,19 @@ class ScaleOutCluster:
         best = driver.health.pick(names, now)
         return names.index(best)
 
-    # -- single-initiator compatibility surface ----------------------------
-    # The crash oracle's workload/recovery drivers address "the
-    # initiator"; on a scale-out cluster that is the coordinator, node 0.
+    # -- single-initiator surface: the coordinator, node 0 ----------------
 
-    @property
-    def initiator(self) -> InitiatorServer:
-        return self.nodes[0].server
+    def volume(self, namespaces: Optional[List[RemoteNamespace]] = None,
+               stripe_blocks: int = 1) -> LogicalVolume:
+        return self.nodes[0].volume(namespaces, stripe_blocks)
 
-    @property
-    def driver(self) -> InitiatorDriver:
-        return self.nodes[0].driver
-
-    @property
-    def namespaces(self) -> List[RemoteNamespace]:
-        return self.nodes[0].namespaces
-
-    def volume(self, namespaces=None, stripe_blocks: int = 1) -> LogicalVolume:
-        return LogicalVolume(namespaces or self.nodes[0].namespaces,
-                             stripe_blocks)
+    def namespaces_with_profile(self, profile_name: str) -> List[RemoteNamespace]:
+        """All of node 0's namespaces backed by SSDs of the given profile."""
+        return [
+            ns
+            for ns in self.namespaces
+            if ns.target.ssds[ns.nsid].profile.name == profile_name
+        ]
 
     # -- measurement helpers -----------------------------------------------
 
@@ -276,6 +327,9 @@ class ShardedStack:
         system: str,
         num_streams: int,
     ):
+        # Imported here: repro.core.api and repro.systems import
+        # repro.cluster, which imports this module.
+        from repro.core.api import RioDevice
         from repro.systems.base import make_stack
 
         if num_streams < 1:
@@ -295,7 +349,7 @@ class ShardedStack:
                 owned = len(range(node.index, num_streams, n))
                 stream_base = cluster.directory.allocate(max(owned, 1))
                 device = RioDevice(
-                    node.view,
+                    node,
                     num_streams=max(owned, 1),
                     stream_base=stream_base,
                     merging_enabled=(system != "rio-nomerge"),
@@ -303,11 +357,11 @@ class ShardedStack:
                 self.stacks.append(device)
                 self._submit_fns.append(device.submit)
             else:
-                stack = make_stack(system, node.view,
+                stack = make_stack(system, node,
                                    num_streams=num_streams)
                 self.stacks.append(stack)
                 self._submit_fns.append(stack.submit_ordered)
-        self.volume = cluster.nodes[0].view.volume()
+        self.volume = cluster.nodes[0].volume()
         if hasattr(self.stacks[0], "recovery"):
             # Coordinator recovery (node 0) covers all global streams:
             # the targets' PMR logs are keyed by wire stream id.

@@ -1,21 +1,27 @@
-"""Tests for the multi-initiator extension (§4.9)."""
+"""Tests for the multi-initiator extension (§4.9): a ScaleOutCluster
+with one RioDevice per node, each on its own directory-assigned range."""
 
 import pytest
 
+from repro.core.api import RioDevice
 from repro.hw.ssd import OPTANE_905P
-from repro.multi import MultiInitiatorCluster, StreamDirectory
+from repro.scale import ScaleOutCluster, StreamDirectory
 from repro.sim import Environment
 
 
 def make_multi(num_initiators=2, targets=((OPTANE_905P,),), streams=4):
     env = Environment()
-    multi = MultiInitiatorCluster(
+    cluster = ScaleOutCluster(
         env,
         target_ssds=targets,
         num_initiators=num_initiators,
-        streams_per_initiator=streams,
     )
-    return env, multi
+    devices = [
+        RioDevice(node, num_streams=streams,
+                  stream_base=cluster.directory.allocate(streams))
+        for node in cluster.nodes
+    ]
+    return env, cluster, devices
 
 
 def test_stream_directory_allocates_disjoint_ranges():
@@ -29,25 +35,24 @@ def test_stream_directory_allocates_disjoint_ranges():
 
 
 def test_initiators_share_targets_but_not_drivers():
-    env, multi = make_multi()
-    assert len(multi.initiators) == 2
-    assert multi.initiators[0].driver is not multi.initiators[1].driver
-    assert multi.initiators[0].namespaces[0].target is \
-        multi.initiators[1].namespaces[0].target
+    env, cluster, devices = make_multi()
+    assert len(cluster.nodes) == 2
+    assert cluster.nodes[0].driver is not cluster.nodes[1].driver
+    assert cluster.nodes[0].namespaces[0].target is \
+        cluster.nodes[1].namespaces[0].target
     # Both Rio devices reuse the one target policy (no state wipe).
-    assert multi.initiators[0].rio.policies[0] is \
-        multi.initiators[1].rio.policies[0]
+    assert devices[0].policies[0] is devices[1].policies[0]
 
 
 def test_concurrent_initiators_preserve_per_stream_order():
-    env, multi = make_multi()
+    env, cluster, devices = make_multi()
     release_orders = {0: [], 1: []}
 
     def writer(node, order):
-        core = node.server.cpus.pick(0)
+        core = node.cpus.pick(0)
         events = []
         for i in range(25):
-            done = yield from node.rio.write(
+            done = yield from devices[node.index].write(
                 core, 0, lba=node.index * 1_000_000 + i * 2, nblocks=1,
                 payload=[(node.index, i + 1)],
             )
@@ -61,7 +66,7 @@ def test_concurrent_initiators_preserve_per_stream_order():
 
     procs = [
         env.process(writer(node, release_orders[node.index]))
-        for node in multi.initiators
+        for node in cluster.nodes
     ]
     env.run_until_event(env.all_of(procs))
     assert release_orders[0] == list(range(25))
@@ -69,39 +74,38 @@ def test_concurrent_initiators_preserve_per_stream_order():
 
 
 def test_attributes_carry_global_stream_ids():
-    env, multi = make_multi(streams=4)
-    node1 = multi.initiators[1]
-    core = node1.server.cpus.pick(0)
+    env, cluster, devices = make_multi(streams=4)
+    core = cluster.nodes[1].cpus.pick(0)
 
     def proc(env):
-        done = yield from node1.rio.write(core, 2, lba=0, nblocks=1)
+        done = yield from devices[1].write(core, 2, lba=0, nblocks=1)
         yield done
 
     env.run_until_event(env.process(proc(env)))
-    records = list(multi.targets[0].pmr.records().values())
+    records = list(cluster.targets[0].pmr.records().values())
     assert records
     # Initiator 1 owns streams 4..7; its local stream 2 is global 6.
     assert all(r.stream_id == 6 for r in records)
 
 
 def test_both_initiators_write_durably():
-    env, multi = make_multi()
+    env, cluster, devices = make_multi()
 
     def writer(node):
-        core = node.server.cpus.pick(0)
+        core = node.cpus.pick(0)
         events = []
         for i in range(10):
-            done = yield from node.rio.write(
+            done = yield from devices[node.index].write(
                 core, 0, lba=node.index * 100 + i, nblocks=1,
                 payload=[(node.index, i)],
             )
             events.append(done)
         yield env.all_of(events)
 
-    procs = [env.process(writer(node)) for node in multi.initiators]
+    procs = [env.process(writer(node)) for node in cluster.nodes]
     env.run_until_event(env.all_of(procs))
-    ssd = multi.targets[0].ssds[0]
-    for node in multi.initiators:
+    ssd = cluster.targets[0].ssds[0]
+    for node in cluster.nodes:
         for i in range(10):
             assert ssd.durable_payload(node.index * 100 + i) == (node.index, i)
 
@@ -109,31 +113,30 @@ def test_both_initiators_write_durably():
 def test_crash_recovery_with_two_initiators():
     """A coordinator (initiator 0) recovers the whole cluster: prefixes
     are computed per global stream, covering both initiators' streams."""
-    env, multi = make_multi()
+    env, cluster, devices = make_multi()
 
     def writer(node):
-        core = node.server.cpus.pick(0)
+        core = node.cpus.pick(0)
         for i in range(50):
-            yield from node.rio.write(
+            yield from devices[node.index].write(
                 core, 0, lba=node.index * 1_000_000 + i * 2, nblocks=1,
                 payload=[(node.index, i + 1)],
             )
 
-    for node in multi.initiators:
+    for node in cluster.nodes:
         env.process(writer(node))
     env.run(until=60e-6)
-    for target in multi.targets:
+    for target in cluster.targets:
         target.crash()
     env.run(until=env.now + 100e-6)
-    for target in multi.targets:
+    for target in cluster.targets:
         target.restart()
 
     holder = {}
 
     def recover(env):
-        coordinator = multi.initiators[0]
-        core = coordinator.server.cpus.pick(0)
-        holder["report"] = yield from coordinator.rio.recovery() \
+        core = cluster.nodes[0].cpus.pick(0)
+        holder["report"] = yield from devices[0].recovery() \
             .run_initiator_recovery(core)
 
     env.run_until_event(env.process(recover(env)))
@@ -142,10 +145,10 @@ def test_crash_recovery_with_two_initiators():
     assert 0 in report.prefixes
     assert 4 in report.prefixes
     # Prefix property per stream, against ground truth.
-    for node in multi.initiators:
-        stream = node.stream_base  # local stream 0
+    for node in cluster.nodes:
+        stream = devices[node.index].sequencer.stream_base  # local stream 0
         prefix = report.prefixes.get(stream, 0)
-        ssd = multi.targets[0].ssds[0]
+        ssd = cluster.targets[0].ssds[0]
         for i in range(50):
             payload = ssd.durable_payload(node.index * 1_000_000 + i * 2)
             if i + 1 <= prefix:

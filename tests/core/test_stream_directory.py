@@ -10,10 +10,23 @@ the wire — the shared targets and PMR logs must only ever see global ids.
 
 import pytest
 
+from repro.core.api import RioDevice
 from repro.core.attributes import OrderingAttribute
 from repro.hw.ssd import OPTANE_905P
-from repro.multi import MultiInitiatorCluster, StreamDirectory
+from repro.scale import ScaleOutCluster, StreamDirectory
 from repro.sim import Environment
+
+
+def make_multi(num_initiators, streams=4):
+    env = Environment()
+    cluster = ScaleOutCluster(env, target_ssds=((OPTANE_905P,),),
+                              num_initiators=num_initiators)
+    devices = [
+        RioDevice(node, num_streams=streams,
+                  stream_base=cluster.directory.allocate(streams))
+        for node in cluster.nodes
+    ]
+    return env, cluster, devices
 
 
 # ----------------------------------------------------------------------
@@ -56,20 +69,15 @@ def test_invalid_capacity_and_count():
 
 
 def test_assigned_ranges_are_disjoint_across_initiators():
-    env = Environment()
-    multi = MultiInitiatorCluster(
-        env,
-        target_ssds=((OPTANE_905P,),),
-        num_initiators=3,
-        streams_per_initiator=4,
-    )
+    env, cluster, devices = make_multi(num_initiators=3)
     ranges = [
-        range(node.stream_base, node.stream_base + node.rio.num_streams)
-        for node in multi.initiators
+        range(rio.sequencer.stream_base,
+              rio.sequencer.stream_base + rio.num_streams)
+        for rio in devices
     ]
     claimed = [sid for r in ranges for sid in r]
     assert len(claimed) == len(set(claimed)), "global stream ranges overlap"
-    assert multi.directory.allocations == [(0, 4), (4, 4), (8, 4)]
+    assert cluster.directory.allocations == [(0, 4), (4, 4), (8, 4)]
 
 
 # ----------------------------------------------------------------------
@@ -78,34 +86,28 @@ def test_assigned_ranges_are_disjoint_across_initiators():
 
 
 def test_local_stream_ids_reach_the_wire_translated():
-    env = Environment()
-    multi = MultiInitiatorCluster(
-        env,
-        target_ssds=((OPTANE_905P,),),
-        num_initiators=2,
-        streams_per_initiator=4,
-    )
+    env, cluster, devices = make_multi(num_initiators=2)
 
     def writer(node):
-        core = node.server.cpus.pick(0)
+        core = node.cpus.pick(0)
         # Both initiators use *local* stream 1.
-        done = yield from node.rio.write(
+        done = yield from devices[node.index].write(
             core, 1, lba=node.index * 1_000_000, nblocks=1,
             payload=[("node", node.index)],
         )
         yield done
 
-    for node in multi.initiators:
+    for node in cluster.nodes:
         env.process(writer(node))
     env.run(until=5e-3)
 
-    target = multi.targets[0]
+    target = cluster.targets[0]
     wire_streams = {stream for stream, _pos, _epoch, _t in target.audit_log}
     # local 1 -> global stream_base + 1 for each node; the shared target
     # must never observe the raw local id of the second node colliding
     # with the first node's range.
     expected = {
-        node.stream_base + 1 for node in multi.initiators
+        rio.sequencer.stream_base + 1 for rio in devices
     }
     assert wire_streams == expected == {1, 5}
 

@@ -26,7 +26,7 @@ def test_nodes_have_private_hosts_and_shared_targets():
     _env, cluster = build("2optane-2targets", initiators=3)
     assert len(cluster.nodes) == 3
     assert len(cluster.targets) == 2
-    servers = {node.server.name for node in cluster.nodes}
+    servers = {node.initiator.name for node in cluster.nodes}
     assert servers == {"initiator0", "initiator1", "initiator2"}
     drivers = {id(node.driver) for node in cluster.nodes}
     assert len(drivers) == 3  # one driver per host, never shared
@@ -39,7 +39,7 @@ def test_nodes_have_private_hosts_and_shared_targets():
 
 def test_coordinator_compat_surface_is_node_zero():
     _env, cluster = build()
-    assert cluster.initiator is cluster.nodes[0].server
+    assert cluster.initiator is cluster.nodes[0].initiator
     assert cluster.driver is cluster.nodes[0].driver
     assert cluster.namespaces is cluster.nodes[0].namespaces
 

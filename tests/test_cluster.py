@@ -4,7 +4,16 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.hw.ssd import FLASH_PM981, OPTANE_905P
+from repro.scale import ScaleOutCluster
 from repro.sim import Environment
+
+#: The two entry points to the one assembly, and the name each gives
+#: its (first) initiator host.
+ENTRY_POINTS = [
+    pytest.param(Cluster, {}, "initiator", id="Cluster"),
+    pytest.param(ScaleOutCluster, {"num_initiators": 1}, "initiator0",
+                 id="ScaleOutCluster-N1"),
+]
 
 
 def test_cluster_requires_targets():
@@ -44,6 +53,33 @@ def test_volume_defaults_to_all_namespaces():
     cluster = Cluster(env, target_ssds=((OPTANE_905P, OPTANE_905P),))
     assert cluster.volume().width == 2
     assert cluster.volume(cluster.namespaces[:1]).width == 1
+
+
+def test_empty_namespace_selection_is_not_widened_to_all():
+    env = Environment()
+    cluster = Cluster(env, target_ssds=((OPTANE_905P,),))
+    with pytest.raises(ValueError, match="at least one namespace"):
+        cluster.volume(cluster.namespaces_with_profile("PM981-flash"))
+    with pytest.raises(ValueError, match="at least one namespace"):
+        cluster.nodes[0].volume([])
+
+
+@pytest.mark.parametrize("cls, kwargs, _host", ENTRY_POINTS)
+def test_zero_qps_is_rejected(cls, kwargs, _host):
+    env = Environment()
+    with pytest.raises(ValueError, match="at least one queue pair"):
+        cls(env, target_ssds=((OPTANE_905P,),), num_qps=0, **kwargs)
+
+
+@pytest.mark.parametrize("cls, kwargs, host", ENTRY_POINTS)
+def test_host_names_per_entry_point(cls, kwargs, host):
+    """The host name seeds the driver's jitter RNG and keys the obs
+    gauges, so each entry point must keep the names it always had."""
+    env = Environment()
+    cluster = cls(env, target_ssds=((OPTANE_905P,),), **kwargs)
+    assert cluster.initiator.name == host
+    assert cluster.initiator.cpus.name == f"{host}-cpu"
+    assert cluster.initiator.nic.name == f"{host}-nic"
 
 
 def test_num_qps_configurable():
