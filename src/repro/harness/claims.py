@@ -67,9 +67,10 @@ def evaluate_claims(
     """Run the compact experiment set and grade every headline claim.
 
     With ``jobs``/``cache`` left at None the figure sweeps run on the
-    process-wide default runner (so a caller who already called
-    :func:`repro.harness.sweep.configure` keeps their settings); passing
-    either overrides the runner for the duration of this evaluation.
+    process-wide default runner (so a caller inside
+    :func:`repro.harness.sweep.configured`, such as
+    :func:`repro.spec.run_scenario`, keeps its settings); passing either
+    overrides the runner for the duration of this evaluation.
     """
     if jobs is not None or cache is not None:
         with configured(jobs=jobs or 1, cache=cache):

@@ -26,6 +26,7 @@ order, a parallel run is bit-identical to a serial one
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Sequence, Tuple
 
 from repro.apps.fio import run_block_workload
@@ -777,8 +778,16 @@ def recovery_table(
                                           run_before_crash, seed))
 
 
-from repro.harness.overload import overload_sweep  # noqa: E402
-from repro.harness.saturate import saturation_sweep  # noqa: E402
+from repro.harness import extensions  # noqa: E402
+from repro.harness.overload import (  # noqa: E402
+    gray_result,
+    overload_curves,
+    overload_sweep,
+)
+from repro.harness.saturate import (  # noqa: E402
+    saturation_curves,
+    saturation_sweep,
+)
 from repro.harness.tenants import tenants_sweep  # noqa: E402
 
 #: Every figure's sweep builder, for ``repro sweep`` and the tests.
@@ -796,4 +805,55 @@ SWEEP_BUILDERS = {
     "saturate": saturation_sweep,
     "overload": overload_sweep,
     "tenants": tenants_sweep,
+}
+
+#: Every figure ``repro run``/``sweep`` and the ``figure`` scenario know:
+#: name -> (callable, description, accepts-duration).
+FIGURES: Dict[str, tuple] = {
+    "fig2a": (partial(fig02_motivation, ssd="flash"),
+              "motivation, flash SSD (§3.1)", True),
+    "fig2b": (partial(fig02_motivation, ssd="optane"),
+              "motivation, Optane SSD (§3.1)", True),
+    "fig3": (fig03_merging_cpu, "merging cuts CPU overhead (§3.2)", True),
+    "fig10a": (partial(fig10_block_device, panel="a"),
+               "block device, flash (§6.2)", True),
+    "fig10b": (partial(fig10_block_device, panel="b"),
+               "block device, Optane (§6.2)", True),
+    "fig10c": (partial(fig10_block_device, panel="c"),
+               "block device, 4-SSD volume (§6.2)", True),
+    "fig10d": (partial(fig10_block_device, panel="d"),
+               "block device, two targets (§6.2)", True),
+    "fig11": (fig11_write_sizes, "write-size sweep (§6.2.2)", True),
+    "fig12a": (partial(fig12_batch_sizes, panel="a"),
+               "batch sizes, 1 thread (§6.2.3)", True),
+    "fig12b": (partial(fig12_batch_sizes, panel="b"),
+               "batch sizes, 12 threads (§6.2.3)", True),
+    "fig13": (fig13_filesystem, "file system fsync (§6.3)", True),
+    "fig14": (lambda **kw: fig14_latency_breakdown(),
+              "fsync latency breakdown (§6.3)", False),
+    "fig15a": (fig15a_varmail, "Varmail (§6.4)", True),
+    "fig15b": (fig15b_rocksdb, "RocksDB fillsync (§6.4)", True),
+    "recovery": (lambda **kw: recovery_table(),
+                 "recovery time (§6.5)", False),
+    "ablation-affinity": (extensions.ablation_qp_affinity,
+                          "Principle 2 ablation", True),
+    "ablation-attrs": (extensions.ablation_attribute_persistence,
+                       "attribute-persistence overhead", True),
+    "sensitivity-ssd": (extensions.sensitivity_faster_ssd,
+                        "faster-SSD sensitivity (§3.1)", True),
+    "tcp": (extensions.transport_comparison,
+            "NVMe/TCP extension (§4.5)", True),
+    "multi-initiator": (extensions.multi_initiator_scaling,
+                        "multi-initiator extension (§4.9)", True),
+    "barrier": (extensions.barrier_comparison,
+                "BarrierFS-style interface comparison (§2.2)", True),
+    "oltp": (extensions.oltp_comparison,
+             "MySQL-style OLTP on the three file systems", True),
+    "saturate": (saturation_curves,
+                 "scale-out saturation: throughput-latency curves", True),
+    "overload": (overload_curves,
+                 "robustness plane: metastable-overload sweep", True),
+    "overload-gray": (gray_result,
+                      "robustness plane: gray (fail-slow) target scenario",
+                      True),
 }

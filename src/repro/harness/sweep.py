@@ -18,8 +18,8 @@ decomposes them instead:
   parallel sweep is bit-identical to a serial one.
 * :class:`Sweep` — specs plus a reduce step.  The figure entry points in
   :mod:`repro.harness.figures` each build a ``Sweep`` and feed it through
-  the process-wide default runner, which ``repro sweep --jobs N --cache``
-  reconfigures.
+  the process-wide default runner, which :func:`configured` swaps for
+  one run (``repro sweep --jobs N`` does, via ``run_scenario``).
 
 Cells must be *top-level* functions taking only canonically-encodable
 kwargs (JSON scalars, lists/tuples, dicts) and returning picklable values
@@ -44,7 +44,6 @@ __all__ = [
     "Sweep",
     "SweepStats",
     "SweepRunner",
-    "configure",
     "configured",
     "get_runner",
     "run_sweep",
@@ -271,16 +270,9 @@ def get_runner() -> SweepRunner:
     return _default_runner
 
 
-def configure(jobs: int = 1, cache: Optional[ResultCache] = None) -> SweepRunner:
-    """Replace the default runner (what ``repro sweep`` does at startup)."""
-    global _default_runner
-    _default_runner = SweepRunner(jobs=jobs, cache=cache)
-    return _default_runner
-
-
 @contextmanager
 def configured(jobs: int = 1, cache: Optional[ResultCache] = None):
-    """Temporarily swap the default runner (tests, ``evaluate_claims``)."""
+    """Temporarily swap the default runner (``run_scenario``, tests)."""
     global _default_runner
     previous = _default_runner
     _default_runner = SweepRunner(jobs=jobs, cache=cache)
@@ -292,5 +284,5 @@ def configured(jobs: int = 1, cache: Optional[ResultCache] = None):
 
 def run_sweep(sweep: Sweep) -> Any:
     """Run a sweep on the default runner (serial and uncached unless
-    :func:`configure`/:func:`configured` said otherwise)."""
+    :func:`configured` said otherwise)."""
     return _default_runner.run(sweep)

@@ -1,8 +1,9 @@
 """Spec compilers: ScenarioSpec → sweep cells → one run → one outcome.
 
 :func:`run_scenario` is the single execution path behind ``repro run
-<spec.json>``: it dispatches a validated :class:`ScenarioSpec` to the
-per-scenario compiler, which rebuilds exactly the cell list the legacy
+<spec.json>`` and every CLI verb that runs a scenario: it dispatches a
+validated :class:`ScenarioSpec` to the per-scenario compiler, which
+rebuilds exactly the cell list the legacy
 kwargs entry point would have built (so spec-driven runs are
 bit-identical to kwargs-driven runs — proved by the differential tests
 in ``tests/spec/``), runs it on a :class:`~repro.harness.sweep`
@@ -109,7 +110,7 @@ def _nondefault(values: dict, defaults: dict) -> dict:
 
 
 def _run_figure(spec: ScenarioSpec) -> ScenarioOutcome:
-    from repro.cli import FIGURES
+    from repro.harness.figures import FIGURES
 
     fn, _description, _takes_duration = FIGURES[spec.workload["figure"]]
     options = spec.workload["options"] or {}

@@ -437,6 +437,17 @@ def _section_defaults(name: str) -> Dict[str, Any]:
     return _normalize_section(name, {}, _SECTION_TABLES[name])
 
 
+def _default_topology(scenario: str) -> Dict[str, Any]:
+    return {**_section_defaults("topology"),
+            "layout": _DEFAULT_LAYOUT[scenario],
+            "initiators": _DEFAULT_INITIATORS[scenario]}
+
+
+def _workload_default(scenario: str, key: str) -> Any:
+    default = _WORKLOADS[scenario][key].default
+    return list(default) if isinstance(default, tuple) else default
+
+
 # ----------------------------------------------------------------------
 # The spec
 # ----------------------------------------------------------------------
@@ -507,9 +518,7 @@ class ScenarioSpec:
         # (which spells those defaults out) always re-loads.
         allowed = _ALLOWED_SECTIONS[scenario]
         section_defaults = {
-            "topology": {**_section_defaults("topology"),
-                         "layout": _DEFAULT_LAYOUT[scenario],
-                         "initiators": _DEFAULT_INITIATORS[scenario]},
+            "topology": _default_topology(scenario),
             "devices": _section_defaults("devices"),
             "policies": _section_defaults("policies"),
             "oracle": _section_defaults("oracle"),
@@ -617,7 +626,7 @@ _CHECK_SAFE_TIMED = ("target_stall", "degrade")
 def _validate_scenario(spec: ScenarioSpec) -> None:
     scenario, workload = spec.scenario, spec.workload
     if scenario == "figure":
-        from repro.cli import FIGURES  # lazy: repro.cli imports lazily too
+        from repro.harness.figures import FIGURES
 
         figure = workload["figure"]
         if figure not in FIGURES:
@@ -684,21 +693,19 @@ def _validate_scenario(spec: ScenarioSpec) -> None:
             )
     elif scenario == "overload":
         if workload["mode"] == "gray":
-            defaults = _WORKLOADS["overload"]
             for key in ("systems", "loads_kiops", "tenants"):
-                default = defaults[key].default
-                default = (list(default) if isinstance(default, tuple)
-                           else default)
-                if workload[key] != default:
+                if workload[key] != _workload_default("overload", key):
                     raise SpecError(
                         f"workload.{key}: the gray scenario is a fixed "
                         "single-cell experiment; only duration, seed, "
                         "offered_kiops and degrade_factor apply"
                     )
-            if (spec.topology != {**_section_defaults("topology"),
-                                  "layout": _DEFAULT_LAYOUT["overload"],
-                                  "initiators":
-                                      _DEFAULT_INITIATORS["overload"]}):
+            if spec.policies["protections"] is not None:
+                raise SpecError(
+                    "policies.protections: the gray scenario runs the "
+                    "protected stack only; leave protections out"
+                )
+            if spec.topology != _default_topology("overload"):
                 raise SpecError(
                     "topology: the gray scenario runs on its own fixed "
                     "2-target layout; leave the topology section out"
@@ -725,24 +732,17 @@ def _validate_scenario(spec: ScenarioSpec) -> None:
                 "not 0"
             )
         if workload["mode"] == "storm":
-            defaults = _WORKLOADS["tenants"]
             for key in ("loads_kiops", "streams", "num_tenants",
                         "zipf_alpha", "diurnal_amplitude", "diurnal_period",
                         "qos"):
-                default = defaults[key].default
-                default = (list(default) if isinstance(default, tuple)
-                           else default)
-                if workload[key] != default:
+                if workload[key] != _workload_default("tenants", key):
                     raise SpecError(
                         f"workload.{key}: the storm mode is the fixed "
                         "noisy-neighbor acceptance experiment (it sweeps "
                         "QoS on/off itself); only systems, quantum, "
                         "duration and seed apply"
                     )
-            if (spec.topology != {**_section_defaults("topology"),
-                                  "layout": _DEFAULT_LAYOUT["tenants"],
-                                  "initiators":
-                                      _DEFAULT_INITIATORS["tenants"]}):
+            if spec.topology != _default_topology("tenants"):
                 raise SpecError(
                     "topology: the storm mode runs on its own fixed "
                     "single-initiator testbed; leave the topology "
@@ -774,6 +774,27 @@ def _validate_scenario(spec: ScenarioSpec) -> None:
         loads = workload["loads_kiops"]
         if not loads:
             raise SpecError("workload.loads_kiops: need at least one load")
+    _validate_names(spec)
+
+
+def _validate_names(spec: ScenarioSpec) -> None:
+    """Layouts and systems must be ones the harnesses can build."""
+    from repro.check.runner import DEFAULT_MATRIX
+    from repro.harness.experiment import LAYOUTS
+    from repro.systems.base import STACKS
+
+    layout = spec.topology["layout"]
+    for path, what, names, table in (
+        ("topology.layout", "layout", [layout] if layout else [], LAYOUTS),
+        ("workload.layouts", "layout", spec.workload.get("layouts") or [],
+         LAYOUTS),
+        ("workload.systems", "system", spec.workload.get("systems") or [],
+         DEFAULT_MATRIX if spec.scenario == "check" else STACKS),
+    ):
+        unknown = [name for name in names if name not in table]
+        if unknown:
+            raise SpecError(f"{path}: unknown {what}(s) {unknown} "
+                            f"(one of {sorted(table)})")
 
 
 def _resolve_scenario_defaults(spec: ScenarioSpec) -> ScenarioSpec:

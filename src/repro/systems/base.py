@@ -11,13 +11,14 @@ one workload/file-system implementation drives all four systems.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+import importlib
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.block.request import Bio, WriteFlags
 from repro.hw.cpu import Core
 from repro.sim.engine import Event
 
-__all__ = ["OrderedStack", "make_stack"]
+__all__ = ["OrderedStack", "STACKS", "make_stack"]
 
 
 class OrderedStack:
@@ -74,25 +75,25 @@ class OrderedStack:
         return done, bio
 
 
+#: Every stack :func:`make_stack` builds: name -> (module, class, fixed
+#: keyword arguments).  Names, not classes, because the stack modules
+#: import this one; the spec validator reads the same table.
+STACKS: Dict[str, Tuple[str, str, Dict[str, Any]]] = {
+    "orderless": ("repro.systems.orderless", "OrderlessStack", {}),
+    "linux": ("repro.systems.linux", "LinuxOrderedStack", {}),
+    "horae": ("repro.systems.horae", "HoraeStack", {}),
+    "rio": ("repro.systems.rio", "RioStack", {}),
+    "rio-nomerge": ("repro.systems.rio", "RioStack",
+                    {"merging_enabled": False}),
+    "barrier": ("repro.systems.barrier", "BarrierStack", {}),
+}
+
+
 def make_stack(name: str, cluster, volume=None, num_streams: Optional[int] = None,
                **kwargs) -> OrderedStack:
     """Factory used by the experiment harness and the examples."""
-    from repro.systems.barrier import BarrierStack
-    from repro.systems.horae import HoraeStack
-    from repro.systems.linux import LinuxOrderedStack
-    from repro.systems.orderless import OrderlessStack
-    from repro.systems.rio import RioStack
-
-    stacks = {
-        "orderless": OrderlessStack,
-        "linux": LinuxOrderedStack,
-        "horae": HoraeStack,
-        "rio": RioStack,
-        "barrier": BarrierStack,
-    }
-    if name == "rio-nomerge":
-        return RioStack(cluster, volume, num_streams, merging_enabled=False,
-                        **kwargs)
-    if name not in stacks:
-        raise ValueError(f"unknown stack: {name!r} (have {sorted(stacks)})")
-    return stacks[name](cluster, volume, num_streams, **kwargs)
+    if name not in STACKS:
+        raise ValueError(f"unknown stack: {name!r} (have {sorted(STACKS)})")
+    module, cls, fixed = STACKS[name]
+    stack = getattr(importlib.import_module(module), cls)
+    return stack(cluster, volume, num_streams, **fixed, **kwargs)

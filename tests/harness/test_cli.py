@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import FIGURES, main
@@ -45,11 +47,9 @@ def test_check_green_matrix_exits_zero(capsys):
     assert "linux" in out
 
 
-def test_check_unknown_system_raises():
-    import pytest
-
-    with pytest.raises(ValueError):
-        main(["check", "--systems", "zfs", "--seeds", "0"])
+def test_check_unknown_system_raises(capsys):
+    assert main(["check", "--systems", "zfs", "--seeds", "0"]) == 2
+    assert "unknown system" in capsys.readouterr().err
 
 
 def test_check_replay_roundtrip(tmp_path, capsys):
@@ -59,9 +59,8 @@ def test_check_replay_roundtrip(tmp_path, capsys):
                         writes_per_group=1, depth=1, max_points=6)
     path = tmp_path / "r.json"
     dump_reproducer(path, check_workload(spec))
-    assert main(["check", "--replay", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "replayed" in out and "0 failing" in out
+    assert main(["run", str(path)]) == 0
+    assert "ordering invariants hold" in capsys.readouterr().out
 
 
 def test_tenants_curves_cli_prints_table(capsys, tmp_path):
@@ -82,3 +81,96 @@ def test_tenants_storm_cli_exits_zero_when_both_directions_hold(
     out = capsys.readouterr().out
     assert "Noisy neighbor" in out
     assert "both directions demonstrated" in out
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["saturate", "--loads", ","],
+    ["saturate", "--loads", "25,abc"],
+    ["tenants", "--storm", "--loads", "50"],
+    ["tenants", "--diurnal-amplitude", "1.5"],
+    ["overload", "--scenario", "gray", "--systems", "linux"],
+    ["overload", "--protection", "bogus"],
+    ["qualify", "--floor", "no-assignment"],
+    ["saturate", "--layout", "nope"],
+])
+def test_malformed_verb_flags_exit_2_with_one_message(argv, capsys):
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "invalid spec:" in err or "error: argument" in err
+
+
+#: (verb argv, the same scenario as a spec document).  Loads are written
+#: as floats: the verbs parse ``--loads`` to floats, and a spec's number
+#: fields keep int vs float, so ``25`` would be a different scenario.
+VERB_SPECS = [
+    (["saturate", "--systems", "rio", "--loads", "25,100",
+      "--initiators", "1", "--duration", "0.0005"],
+     {"scenario": "saturate", "topology": {"initiators": 1},
+      "workload": {"systems": ["rio"], "loads_kiops": [25.0, 100.0],
+                   "duration": 0.0005}}),
+    (["overload", "--loads", "200", "--protection", "full",
+      "--initiators", "1", "--duration", "0.0005"],
+     {"scenario": "overload", "topology": {"initiators": 1},
+      "policies": {"protections": ["full"]},
+      "workload": {"loads_kiops": [200.0], "duration": 0.0005}}),
+    (["overload", "--scenario", "gray", "--duration", "0.001"],
+     {"scenario": "overload",
+      "workload": {"mode": "gray", "duration": 0.001}}),
+    (["tenants", "--systems", "rio", "--loads", "50", "--initiators", "1",
+      "--streams", "2", "--tenants", "8", "--qos", "--duration", "0.001"],
+     {"scenario": "tenants", "topology": {"initiators": 1},
+      "workload": {"systems": ["rio"], "loads_kiops": [50.0], "streams": 2,
+                   "num_tenants": 8, "qos": True, "duration": 0.001}}),
+    (["tenants", "--systems", "rio", "--loads", "50", "--zipf-alpha", "0",
+      "--duration", "0.001"],
+     {"scenario": "tenants",
+      "workload": {"systems": ["rio"], "loads_kiops": [50.0],
+                   "zipf_alpha": None, "duration": 0.001}}),
+    (["tenants", "--storm", "--systems", "rio"],
+     {"scenario": "tenants",
+      "workload": {"mode": "storm", "systems": ["rio"]}}),
+    (["qualify", "--systems", "rio",
+      "--floor", "matrix/rio/4K/qd1/seq:min_kiops=1"],
+     {"scenario": "qualify", "workload": {"systems": ["rio"]},
+      "policies": {"floors": {"matrix/rio/4K/qd1/seq": {"min_kiops": 1.0}}}}),
+    (["check", "--systems", "linux", "--layouts", "optane", "--seeds", "0",
+      "--streams", "1", "--groups", "2", "--writes", "1", "--depth", "1"],
+     {"scenario": "check", "oracle": {"max_points": 20},
+      "workload": {"systems": ["linux"], "layouts": ["optane"],
+                   "seeds": [0], "streams": 1, "groups_per_stream": 2,
+                   "writes_per_group": 1, "depth": 1}}),
+]
+
+
+@pytest.mark.parametrize("argv, doc", VERB_SPECS, ids=[
+    "saturate", "overload-metastable", "overload-gray", "tenants-qos",
+    "tenants-uniform", "tenants-storm", "qualify", "check",
+])
+def test_verb_and_its_spec_file_are_one_scenario(argv, doc, tmp_path,
+                                                 capsys):
+    cache_dir = str(tmp_path / "cache")
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc))
+    verb_code = main(argv + ["--cache", "--cache-dir", cache_dir])
+    verb_out = capsys.readouterr().out
+    assert f"[{argv[0]}: " in verb_out
+    assert "scenario cache hit" not in verb_out
+    assert main(["run", str(spec_path), "--cache",
+                 "--cache-dir", cache_dir]) == verb_code
+    spec_out = capsys.readouterr().out
+    assert "scenario cache hit" in spec_out
+
+    def report(text):
+        return [line for line in text.splitlines()
+                if not line.startswith(f"[{argv[0]}: ")
+                and not line.startswith("[run ")]
+
+    assert report(verb_out) == report(spec_out)

@@ -166,6 +166,44 @@ def test_gray_mode_is_a_fixed_cell():
         )
 
 
+@pytest.mark.parametrize(
+    "data, fragment",
+    [
+        ({"scenario": "saturate", "workload": {"systems": ["zfs"]}},
+         "workload.systems: unknown system"),
+        ({"scenario": "qualify", "workload": {"systems": ["zfs"]}},
+         "workload.systems: unknown system"),
+        ({"scenario": "tenants", "workload": {"systems": ["rio", "zfs"]}},
+         "workload.systems: unknown system"),
+        ({"scenario": "chaos", "workload": {"systems": ["zfs"]}},
+         "workload.systems: unknown system"),
+        # make_stack builds orderless, but the check matrix has no cells
+        # for it.
+        ({"scenario": "check", "workload": {"systems": ["orderless"]}},
+         "workload.systems: unknown system"),
+        ({"scenario": "saturate", "topology": {"layout": "nope"}},
+         "topology.layout: unknown layout"),
+        ({"scenario": "chaos", "topology": {"layout": "nope"}},
+         "topology.layout: unknown layout"),
+        ({"scenario": "check",
+          "workload": {"systems": ["rio"], "layouts": ["optane", "nope"]}},
+         "workload.layouts: unknown layout"),
+    ],
+)
+def test_unbuildable_systems_and_layouts_are_rejected(data, fragment):
+    # These used to validate and then raise ValueError mid-run.
+    with pytest.raises(SpecError, match=fragment):
+        ScenarioSpec.from_dict(data)
+
+
+def test_gray_mode_rejects_protection_profiles():
+    with pytest.raises(SpecError, match="protected stack only"):
+        ScenarioSpec.from_dict(
+            {"scenario": "overload", "workload": {"mode": "gray"},
+             "policies": {"protections": ["off"]}}
+        )
+
+
 def test_policy_sections_are_scenario_scoped():
     with pytest.raises(SpecError, match="only the qualify scenario"):
         ScenarioSpec.from_dict(

@@ -13,7 +13,10 @@ and verifies three kinds of reference against the actual repository:
   ``#anchor`` matches a real heading;
 * **JSON snippets** — every ```` ```json ```` fenced block parses, and
   any block shaped like a ScenarioSpec (or a legacy shape ``load_spec``
-  upgrades) passes full spec validation.
+  upgrades) passes full spec validation;
+* **CLI invocations** — every ``python -m repro ...`` command, in a fenced
+  block or inline code, parses with the CLI's own argument parser
+  (parsing only: nothing runs).
 
 CI runs this as the docs job; if it fails, either the docs or the code
 moved without the other.
@@ -21,9 +24,12 @@ moved without the other.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
+import io
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -48,6 +54,14 @@ MD_LINK = re.compile(r"\[[^\]]+\]\((?P<target>[^)\s]+)\)")
 
 # ```json fenced blocks.
 JSON_BLOCK = re.compile(r"```json\n(?P<body>.*?)```", re.DOTALL)
+
+# Any fenced block, and a CLI invocation inside one or in inline code.
+FENCED_BLOCK = re.compile(r"```[^\n]*\n(?P<body>.*?)```", re.DOTALL)
+CLI_IN_BLOCK = re.compile(r"python -m repro\b(?P<args>.*)")
+CLI_INLINE = re.compile(r"`python -m repro\b(?P<args>[^`]*)`")
+
+# Where a shell line stops being repro's arguments.
+SHELL_TAIL = re.compile(r"\s#|[|>;]|&&")
 
 
 def _doc_ids():
@@ -202,6 +216,53 @@ def test_json_snippets_parse_and_validate(doc):
                 problems.append(f"json block {i}: invalid spec: {exc}")
     assert not problems, (
         f"{doc.relative_to(REPO_ROOT)} has bad JSON snippets:\n  "
+        + "\n  ".join(problems)
+    )
+
+
+def _cli_commands(text: str):
+    """Every ``python -m repro`` argument string in one markdown doc.
+
+    Backslash continuations are joined first; prose paragraphs are
+    unwrapped so inline code that wraps a line is read whole.
+    """
+    text = text.replace("\\\n", " ")
+    for block in FENCED_BLOCK.finditer(text):
+        for match in CLI_IN_BLOCK.finditer(block.group("body")):
+            yield match.group("args")
+    prose = re.sub(r"(?<!\n)\n(?!\n)", " ", FENCED_BLOCK.sub("", text))
+    for match in CLI_INLINE.finditer(prose):
+        yield match.group("args")
+
+
+def test_cli_invocations_parse():
+    """Every CLI invocation shown in the docs is one the CLI accepts."""
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    seen, problems = 0, []
+    for doc in DOC_FILES:
+        for args in _cli_commands(doc.read_text()):
+            argv = shlex.split(SHELL_TAIL.split(args, 1)[0])
+            seen += 1
+            if len(argv) == 1:  # a bare verb name must name a verb
+                argv.append("--help")
+            stderr = io.StringIO()
+            try:
+                with contextlib.redirect_stderr(stderr), \
+                        contextlib.redirect_stdout(io.StringIO()):
+                    parser.parse_args(argv)
+            except SystemExit as exc:
+                if exc.code == 0:
+                    continue
+                error = stderr.getvalue().strip().splitlines()[-1:]
+                problems.append(
+                    f"{doc.relative_to(REPO_ROOT)}: python -m repro "
+                    f"{' '.join(argv)}: {' '.join(error)}"
+                )
+    assert seen >= 40, f"only {seen} CLI invocations found; regex rot?"
+    assert not problems, (
+        "docs show CLI invocations the parser rejects:\n  "
         + "\n  ".join(problems)
     )
 
