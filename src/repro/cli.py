@@ -17,31 +17,30 @@ Usage::
 
 Every verb that runs something — ``run``, ``sweep``, ``claims``,
 ``check``, ``saturate``, ``overload``, ``tenants``, ``qualify`` — is a flag
-spelling of a :class:`~repro.spec.ScenarioSpec` and runs it through
-:func:`~repro.spec.run_scenario`, as ``repro run <spec.json>`` does.  A
-flag's ``dest`` is the spec field it sets (``workload.loads_kiops``,
-``topology.layout``, ...); a flag left out stays out of the spec, so the
-spec holds every default.  A verb and the equivalent spec file are one
-scenario with one cache entry, a bad value gets the spec's ``invalid
-spec: ...`` error (exit 2), and every run ends in one status line:
-``[<verb>: ...]`` (``[<verb> <figure>: ...]`` per figure) or ``[run
-<scenario> <digest12>: ...]`` for a spec file.
+spelling of a :class:`~repro.spec.ScenarioSpec` run through
+:func:`~repro.spec.run_scenario`, as ``repro run <spec.json>`` is.  A
+flag's ``dest`` is the spec field it sets (``workload.loads_kiops``, ...);
+a flag left out stays out of the spec, so the spec holds every default.
+A verb and its spec file share one cache entry, a bad value gets ``invalid
+spec: ...`` (exit 2), and every run ends in one status line: ``[<verb>:
+...]``, ``[<verb> <figure>: ...]`` or ``[run <scenario> <digest12>: ...]``.
 
 ``run`` takes a figure name, ``all`` or a ScenarioSpec JSON path (one with
 a path separator or a ``.json`` suffix; legacy ``WorkloadSpec``/fault-plan/
-reproducer JSON is upgraded on load).  ``sweep`` is ``run`` with the
-on-disk result cache on by default, plus ``--clear-cache``.
-``--duration`` is *virtual* seconds of measured window per configuration.
-``spec`` validates, canonicalizes, digests and diffs spec files without
-running anything; ``trace`` exports the instrumented fsync probe's
-request lifecycle spans as a Chrome ``chrome://tracing`` / Perfetto JSON
-file and ``metrics`` its metrics registry as CSV or JSON.  See
-``docs/running_experiments.md`` and ``docs/scenario_spec.md``.
+reproducer JSON is upgraded on load).  ``sweep`` is ``run`` with the cache
+on by default, plus ``--clear-cache``.  ``--duration`` is *virtual* seconds
+of measured window per configuration.  ``spec`` validates, canonicalizes,
+digests and diffs spec files without running anything; ``trace`` exports
+the instrumented fsync probe's request lifecycle spans as a Chrome
+``chrome://tracing`` / Perfetto JSON file and ``metrics`` its metrics
+registry as CSV or JSON.  See ``docs/running_experiments.md`` and
+``docs/scenario_spec.md``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -52,8 +51,6 @@ from repro.spec import (ScenarioSpec, SpecError, diff_specs, load_spec_file,
                         run_scenario)
 
 __all__ = ["main", "build_parser", "FIGURES"]
-
-_STEERING = ("pin", "round-robin", "least-loaded", "flow-hash")
 
 
 def _csv(kind):
@@ -122,14 +119,13 @@ def _verb(sub, name: str, summary: str, cache: bool, handler):
                        default=cache,
                        help="memoize cells AND the reduced scenario "
                        "outcome on disk" + (" (default)" if cache else ""))
-    group.add_argument("--no-cache", dest="cache", action="store_false",
-                       help="always recompute; touch no cache files"
-                       + ("" if cache else " (default)"))
+    if name != "claims":  # claims is uncached unless asked: no --no-cache
+        group.add_argument("--no-cache", dest="cache", action="store_false",
+                           help="always recompute; touch no cache files"
+                           + ("" if cache else " (default)"))
     parser.add_argument("--cache-dir", default=None,
                         help="cache root (default: results/.cache, or "
                         "$REPRO_CACHE_DIR)")
-    parser.add_argument("--format", choices=("table", "markdown"),
-                        default="table", help="output format")
     return parser
 
 
@@ -278,6 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
                       "e.g. 'matrix/rio/4K/qd1/seq:min_kiops=100'")
 
     # Flags several verbs share; the help names each verb's default.
+    for verb in (run, swp, sat, ovl, tnt, qual):
+        verb.add_argument("--format", choices=("table", "markdown"),
+                          default="table", help="output format")
     for verb in (run, chk):
         verb.add_argument("--reproducers", default=None, metavar="DIR",
                           help="dump a minimal replayable JSON reproducer "
@@ -325,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"workload seed (default: {seed})")
     for verb in (sat, tnt):
         verb.add_argument("--steering", dest="topology.steering",
-                          choices=_STEERING,
+                          choices=("pin", "round-robin", "least-loaded",
+                                   "flow-hash"),
                           help="target/initiator IRQ+completion "
                           "steering policy (default: pin)")
 
@@ -368,7 +368,8 @@ def _execute(spec: ScenarioSpec, args, label: str) -> int:
         reproducer_dir=dump_dir if spec.scenario == "check" else None,
     )
     result = outcome.result
-    if args.format == "markdown" and hasattr(result, "render_markdown"):
+    if (getattr(args, "format", "table") == "markdown"
+            and hasattr(result, "render_markdown")):  # check: table only
         print(result.render_markdown())
     else:
         print(outcome.render())
@@ -383,9 +384,9 @@ def _execute(spec: ScenarioSpec, args, label: str) -> int:
         print(f"reproducer -> {path}")
     if getattr(args, "after", None) is not None:
         args.after(result, args)
-    ran = ("scenario cache hit" if outcome.cached
-           else outcome.stats.summary())
-    where = (f"cache {cache.root}/{cache.version}: {cache.hits} hit(s)"
+    ran = "scenario cache hit" if outcome.cached else outcome.stats.summary()
+    where = (f"cache {cache.root}/{cache.version}: {cache.hits} hit(s), "
+             f"{cache.corrupt_dropped} corrupt dropped"
              if cache is not None else "cache disabled")
     print(f"[{label}: {ran}; {time.time() - started:.1f}s wall; {where}]")
     return 0 if outcome.ok else 1
@@ -403,19 +404,20 @@ def _cmd_verb(args) -> int:
 
 def _cmd_figures(args) -> int:
     """``run``/``sweep``: a spec file, one figure, or every figure."""
-    if os.path.dirname(args.figure) or args.figure.endswith(".json"):
-        if args.duration is not None:
-            print("--duration applies to figure names only; a ScenarioSpec "
-                  "carries its own durations (edit the spec instead)",
-                  file=sys.stderr)
-            return 2
-        spec = load_spec_file(args.figure)
-        return _execute(spec, args,
-                        f"run {spec.scenario} {spec.digest()[:12]}")
+    is_spec = os.path.dirname(args.figure) or args.figure.endswith(".json")
+    if is_spec and args.duration is not None:
+        print("--duration applies to figure names only; a ScenarioSpec "
+              "carries its own durations (edit the spec instead)",
+              file=sys.stderr)
+        return 2
     if getattr(args, "clear_cache", False) and args.cache:
         cache = ResultCache(root=args.cache_dir)
         print(f"cleared {cache.clear()} cached result(s) "
               f"[{cache.root}/{cache.version}]")
+    if is_spec:
+        spec = load_spec_file(args.figure)
+        return _execute(spec, args, f"{args.command} {spec.scenario} "
+                        f"{spec.digest()[:12]}")
     names = list(FIGURES) if args.figure == "all" else [args.figure]
     status = 0
     for name in names:
@@ -432,8 +434,6 @@ def _cmd_figures(args) -> int:
 
 def _qualify_artifacts(report, args) -> None:
     """``qualify --out-dir/--bench-out``: files written from the report."""
-    import json
-
     from repro.harness.qualify import bench_artifact, write_report
 
     if args.out_dir:

@@ -781,7 +781,7 @@ def _validate_names(spec: ScenarioSpec) -> None:
     """Layouts and systems must be ones the harnesses can build."""
     from repro.check.runner import DEFAULT_MATRIX
     from repro.harness.experiment import LAYOUTS
-    from repro.systems.base import STACKS
+    from repro.systems.base import stacks
 
     layout = spec.topology["layout"]
     for path, what, names, table in (
@@ -789,7 +789,7 @@ def _validate_names(spec: ScenarioSpec) -> None:
         ("workload.layouts", "layout", spec.workload.get("layouts") or [],
          LAYOUTS),
         ("workload.systems", "system", spec.workload.get("systems") or [],
-         DEFAULT_MATRIX if spec.scenario == "check" else STACKS),
+         DEFAULT_MATRIX if spec.scenario == "check" else stacks()),
     ):
         unknown = [name for name in names if name not in table]
         if unknown:

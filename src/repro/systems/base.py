@@ -11,14 +11,14 @@ one workload/file-system implementation drives all four systems.
 
 from __future__ import annotations
 
-import importlib
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.block.request import Bio, WriteFlags
 from repro.hw.cpu import Core
 from repro.sim.engine import Event
 
-__all__ = ["OrderedStack", "STACKS", "make_stack"]
+__all__ = ["OrderedStack", "make_stack", "stacks"]
 
 
 class OrderedStack:
@@ -75,25 +75,29 @@ class OrderedStack:
         return done, bio
 
 
-#: Every stack :func:`make_stack` builds: name -> (module, class, fixed
-#: keyword arguments).  Names, not classes, because the stack modules
-#: import this one; the spec validator reads the same table.
-STACKS: Dict[str, Tuple[str, str, Dict[str, Any]]] = {
-    "orderless": ("repro.systems.orderless", "OrderlessStack", {}),
-    "linux": ("repro.systems.linux", "LinuxOrderedStack", {}),
-    "horae": ("repro.systems.horae", "HoraeStack", {}),
-    "rio": ("repro.systems.rio", "RioStack", {}),
-    "rio-nomerge": ("repro.systems.rio", "RioStack",
-                    {"merging_enabled": False}),
-    "barrier": ("repro.systems.barrier", "BarrierStack", {}),
-}
+def stacks() -> Dict[str, Callable[..., OrderedStack]]:
+    """Every stack :func:`make_stack` builds, by name; the spec validator
+    reads it too.  A function because the stack modules import this one."""
+    from repro.systems.barrier import BarrierStack
+    from repro.systems.horae import HoraeStack
+    from repro.systems.linux import LinuxOrderedStack
+    from repro.systems.orderless import OrderlessStack
+    from repro.systems.rio import RioStack
+
+    return {
+        "orderless": OrderlessStack,
+        "linux": LinuxOrderedStack,
+        "horae": HoraeStack,
+        "rio": RioStack,
+        "rio-nomerge": partial(RioStack, merging_enabled=False),
+        "barrier": BarrierStack,
+    }
 
 
 def make_stack(name: str, cluster, volume=None, num_streams: Optional[int] = None,
                **kwargs) -> OrderedStack:
     """Factory used by the experiment harness and the examples."""
-    if name not in STACKS:
-        raise ValueError(f"unknown stack: {name!r} (have {sorted(STACKS)})")
-    module, cls, fixed = STACKS[name]
-    stack = getattr(importlib.import_module(module), cls)
-    return stack(cluster, volume, num_streams, **fixed, **kwargs)
+    table = stacks()
+    if name not in table:
+        raise ValueError(f"unknown stack: {name!r} (have {sorted(table)})")
+    return table[name](cluster, volume, num_streams, **kwargs)

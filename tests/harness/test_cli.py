@@ -107,6 +107,16 @@ def test_malformed_verb_flags_exit_2_with_one_message(argv, capsys):
     assert "invalid spec:" in err or "error: argument" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["claims", "--no-cache"],
+    ["claims", "--format", "markdown"],
+    ["check", "--format", "markdown"],
+])
+def test_verbs_reject_flags_they_never_had(argv, capsys):
+    assert _exit_code(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 #: (verb argv, the same scenario as a spec document).  Loads are written
 #: as floats: the verbs parse ``--loads`` to floats, and a spec's number
 #: fields keep int vs float, so ``25`` would be a different scenario.
@@ -174,3 +184,19 @@ def test_verb_and_its_spec_file_are_one_scenario(argv, doc, tmp_path,
                 and not line.startswith("[run ")]
 
     assert report(verb_out) == report(spec_out)
+
+
+def test_sweep_spec_file_honours_clear_cache(tmp_path, capsys):
+    doc = dict(VERB_SPECS[-1][1])
+    spec_path = tmp_path / "check.json"
+    spec_path.write_text(json.dumps(doc))
+    argv = ["sweep", str(spec_path), "--cache-dir", str(tmp_path / "c")]
+    assert main(argv) == 0
+    assert "scenario cache hit" not in capsys.readouterr().out
+    assert main(argv) == 0
+    assert "scenario cache hit" in capsys.readouterr().out
+    assert main(argv + ["--clear-cache"]) == 0
+    out = capsys.readouterr().out
+    assert "cleared " in out
+    assert "scenario cache hit" not in out
+    assert "[sweep check " in out
