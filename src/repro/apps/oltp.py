@@ -142,7 +142,6 @@ def run_oltp(
     """Run the OLTP loop and report steady-state transactions/s."""
     env: Environment = cluster.env
     result = OltpResult(threads=threads)
-    end_time = warmup + duration
     holder: Dict[str, OltpDatabase] = {}
 
     def setup(env):
@@ -153,6 +152,10 @@ def run_oltp(
 
     env.run_until_event(env.process(setup(env)))
     db = holder["db"]
+    # Warm-up and window open once the database is set up, so the whole
+    # window measures transactions however long setup took.
+    measure_from = env.now + warmup
+    end_time = measure_from + duration
 
     def worker(thread_id):
         rng = DeterministicRNG(seed).fork(f"oltp{thread_id}")
@@ -160,7 +163,7 @@ def run_oltp(
         while env.now < end_time:
             started = env.now
             yield from db.transaction(core, rng, thread_id=thread_id)
-            if started >= warmup and env.now <= end_time:
+            if started >= measure_from and env.now <= end_time:
                 result.commits += 1
 
     for thread_id in range(threads):

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cluster import Cluster
 from repro.harness.experiment import LAYOUTS
+from repro.harness.sweep import RunSpec, Sweep
 from repro.nvmeof.initiator import DriverHardening
 from repro.sim.engine import Environment, Event, SimulationError
 from repro.sim.faults import FaultPlan
@@ -43,7 +44,8 @@ __all__ = [
     "ChaosResult",
     "build_fault_plan",
     "run_chaos_trial",
-    "chaos_suite_sweep",
+    "ChaosSuiteResult",
+    "chaos_sweep",
     "run_chaos_suite",
     "measure_degradation",
     "build_scale_fault_plan",
@@ -366,65 +368,80 @@ def run_chaos_trial(
     return result
 
 
-def chaos_suite_sweep(
-    systems: Tuple[str, ...] = ("rio", "horae", "linux"),
-    trials: int = 30,
-    base_seed: int = 1000,
-    **trial_kwargs,
-):
-    """The chaos suite as a :class:`~repro.harness.sweep.Sweep`.
+@dataclass
+class ChaosSuiteResult:
+    """A chaos suite's trials plus a render/verdict, mirroring the other
+    planes' report objects (``repro run`` needs a uniform surface)."""
 
-    Each trial is one spec (seeded, independent, returning a picklable
+    results: List[ChaosResult] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return all(r.ok for r in self.results)
+
+    @property
+    def failures(self) -> List[ChaosResult]:
+        return [r for r in self.results if not r.ok]
+
+    def render(self) -> str:
+        lines = [r.summary() for r in self.results]
+        bad = len(self.failures)
+        verdict = ("all robustness invariants hold" if not bad
+                   else f"{bad} trial(s) FAILING")
+        lines.append(f"{len(self.results)} trial(s): {verdict}")
+        return "\n".join(lines)
+
+
+def chaos_sweep(spec) -> Sweep:
+    """The trials of a ``chaos`` :class:`~repro.spec.ScenarioSpec` as a
+    :class:`~repro.harness.sweep.Sweep` reducing to a
+    :class:`ChaosSuiteResult`.
+
+    Each trial is one cell (seeded, independent, returning a picklable
     :class:`ChaosResult`), so the suite fans out across worker processes
-    and memoizes like the figure sweeps.  Raises ``TypeError`` if
-    ``trial_kwargs`` contains something spec-encodable kwargs can't carry
-    (e.g. a pre-built :class:`~repro.sim.faults.FaultPlan`) — use
-    :func:`run_chaos_suite`, which falls back to the inline loop.
+    and memoizes like the figure sweeps.  One initiator runs
+    :func:`run_chaos_trial` with the spec's prefill and embedded fault
+    plan; more run :func:`run_scale_chaos_trial` against the victim host.
     """
-    from repro.harness.sweep import RunSpec, Sweep
-
+    workload, topology = spec.workload, spec.topology
+    initiators = topology["initiators"]
+    trial = {
+        "layout": topology["layout"],
+        "threads": workload["threads"],
+        "groups_per_thread": workload["groups_per_thread"],
+        "writes_per_group": workload["writes_per_group"],
+        "depth": workload["depth"],
+        "limit": workload["limit"],
+    }
+    if initiators > 1:
+        probe, host = run_scale_chaos_trial, f"/x{initiators}"
+        trial.update(initiators=initiators, victim=workload["victim"])
+    else:
+        probe, host = run_chaos_trial, ""
+        trial.update(prefill=spec.devices["prefill"], plan_spec=spec.faults)
+    first = workload["base_seed"]
     specs = [
-        RunSpec.make(
-            run_chaos_trial,
-            label=f"chaos/{system}/seed{base_seed + i}",
-            system=system,
-            seed=base_seed + i,
-            **trial_kwargs,
-        )
-        for system in systems
-        for i in range(trials)
+        RunSpec.make(probe, label=f"chaos/{system}{host}/seed{seed}",
+                     system=system, seed=seed, **trial)
+        for system in workload["systems"]
+        for seed in range(first, first + workload["trials"])
     ]
-    return Sweep(name="chaos-suite", specs=specs)
+    return Sweep(name="chaos", specs=specs,
+                 reduce=lambda results: ChaosSuiteResult(results=results))
 
 
 def run_chaos_suite(
     systems: Tuple[str, ...] = ("rio", "horae", "linux"),
     trials: int = 30,
     base_seed: int = 1000,
-    jobs: Optional[int] = None,
-    cache=None,
     **trial_kwargs,
 ) -> List[ChaosResult]:
-    """``trials`` seeded trials per system; returns every result.
+    """``trials`` seeded trials per system, inline; returns every result.
 
-    ``jobs``/``cache`` route the trials through a
-    :class:`~repro.harness.sweep.SweepRunner` (parallel workers and/or the
-    on-disk result cache).  Left at None the suite runs inline — and it
-    always does when ``trial_kwargs`` carries objects a spec can't encode,
-    such as an explicit ``plan``.
+    ``trial_kwargs`` go to :func:`run_chaos_trial` as-is, so they may
+    carry objects no sweep cell can encode, such as an explicit ``plan``
+    (a ``chaos`` spec runs as cells via :func:`chaos_sweep`).
     """
-    if jobs is not None or cache is not None:
-        from repro.harness.sweep import SweepRunner
-
-        try:
-            sweep = chaos_suite_sweep(
-                systems=systems, trials=trials, base_seed=base_seed,
-                **trial_kwargs,
-            )
-        except TypeError:
-            pass  # unencodable kwargs: fall through to the inline loop
-        else:
-            return SweepRunner(jobs=jobs or 1, cache=cache).map(sweep.specs)
     results: List[ChaosResult] = []
     for system in systems:
         for i in range(trials):

@@ -7,22 +7,20 @@ same relations figure-by-figure; this module is the one-page summary.
 
 The underlying figure experiments are sweeps (see
 :mod:`repro.harness.sweep`), so the scorecard parallelizes and memoizes
-like any other sweep: ``evaluate_claims(jobs=4)`` fans the independent
-simulation cells across four worker processes, and passing a
-:class:`~repro.harness.cache.ResultCache` reuses any cell a previous
-figure/claims run already computed (``python -m repro claims --jobs 4``).
+like any other sweep: the ``claims`` scenario (``python -m repro claims
+--jobs 4``, or :func:`repro.spec.run_scenario` on a ``claims`` spec)
+fans the independent simulation cells across four worker processes and
+reuses any cell a previous figure/claims run already left in the result
+cache.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List
 
 from repro.harness import figures
 from repro.harness import extensions
-from repro.harness.cache import ResultCache
-from repro.harness.sweep import configured
 
 __all__ = ["Claim", "ClaimReport", "evaluate_claims"]
 
@@ -59,22 +57,13 @@ class ClaimReport:
         return "\n".join(lines)
 
 
-def evaluate_claims(
-    duration: float = 2.5e-3,
-    jobs: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-) -> ClaimReport:
+def evaluate_claims(duration: float = 2.5e-3) -> ClaimReport:
     """Run the compact experiment set and grade every headline claim.
 
-    With ``jobs``/``cache`` left at None the figure sweeps run on the
-    process-wide default runner (so a caller inside
-    :func:`repro.harness.sweep.configured`, such as
-    :func:`repro.spec.run_scenario`, keeps its settings); passing either
-    overrides the runner for the duration of this evaluation.
+    The figure sweeps run on the process-wide default runner, so a
+    caller inside :func:`repro.harness.sweep.configured`, such as
+    :func:`repro.spec.run_scenario`, sets their workers and cache.
     """
-    if jobs is not None or cache is not None:
-        with configured(jobs=jobs or 1, cache=cache):
-            return evaluate_claims(duration=duration)
     report = ClaimReport()
 
     def add(section, statement, passed, measured):

@@ -22,6 +22,12 @@ reduce step — expressed with :mod:`repro.harness.sweep`:
 Because cells are independent and the reduce consumes results in spec
 order, a parallel run is bit-identical to a serial one
 (``tests/harness/test_sweep.py`` asserts this).
+
+:data:`FIGURES` is what a ``figure`` :class:`~repro.spec.ScenarioSpec`
+names; its ``options`` must be parameters of the figure's callable.  The
+saturation, overload and tenant experiments are scenarios of their own,
+not figures: their builders (``saturation_sweep(spec)`` and friends)
+take the spec, and :func:`repro.spec.run_scenario` runs them.
 """
 
 from __future__ import annotations
@@ -779,33 +785,6 @@ def recovery_table(
 
 
 from repro.harness import extensions  # noqa: E402
-from repro.harness.overload import (  # noqa: E402
-    gray_result,
-    overload_curves,
-    overload_sweep,
-)
-from repro.harness.saturate import (  # noqa: E402
-    saturation_curves,
-    saturation_sweep,
-)
-from repro.harness.tenants import tenants_sweep  # noqa: E402
-
-#: Every figure's sweep builder, for ``repro sweep`` and the tests.
-SWEEP_BUILDERS = {
-    "fig02": fig02_motivation_sweep,
-    "fig03": fig03_merging_cpu_sweep,
-    "fig10": fig10_block_device_sweep,
-    "fig11": fig11_write_sizes_sweep,
-    "fig12": fig12_batch_sizes_sweep,
-    "fig13": fig13_filesystem_sweep,
-    "fig14": fig14_latency_breakdown_sweep,
-    "fig15a": fig15a_varmail_sweep,
-    "fig15b": fig15b_rocksdb_sweep,
-    "recovery": recovery_table_sweep,
-    "saturate": saturation_sweep,
-    "overload": overload_sweep,
-    "tenants": tenants_sweep,
-}
 
 #: Every figure ``repro run``/``sweep`` and the ``figure`` scenario know:
 #: name -> (callable, description, accepts-duration).
@@ -829,12 +808,11 @@ FIGURES: Dict[str, tuple] = {
     "fig12b": (partial(fig12_batch_sizes, panel="b"),
                "batch sizes, 12 threads (§6.2.3)", True),
     "fig13": (fig13_filesystem, "file system fsync (§6.3)", True),
-    "fig14": (lambda **kw: fig14_latency_breakdown(),
+    "fig14": (fig14_latency_breakdown,
               "fsync latency breakdown (§6.3)", False),
     "fig15a": (fig15a_varmail, "Varmail (§6.4)", True),
     "fig15b": (fig15b_rocksdb, "RocksDB fillsync (§6.4)", True),
-    "recovery": (lambda **kw: recovery_table(),
-                 "recovery time (§6.5)", False),
+    "recovery": (recovery_table, "recovery time (§6.5)", False),
     "ablation-affinity": (extensions.ablation_qp_affinity,
                           "Principle 2 ablation", True),
     "ablation-attrs": (extensions.ablation_attribute_persistence,
@@ -849,11 +827,4 @@ FIGURES: Dict[str, tuple] = {
                 "BarrierFS-style interface comparison (§2.2)", True),
     "oltp": (extensions.oltp_comparison,
              "MySQL-style OLTP on the three file systems", True),
-    "saturate": (saturation_curves,
-                 "scale-out saturation: throughput-latency curves", True),
-    "overload": (overload_curves,
-                 "robustness plane: metastable-overload sweep", True),
-    "overload-gray": (gray_result,
-                      "robustness plane: gray (fail-slow) target scenario",
-                      True),
 }

@@ -2,7 +2,7 @@
 
 Two seeded scenarios exercise :mod:`repro.robust` end to end:
 
-* **Metastable overload** (:func:`overload_curves`) — drive the scale-out
+* **Metastable overload** (:func:`overload_sweep`) — drive the scale-out
   cluster 2-4x past the device's service capacity with the protection
   plane off and on, and record completed *and persisted* goodput,
   shed-rate and timeout-rate per load point.  Unprotected, in-device
@@ -19,7 +19,7 @@ Two seeded scenarios exercise :mod:`repro.robust` end to end:
   goodput stays pinned to the persist rate at the device knee with zero
   failed operations.
 
-* **Gray target** (:func:`gray_result`) — degrade one target's service
+* **Gray target** (:func:`gray_sweep`) — degrade one target's service
   times mid-run (``FaultPlan.degrade``: a fail-slow device, nothing
   errors).  Per-target health breakers trip on the fast/slow-EWMA latency
   ratio; ordered streams pinned to the sick shard brown out explicitly
@@ -29,33 +29,28 @@ Two seeded scenarios exercise :mod:`repro.robust` end to end:
 Both scenarios run as independent, seeded cells on the sweep runner
 (:mod:`repro.harness.sweep`), so ``--jobs N`` fans them out and a warm
 cache replays them bit-identically (spec-order reduce, as with
-``repro saturate``).  Entry point: ``repro overload`` (CLI).
+``repro saturate``).  Entry points: ``repro overload`` (CLI) and
+:func:`overload_sweep`, the sweep of an ``overload``
+:class:`~repro.spec.ScenarioSpec` that :func:`repro.spec.run_scenario`
+runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.harness.experiment import LAYOUTS, FigureResult
-from repro.harness.sweep import RunSpec, Sweep, run_sweep
+from repro.harness.sweep import RunSpec, Sweep
 
 __all__ = [
-    "DEFAULT_OVERLOAD_KIOPS",
     "PROTECTIONS",
     "OverloadRun",
     "probe_overload",
     "overload_sweep",
-    "overload_curves",
     "probe_gray",
-    "gray_result",
+    "gray_sweep",
 ]
-
-#: Offered-load grid (kIOPS) for the metastable scenario: ~0.8x, ~2x and
-#: ~4x the device-limited knee of the default single-Optane layout
-#: (~515k 4KiB ordered writes/s: the 905P's 2.2 GB/s media pipe and
-#: 7-deep chip parallelism both land there).
-DEFAULT_OVERLOAD_KIOPS = (400, 1100, 2200)
 
 #: Protection profiles compared by ``repro overload``.
 PROTECTIONS = ("off", "full")
@@ -354,18 +349,21 @@ def probe_overload(
     return result
 
 
-def overload_sweep(
-    systems: Sequence[str] = ("rio",),
-    protections: Sequence[str] = PROTECTIONS,
-    loads_kiops: Sequence[float] = DEFAULT_OVERLOAD_KIOPS,
-    layout: str = "optane",
-    initiators: int = 2,
-    tenants: int = 4,
-    duration: float = 2e-3,
-    seed: int = 42,
-) -> Sweep:
-    """The metastable-overload experiment as independent cells + reduce."""
-    loads = sorted(loads_kiops)
+def overload_sweep(spec) -> Sweep:
+    """The experiment of an ``overload`` :class:`~repro.spec.ScenarioSpec`:
+    the metastable-overload grid as independent cells + reduce, or the
+    gray-target cell (:func:`gray_sweep`) when ``workload.mode`` is
+    ``gray``."""
+    workload, topology = spec.workload, spec.topology
+    if workload["mode"] == "gray":
+        return gray_sweep(spec)
+    systems = workload["systems"]
+    protections = spec.policies["protections"]
+    if protections is None:
+        protections = PROTECTIONS
+    layout, initiators = topology["layout"], topology["initiators"]
+    tenants = workload["tenants"]
+    loads = sorted(workload["loads_kiops"])
     cells = [
         (system, protection, load)
         for system in systems
@@ -378,7 +376,7 @@ def overload_sweep(
             label=f"overload/{system}/{protection}/{load:g}k",
             system=system, layout=layout, offered_kiops=load,
             protection=protection, initiators=initiators, tenants=tenants,
-            duration=duration, seed=seed,
+            duration=workload["duration"], seed=workload["seed"],
         )
         for system, protection, load in cells
     ]
@@ -454,24 +452,6 @@ def _goodput_at(result: FigureResult, system: str, protection: str,
         if row["offered_kiops"] == offered
     ]
     return rows[0]["goodput_kiops"] if rows else 0.0
-
-
-def overload_curves(
-    systems: Sequence[str] = ("rio",),
-    protections: Sequence[str] = PROTECTIONS,
-    loads_kiops: Sequence[float] = DEFAULT_OVERLOAD_KIOPS,
-    layout: str = "optane",
-    initiators: int = 2,
-    tenants: int = 4,
-    duration: float = 2e-3,
-    seed: int = 42,
-) -> FigureResult:
-    """Run the metastable-overload sweep on the process-wide runner."""
-    return run_sweep(overload_sweep(
-        systems=systems, protections=protections, loads_kiops=loads_kiops,
-        layout=layout, initiators=initiators, tenants=tenants,
-        duration=duration, seed=seed,
-    ))
 
 
 # ----------------------------------------------------------------------
@@ -627,17 +607,16 @@ def probe_gray(
     return result
 
 
-def gray_result(
-    duration: float = 4e-3,
-    seed: int = 42,
-    offered_kiops: float = 120,
-    degrade_factor: float = 8.0,
-) -> FigureResult:
-    """Run the gray-target scenario as a one-cell sweep (cached, seeded)."""
-    spec = RunSpec.make(
+def gray_sweep(spec) -> Sweep:
+    """The gray-target scenario of an ``overload`` spec in ``gray`` mode:
+    a one-cell sweep (cached, seeded)."""
+    workload = spec.workload
+    degrade_factor = workload["degrade_factor"]
+    cell = RunSpec.make(
         probe_gray,
-        label=f"overload/gray/{seed}",
-        duration=duration, seed=seed, offered_kiops=offered_kiops,
+        label=f"overload/gray/{workload['seed']}",
+        duration=workload["duration"], seed=workload["seed"],
+        offered_kiops=workload["offered_kiops"],
         degrade_factor=degrade_factor,
     )
 
@@ -662,4 +641,4 @@ def gray_result(
             result.add(metric=key, value=round(value, 3))
         return result
 
-    return run_sweep(Sweep(name="overload-gray", specs=[spec], reduce=reduce))
+    return Sweep(name="overload-gray", specs=[cell], reduce=reduce)

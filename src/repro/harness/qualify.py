@@ -42,10 +42,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.harness.experiment import LAYOUTS, build_cluster, build_stack
-from repro.harness.sweep import RunSpec, Sweep, run_sweep
+from repro.harness.sweep import RunSpec, Sweep
 
 __all__ = [
     "QUALIFY_SYSTEMS",
@@ -61,7 +61,6 @@ __all__ = [
     "probe_qualify_oracle",
     "default_floors",
     "qualify_sweep",
-    "qualify_report",
     "write_report",
     "bench_artifact",
 ]
@@ -516,49 +515,31 @@ class QualifyReport:
 # ----------------------------------------------------------------------
 
 
-def qualify_sweep(
-    profile: str = "smoke",
-    systems: Optional[Sequence[str]] = None,
-    blocks_kib: Optional[Sequence[int]] = None,
-    queue_depths: Optional[Sequence[int]] = None,
-    patterns: Optional[Sequence[str]] = None,
-    layout: str = DEFAULT_LAYOUT,
-    duration: Optional[float] = None,
-    seed: int = 7,
-    floors_override: Optional[Dict[str, Dict[str, float]]] = None,
-    oracle: bool = True,
-    sustained: bool = True,
-) -> Sweep:
-    """The qualification matrix as independent cells + a reduce step.
+def qualify_sweep(spec) -> Sweep:
+    """The qualification matrix of a ``qualify``
+    :class:`~repro.spec.ScenarioSpec` as independent cells + a reduce
+    step.
 
-    ``floors_override`` maps cell key -> floor dict merged over the
+    ``policies.floors`` maps cell key -> floor dict merged over the
     defaults (tests inject regressions this way); floors live in the
     reduce, so changing them never invalidates cached cells.
     """
-    if profile not in PROFILES:
-        raise ValueError(f"unknown profile {profile!r} (have {sorted(PROFILES)})")
+    workload = spec.workload
+    profile, seed = workload["profile"], workload["seed"]
     shape = PROFILES[profile]
-    systems = tuple(systems if systems is not None else shape.systems)
-    blocks_kib = tuple(
-        blocks_kib if blocks_kib is not None else shape.blocks_kib
-    )
-    queue_depths = tuple(
-        queue_depths if queue_depths is not None else shape.queue_depths
-    )
-    patterns = tuple(patterns if patterns is not None else shape.patterns)
-    duration = duration if duration is not None else shape.duration
+    layout, duration = spec.topology["layout"], workload["duration"]
 
     cells: List[QualifyCell] = []
     specs: List[RunSpec] = []
 
-    def add(cell: QualifyCell, spec: RunSpec) -> None:
+    def add(cell: QualifyCell, run: RunSpec) -> None:
         cells.append(cell)
-        specs.append(spec)
+        specs.append(run)
 
-    for system in systems:
-        for block_kib in blocks_kib:
-            for qd in queue_depths:
-                for pattern in patterns:
+    for system in workload["systems"]:
+        for block_kib in workload["blocks_kib"]:
+            for qd in workload["queue_depths"]:
+                for pattern in workload["patterns"]:
                     key = f"matrix/{system}/{block_kib}K/qd{qd}/{pattern}"
                     add(
                         QualifyCell(
@@ -575,8 +556,8 @@ def qualify_sweep(
                             warmup=shape.warmup, prefill=0.0, seed=seed,
                         ),
                     )
-    if sustained:
-        for system in systems:
+    if workload["sustained"]:
+        for system in workload["systems"]:
             key = (f"sustained/{system}/{SUSTAINED_BLOCK_KIB}K/"
                    f"qd{SUSTAINED_QD}/seq")
             floors = default_floors("sustained", shape.sustained_duration)
@@ -603,7 +584,7 @@ def qualify_sweep(
                     prefill=shape.sustained_prefill, seed=seed,
                 ),
             )
-    if oracle:
+    if spec.oracle["enabled"]:
         for system in shape.oracle_systems:
             key = f"oracle/{system}/qd{shape.oracle_depth}"
             add(
@@ -622,7 +603,7 @@ def qualify_sweep(
                 ),
             )
 
-    overrides = floors_override or {}
+    overrides = spec.policies["floors"] or {}
     for cell in cells:
         if cell.key in overrides:
             cell.floors = {**cell.floors, **overrides[cell.key]}
@@ -664,14 +645,6 @@ def qualify_sweep(
         return report
 
     return Sweep(name="qualify", specs=specs, reduce=reduce)
-
-
-def qualify_report(
-    profile: str = "smoke",
-    **kwargs,
-) -> QualifyReport:
-    """Run the qualification matrix on the process-wide sweep runner."""
-    return run_sweep(qualify_sweep(profile=profile, **kwargs))
 
 
 def write_report(report: QualifyReport, out_dir) -> List[str]:

@@ -18,34 +18,25 @@ memoize in the on-disk result cache, and because the reduce consumes
 results in spec order, a parallel or cache-warm run is bit-identical to
 a serial cold one (asserted by ``tests/harness/test_sweep.py``).
 
-Entry points: ``repro saturate`` (CLI), :func:`saturation_curves`
-(programmatic), :func:`saturation_sweep` (the raw sweep for custom
-runners), :func:`knee_point` (locate where a curve saturates).
+Entry points: ``repro saturate`` (CLI), :func:`saturation_sweep` (the
+sweep of a ``saturate`` :class:`~repro.spec.ScenarioSpec`, which
+:func:`repro.spec.run_scenario` runs), :func:`knee_point` (locate where
+a curve saturates).  The default grid lives in the spec's workload
+table (:mod:`repro.spec.scenario`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.harness.experiment import LAYOUTS, FigureResult
-from repro.harness.sweep import RunSpec, Sweep, run_sweep
+from repro.harness.sweep import RunSpec, Sweep
 
 __all__ = [
-    "DEFAULT_LOADS_KIOPS",
-    "SATURATE_SYSTEMS",
     "probe_saturation",
     "saturation_sweep",
-    "saturation_curves",
     "knee_point",
 ]
-
-#: Offered-load grid (kIOPS), ascending: brackets every system's knee on
-#: the default single-Optane layout — barrier saturates ~85k, linux
-#: ~125k, horae ~300k, rio ~510k.
-DEFAULT_LOADS_KIOPS = (25, 50, 100, 200, 400, 800)
-
-#: Systems compared by ``repro saturate`` (Figs. 10-12 plus barrier).
-SATURATE_SYSTEMS = ("linux", "horae", "rio", "barrier")
 
 #: A load point "keeps up" while achieved >= this fraction of offered;
 #: the knee is the last such point.
@@ -107,26 +98,24 @@ def probe_saturation(
     }
 
 
-def saturation_sweep(
-    systems: Sequence[str] = SATURATE_SYSTEMS,
-    loads_kiops: Sequence[float] = DEFAULT_LOADS_KIOPS,
-    layout: str = "optane",
-    initiators: int = 2,
-    tenants: int = 4,
-    duration: float = 2e-3,
-    steering: str = "pin",
-    seed: int = 42,
-) -> Sweep:
-    """The saturation experiment as independent cells + a reduce step."""
-    loads = sorted(loads_kiops)
+def saturation_sweep(spec) -> Sweep:
+    """The saturation experiment of a ``saturate``
+    :class:`~repro.spec.ScenarioSpec` as independent cells + a reduce
+    step."""
+    workload, topology = spec.workload, spec.topology
+    systems = workload["systems"]
+    layout, initiators = topology["layout"], topology["initiators"]
+    steering, tenants = topology["steering"], workload["tenants"]
+    loads = sorted(workload["loads_kiops"])
     cells = [(system, load) for system in systems for load in loads]
     specs = [
         RunSpec.make(
             probe_saturation,
             label=f"saturate/{system}/{load:g}k",
             system=system, layout=layout, offered_kiops=load,
-            initiators=initiators, tenants=tenants, duration=duration,
-            steering=steering, seed=seed,
+            initiators=initiators, tenants=tenants,
+            duration=workload["duration"], steering=steering,
+            seed=workload["seed"],
         )
         for system, load in cells
     ]
@@ -170,24 +159,6 @@ def saturation_sweep(
         return result
 
     return Sweep(name="saturate", specs=specs, reduce=reduce)
-
-
-def saturation_curves(
-    systems: Sequence[str] = SATURATE_SYSTEMS,
-    loads_kiops: Sequence[float] = DEFAULT_LOADS_KIOPS,
-    layout: str = "optane",
-    initiators: int = 2,
-    tenants: int = 4,
-    duration: float = 2e-3,
-    steering: str = "pin",
-    seed: int = 42,
-) -> FigureResult:
-    """Run the saturation sweep on the process-wide runner."""
-    return run_sweep(saturation_sweep(
-        systems=systems, loads_kiops=loads_kiops, layout=layout,
-        initiators=initiators, tenants=tenants, duration=duration,
-        steering=steering, seed=seed,
-    ))
 
 
 def knee_point(result: FigureResult, system: str,

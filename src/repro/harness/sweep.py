@@ -19,7 +19,10 @@ decomposes them instead:
 * :class:`Sweep` — specs plus a reduce step.  The figure entry points in
   :mod:`repro.harness.figures` each build a ``Sweep`` and feed it through
   the process-wide default runner, which :func:`configured` swaps for
-  one run (``repro sweep --jobs N`` does, via ``run_scenario``).
+  one run (``repro sweep --jobs N`` does, via ``run_scenario``).  The
+  scenario builders (``saturation_sweep(spec)`` and friends) build one
+  from a validated :class:`~repro.spec.ScenarioSpec`, and
+  ``run_scenario`` runs it on its runner.
 
 Cells must be *top-level* functions taking only canonically-encodable
 kwargs (JSON scalars, lists/tuples, dicts) and returning picklable values
@@ -84,12 +87,6 @@ def _freeze(value: Any) -> Any:
     return value
 
 
-def _thaw(value: Any) -> Any:
-    """Frozen kwargs back to call form (tuples stay tuples: the probes all
-    take sequences, for which tuples are fine)."""
-    return value
-
-
 @dataclass(frozen=True)
 class RunSpec:
     """One independent, hashable unit of sweep work.
@@ -127,7 +124,9 @@ class RunSpec:
         return getattr(module, fn_name)
 
     def call_kwargs(self) -> Dict[str, Any]:
-        return {key: _thaw(val) for key, val in self.kwargs}
+        # Frozen values call as-is: lists arrive as tuples and dicts as
+        # sorted (key, value) tuples, which every probe accepts.
+        return dict(self.kwargs)
 
     def execute(self) -> Any:
         return self.resolve()(**self.call_kwargs())

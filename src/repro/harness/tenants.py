@@ -1,56 +1,43 @@
 """Multi-tenant experiment: per-class knee curves and the noisy-neighbor
 storm.
 
-Two entry points ride the sweep runner / result cache:
+Both modes of a ``tenants`` :class:`~repro.spec.ScenarioSpec` ride the
+sweep runner / result cache (:func:`tenants_sweep` builds the sweep,
+:func:`repro.spec.run_scenario` runs it; CLI ``repro tenants``):
 
-* **knee curves** (:func:`tenants_sweep` / :func:`tenant_curves`, CLI
-  ``repro tenants``) — the ``repro saturate`` offered-load sweep with the
-  tenant plane layered on: a Zipf-skewed tenant population mapped onto
-  the streams by a :class:`~repro.tenants.TenantDirectory`, optional
-  diurnal rate modulation, optional QoS admission, and per-class
+* **knee curves** (:func:`tenants_sweep`) — the ``repro saturate``
+  offered-load sweep with the tenant plane layered on: a Zipf-skewed
+  tenant population mapped onto the streams by a
+  :class:`~repro.tenants.TenantDirectory`, optional diurnal rate
+  modulation, optional QoS admission, and per-class
   (``gold``/``silver``/``bronze``) p50/p99/p999 columns.  A *degenerate*
   configuration (no Zipf skew, no diurnal, no QoS) reduces bit-exactly
   to the existing :func:`~repro.harness.saturate.probe_saturation`
   cells — same digests, same rows — so warm caches carry over.
 * **noisy-neighbor storm** (:func:`probe_noisy_neighbor` /
-  :func:`noisy_neighbor_result`) — the acceptance scenario: one quiet
-  gold tenant and one bronze aggressor offering a multiple of the
-  target's capacity.  With QoS on, the aggressor is paced/shed at target
-  admission (token bucket + weighted-fair deficit) and the gold p999
-  stays within its SLO; with QoS off the same seed demonstrably
-  violates it.
+  :func:`storm_sweep`, ``repro tenants --storm``) — the acceptance
+  scenario: one quiet gold tenant and one bronze aggressor offering a
+  multiple of the target's capacity.  With QoS on, the aggressor is
+  paced/shed at target admission (token bucket + weighted-fair deficit)
+  and the gold p999 stays within its SLO; with QoS off the same seed
+  demonstrably violates it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.harness.experiment import LAYOUTS, FigureResult
-from repro.harness.saturate import (
-    DEFAULT_LOADS_KIOPS,
-    knee_point,
-    probe_saturation,
-    saturation_sweep,
-)
-from repro.harness.sweep import RunSpec, Sweep, run_sweep
+from repro.harness.saturate import knee_point, saturation_sweep
+from repro.harness.sweep import RunSpec, Sweep
 
 __all__ = [
-    "DEFAULT_TENANT_LOADS_KIOPS",
-    "TENANT_SYSTEMS",
     "probe_tenants",
     "probe_noisy_neighbor",
     "tenants_sweep",
-    "tenant_curves",
-    "noisy_neighbor_result",
+    "storm_sweep",
     "tenants_report",
 ]
-
-#: Systems compared by ``repro tenants`` (the acceptance trio).
-TENANT_SYSTEMS = ("linux", "horae", "rio")
-
-#: Offered-load ladder for the per-class knee curves, in kIOPS.  The
-#: same ladder (and the same int literals — digests care) as saturate's.
-DEFAULT_TENANT_LOADS_KIOPS = DEFAULT_LOADS_KIOPS
 
 #: Tenant classes reported as per-class columns, in severity order.
 _CLASS_NAMES = ("gold", "silver", "bronze")
@@ -209,38 +196,40 @@ def _is_degenerate(num_tenants: int, zipf_alpha: Optional[float],
     return num_tenants == 1 or not zipf_alpha
 
 
-def tenants_sweep(
-    systems: Sequence[str] = TENANT_SYSTEMS,
-    loads_kiops: Sequence[float] = DEFAULT_LOADS_KIOPS,
-    layout: str = "optane",
-    initiators: int = 2,
-    streams: int = 4,
-    num_tenants: int = 64,
-    zipf_alpha: Optional[float] = 1.1,
-    diurnal_amplitude: float = 0.0,
-    diurnal_period: float = 1e-3,
-    qos: bool = False,
-    quantum: float = 8.0,
-    duration: float = 2e-3,
-    steering: str = "pin",
-    seed: int = 42,
-) -> Sweep:
-    """The tenant experiment as independent cells + a reduce step.
+def tenants_sweep(spec) -> Sweep:
+    """The experiment of a ``tenants`` :class:`~repro.spec.ScenarioSpec`:
+    the knee curves as independent cells + a reduce step, or the storm
+    (:func:`storm_sweep`) when ``workload.mode`` is ``storm``.
 
     A degenerate configuration (see :func:`_is_degenerate`) *is* the
     saturation sweep: the very same ``probe_saturation`` cells — same
     digests, so a warm ``repro saturate`` cache satisfies it with zero
     executions — reduced to the very same rows.
     """
-    if _is_degenerate(num_tenants, zipf_alpha, diurnal_amplitude, qos):
-        base = saturation_sweep(
-            systems=systems, loads_kiops=loads_kiops, layout=layout,
-            initiators=initiators, tenants=streams, duration=duration,
-            steering=steering, seed=seed,
-        )
+    from repro.spec import ScenarioSpec
+
+    workload, topology = spec.workload, spec.topology
+    if workload["mode"] == "storm":
+        return storm_sweep(spec)
+    streams, num_tenants = workload["streams"], workload["num_tenants"]
+    diurnal_amplitude, qos = workload["diurnal_amplitude"], workload["qos"]
+    if _is_degenerate(num_tenants, workload["zipf_alpha"],
+                      diurnal_amplitude, qos):
+        base = saturation_sweep(ScenarioSpec.from_dict({
+            "scenario": "saturate",
+            "topology": topology,
+            "workload": {
+                key: workload[key]
+                for key in ("systems", "loads_kiops", "duration", "seed")
+            } | {"tenants": streams},  # one generator lane per stream
+        }))
         return Sweep(name="tenants", specs=base.specs, reduce=base.reduce)
 
-    loads = sorted(loads_kiops)
+    systems = workload["systems"]
+    layout, initiators = topology["layout"], topology["initiators"]
+    # Null skew is a uniform population: Zipf with alpha 0.
+    zipf_alpha = workload["zipf_alpha"] or 0.0
+    loads = sorted(workload["loads_kiops"])
     cells = [(system, load) for system in systems for load in loads]
     specs = [
         RunSpec.make(
@@ -250,8 +239,9 @@ def tenants_sweep(
             initiators=initiators, streams=streams,
             num_tenants=num_tenants, zipf_alpha=zipf_alpha,
             diurnal_amplitude=diurnal_amplitude,
-            diurnal_period=diurnal_period, qos=qos, quantum=quantum,
-            duration=duration, steering=steering, seed=seed,
+            diurnal_period=workload["diurnal_period"], qos=qos,
+            quantum=workload["quantum"], duration=workload["duration"],
+            steering=topology["steering"], seed=workload["seed"],
         )
         for system, load in cells
     ]
@@ -296,11 +286,6 @@ def tenants_sweep(
         return result
 
     return Sweep(name="tenants", specs=specs, reduce=reduce)
-
-
-def tenant_curves(**kwargs) -> FigureResult:
-    """Run the tenant sweep on the process-wide runner."""
-    return run_sweep(tenants_sweep(**kwargs))
 
 
 # ----------------------------------------------------------------------
@@ -476,18 +461,18 @@ def probe_noisy_neighbor(
     return row
 
 
-def noisy_neighbor_result(
-    systems: Sequence[str] = TENANT_SYSTEMS,
-    qos_modes: Sequence[bool] = (True, False),
-    **kwargs,
-) -> FigureResult:
-    """The storm matrix (system x QoS on/off) as one cached sweep."""
-    cells = [(system, qos) for system in systems for qos in qos_modes]
+def storm_sweep(spec) -> Sweep:
+    """The storm matrix (system x QoS on/off) of a ``tenants`` spec in
+    ``storm`` mode, as one cached sweep."""
+    workload = spec.workload
+    cells = [(system, qos) for system in workload["systems"]
+             for qos in (True, False)]
     specs = [
         RunSpec.make(
             probe_noisy_neighbor,
             label=f"storm/{system}/qos-{'on' if qos else 'off'}",
-            system=system, qos=qos, **kwargs,
+            system=system, qos=qos, quantum=workload["quantum"],
+            duration=workload["duration"], seed=workload["seed"],
         )
         for system, qos in cells
     ]
@@ -538,7 +523,7 @@ def noisy_neighbor_result(
             )
         return result
 
-    return run_sweep(Sweep(name="tenants-storm", specs=specs, reduce=reduce))
+    return Sweep(name="tenants-storm", specs=specs, reduce=reduce)
 
 
 def tenants_report(result: FigureResult) -> Dict:

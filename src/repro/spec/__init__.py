@@ -7,8 +7,8 @@ qualification matrix — as one document of normalized sections
 (topology × devices × workload × faults × policies × oracle).
 :func:`load_spec` also upgrades every legacy JSON shape (bare
 ``WorkloadSpec``, check reproducers, bare fault plans) to spec v1, and
-:func:`run_scenario` compiles a spec onto the sweep runner with outputs
-bit-identical to the legacy kwargs entry points.
+:func:`run_scenario` runs a spec: each scenario's sweep builder takes the
+spec as its only argument, and the sweep runs on the caller's runner.
 
 See ``docs/scenario_spec.md`` for the field-by-field reference and
 cookbook.
@@ -25,7 +25,7 @@ from repro.spec.scenario import (
     upgrade_fault_plan,
     upgrade_workload_spec,
 )
-from repro.spec.compile import ChaosSuiteResult, ScenarioOutcome, run_scenario
+from repro.spec.compile import ScenarioOutcome, run_scenario
 
 __all__ = [
     "SCENARIOS",
@@ -37,7 +37,6 @@ __all__ = [
     "load_spec_file",
     "upgrade_fault_plan",
     "upgrade_workload_spec",
-    "ChaosSuiteResult",
     "ScenarioOutcome",
     "run_scenario",
 ]

@@ -1,14 +1,14 @@
 """Spec compilers: ScenarioSpec → sweep cells → one run → one outcome.
 
 :func:`run_scenario` is the single execution path behind ``repro run
-<spec.json>`` and every CLI verb that runs a scenario: it dispatches a
-validated :class:`ScenarioSpec` to the per-scenario compiler, which
-rebuilds exactly the cell list the legacy
-kwargs entry point would have built (so spec-driven runs are
-bit-identical to kwargs-driven runs — proved by the differential tests
-in ``tests/spec/``), runs it on a :class:`~repro.harness.sweep`
-runner with the caller's ``jobs``/``cache``, and wraps the native result
-in a :class:`ScenarioOutcome`.
+<spec.json>`` and every CLI verb that runs a scenario.  A ``figure``,
+``claims`` or ``check`` spec calls its figure entry point, the scorecard
+or the check matrix; every other scenario names a sweep builder
+(:func:`~repro.harness.saturate.saturation_sweep` and friends) that takes
+the validated :class:`ScenarioSpec` as its only argument, and
+``run_scenario`` runs that sweep on a :mod:`~repro.harness.sweep` runner
+with the caller's ``jobs``/``cache`` and wraps the native result in a
+:class:`ScenarioOutcome`.
 
 Two cache layers compose here:
 
@@ -28,6 +28,7 @@ reproducers, generalized to all eight verbs.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -35,31 +36,7 @@ from typing import Any, List, Optional
 
 from repro.spec.scenario import ScenarioSpec, upgrade_workload_spec
 
-__all__ = ["ScenarioOutcome", "ChaosSuiteResult", "run_scenario"]
-
-
-@dataclass
-class ChaosSuiteResult:
-    """A chaos suite's trials plus a render/verdict, mirroring the other
-    planes' report objects (``repro run`` needs a uniform surface)."""
-
-    results: List[Any] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.results)
-
-    @property
-    def failures(self) -> List[Any]:
-        return [r for r in self.results if not r.ok]
-
-    def render(self) -> str:
-        lines = [r.summary() for r in self.results]
-        bad = len(self.failures)
-        verdict = ("all robustness invariants hold" if not bad
-                   else f"{bad} trial(s) FAILING")
-        lines.append(f"{len(self.results)} trial(s): {verdict}")
-        return "\n".join(lines)
+__all__ = ["ScenarioOutcome", "run_scenario"]
 
 
 @dataclass
@@ -102,13 +79,6 @@ class ScenarioOutcome:
 # ----------------------------------------------------------------------
 
 
-def _nondefault(values: dict, defaults: dict) -> dict:
-    """Only the entries differing from the callee's defaults: cells built
-    from a spec then share cache digests with kwargs-form callers that
-    leave those arguments unset."""
-    return {k: v for k, v in values.items() if v != defaults[k]}
-
-
 def _run_figure(spec: ScenarioSpec) -> ScenarioOutcome:
     from repro.harness.figures import FIGURES
 
@@ -120,85 +90,13 @@ def _run_figure(spec: ScenarioSpec) -> ScenarioOutcome:
 def _run_claims(spec: ScenarioSpec) -> ScenarioOutcome:
     from repro.harness.claims import evaluate_claims
 
-    # jobs/cache left at None: the caller's ``configured`` runner (set up
-    # by run_scenario) already carries them, and reusing it keeps all
-    # sweep statistics on one runner.
+    # The figure sweeps run on run_scenario's ``configured`` runner, which
+    # keeps all sweep statistics on one runner.
     report = evaluate_claims(duration=spec.workload["duration"])
     ok = report.passed == report.total
     return ScenarioOutcome(
         spec=spec, result=report, ok=ok,
         reproducers=[] if ok else [spec],
-    )
-
-
-def _chaos_trial_kwargs(spec: ScenarioSpec) -> dict:
-    workload = spec.workload
-    return _nondefault(
-        {
-            "layout": spec.topology["layout"],
-            "threads": workload["threads"],
-            "groups_per_thread": workload["groups_per_thread"],
-            "writes_per_group": workload["writes_per_group"],
-            "depth": workload["depth"],
-            "limit": workload["limit"],
-        },
-        {
-            "layout": "optane", "threads": 4, "groups_per_thread": 12,
-            "writes_per_group": 2, "depth": 4, "limit": 50e-3,
-        },
-    )
-
-
-def _run_chaos(spec: ScenarioSpec) -> ScenarioOutcome:
-    from repro.harness.chaos import (
-        chaos_suite_sweep,
-        run_scale_chaos_trial,
-    )
-    from repro.harness.sweep import RunSpec, get_runner
-
-    workload = spec.workload
-    trial_kwargs = _chaos_trial_kwargs(spec)
-    runner = get_runner()
-    if spec.topology["initiators"] > 1:
-        specs = [
-            RunSpec.make(
-                run_scale_chaos_trial,
-                label=f"chaos/{system}/x{spec.topology['initiators']}"
-                      f"/seed{workload['base_seed'] + i}",
-                system=system,
-                seed=workload["base_seed"] + i,
-                initiators=spec.topology["initiators"],
-                victim=workload["victim"],
-                **trial_kwargs,
-            )
-            for system in workload["systems"]
-            for i in range(workload["trials"])
-        ]
-        results = runner.map(specs)
-    else:
-        if spec.devices["prefill"] > 0:
-            trial_kwargs["prefill"] = spec.devices["prefill"]
-        if spec.faults is not None:
-            trial_kwargs["plan_spec"] = spec.faults
-        sweep = chaos_suite_sweep(
-            systems=tuple(workload["systems"]),
-            trials=workload["trials"],
-            base_seed=workload["base_seed"],
-            **trial_kwargs,
-        )
-        results = runner.map(sweep.specs)
-
-    suite = ChaosSuiteResult(results=results)
-    reproducers = [
-        spec.with_(
-            name=f"failing chaos trial {r.system}/seed{r.seed}",
-            workload={**workload, "systems": [r.system], "trials": 1,
-                      "base_seed": r.seed},
-        )
-        for r in suite.failures
-    ]
-    return ScenarioOutcome(
-        spec=spec, result=suite, ok=suite.ok, reproducers=reproducers,
     )
 
 
@@ -246,116 +144,20 @@ def _run_check(spec: ScenarioSpec,
     )
 
 
-def _run_saturate(spec: ScenarioSpec) -> ScenarioOutcome:
-    from repro.harness.saturate import saturation_curves
+#: Scenario -> (module, builder) of its sweep; each builder takes the
+#: validated spec as its only argument.
+_SWEEPS = {
+    "chaos": ("repro.harness.chaos", "chaos_sweep"),
+    "overload": ("repro.harness.overload", "overload_sweep"),
+    "qualify": ("repro.harness.qualify", "qualify_sweep"),
+    "saturate": ("repro.harness.saturate", "saturation_sweep"),
+    "tenants": ("repro.harness.tenants", "tenants_sweep"),
+}
 
+
+def _qualify_reproducers(spec: ScenarioSpec, report) -> List[ScenarioSpec]:
+    """One narrowed spec per failing qualification cell."""
     workload = spec.workload
-    result = saturation_curves(
-        systems=workload["systems"],
-        loads_kiops=workload["loads_kiops"],
-        layout=spec.topology["layout"],
-        initiators=spec.topology["initiators"],
-        tenants=workload["tenants"],
-        duration=workload["duration"],
-        steering=spec.topology["steering"],
-        seed=workload["seed"],
-    )
-    return ScenarioOutcome(spec=spec, result=result)
-
-
-def _run_overload(spec: ScenarioSpec) -> ScenarioOutcome:
-    from repro.harness.overload import (
-        PROTECTIONS,
-        gray_result,
-        overload_curves,
-    )
-
-    workload = spec.workload
-    if workload["mode"] == "gray":
-        result = gray_result(
-            duration=workload["duration"],
-            seed=workload["seed"],
-            offered_kiops=workload["offered_kiops"],
-            degrade_factor=workload["degrade_factor"],
-        )
-        return ScenarioOutcome(spec=spec, result=result)
-    protections = spec.policies["protections"]
-    result = overload_curves(
-        systems=workload["systems"],
-        protections=(protections if protections is not None
-                     else list(PROTECTIONS)),
-        loads_kiops=workload["loads_kiops"],
-        layout=spec.topology["layout"],
-        initiators=spec.topology["initiators"],
-        tenants=workload["tenants"],
-        duration=workload["duration"],
-        seed=workload["seed"],
-    )
-    return ScenarioOutcome(spec=spec, result=result)
-
-
-def _run_tenants(spec: ScenarioSpec) -> ScenarioOutcome:
-    from repro.harness.tenants import noisy_neighbor_result, tenant_curves
-
-    workload = spec.workload
-    if workload["mode"] == "storm":
-        result = noisy_neighbor_result(
-            systems=workload["systems"],
-            **_nondefault(
-                {
-                    "quantum": workload["quantum"],
-                    "duration": workload["duration"],
-                    "seed": workload["seed"],
-                },
-                {"quantum": 8.0, "duration": 3e-3, "seed": 42},
-            ),
-        )
-        # The acceptance criterion, both directions: QoS on holds the
-        # gold SLO on every system, QoS off demonstrably violates it.
-        ok = all(
-            (row["within_slo"] == "yes") == (row["qos"] == "on")
-            for row in result.rows
-        )
-        return ScenarioOutcome(
-            spec=spec, result=result, ok=ok,
-            reproducers=[] if ok else [spec],
-        )
-    result = tenant_curves(
-        systems=workload["systems"],
-        loads_kiops=workload["loads_kiops"],
-        layout=spec.topology["layout"],
-        initiators=spec.topology["initiators"],
-        streams=workload["streams"],
-        num_tenants=workload["num_tenants"],
-        zipf_alpha=workload["zipf_alpha"],
-        diurnal_amplitude=workload["diurnal_amplitude"],
-        diurnal_period=workload["diurnal_period"],
-        qos=workload["qos"],
-        quantum=workload["quantum"],
-        duration=workload["duration"],
-        steering=spec.topology["steering"],
-        seed=workload["seed"],
-    )
-    return ScenarioOutcome(spec=spec, result=result)
-
-
-def _run_qualify(spec: ScenarioSpec) -> ScenarioOutcome:
-    from repro.harness.qualify import qualify_report
-
-    workload = spec.workload
-    report = qualify_report(
-        profile=workload["profile"],
-        systems=workload["systems"],
-        blocks_kib=workload["blocks_kib"],
-        queue_depths=workload["queue_depths"],
-        patterns=workload["patterns"],
-        layout=spec.topology["layout"],
-        duration=workload["duration"],
-        seed=workload["seed"],
-        floors_override=spec.policies["floors"],
-        oracle=spec.oracle["enabled"],
-        sustained=workload["sustained"],
-    )
     reproducers = []
     for cell in report.cells:
         if cell.ok:
@@ -379,8 +181,40 @@ def _run_qualify(spec: ScenarioSpec) -> ScenarioOutcome:
             name=f"failing qualify cell {cell.key}",
             workload=narrowed, oracle=oracle,
         ))
+    return reproducers
+
+
+def _run_sweep(spec: ScenarioSpec, runner) -> ScenarioOutcome:
+    """Build the scenario's sweep from the spec, run it on ``runner``,
+    and judge the result."""
+    module, builder = _SWEEPS[spec.scenario]
+    build = getattr(importlib.import_module(module), builder)
+    result = runner.run(build(spec))
+    workload = spec.workload
+    ok, reproducers = True, []
+    if spec.scenario == "chaos":
+        ok = result.ok
+        reproducers = [
+            spec.with_(
+                name=f"failing chaos trial {r.system}/seed{r.seed}",
+                workload={**workload, "systems": [r.system], "trials": 1,
+                          "base_seed": r.seed},
+            )
+            for r in result.failures
+        ]
+    elif spec.scenario == "qualify":
+        ok = result.ok
+        reproducers = _qualify_reproducers(spec, result)
+    elif spec.scenario == "tenants" and workload["mode"] == "storm":
+        # The acceptance criterion, both directions: QoS on holds the
+        # gold SLO on every system, QoS off demonstrably violates it.
+        ok = all(
+            (row["within_slo"] == "yes") == (row["qos"] == "on")
+            for row in result.rows
+        )
+        reproducers = [] if ok else [spec]
     return ScenarioOutcome(
-        spec=spec, result=report, ok=report.ok, reproducers=reproducers,
+        spec=spec, result=result, ok=ok, reproducers=reproducers,
     )
 
 
@@ -395,11 +229,11 @@ def run_scenario(
     cache=None,
     reproducer_dir: Optional[str] = None,
 ) -> ScenarioOutcome:
-    """Compile and run one spec; returns its :class:`ScenarioOutcome`.
+    """Build and run one spec; returns its :class:`ScenarioOutcome`.
 
     ``cache`` (a :class:`~repro.harness.cache.ResultCache`) memoizes at
     both the cell and the scenario level; a warm scenario-level hit
-    skips compilation entirely and returns the stored outcome with
+    skips building and running entirely and returns the stored outcome with
     ``cached=True``.  ``reproducer_dir`` is forwarded to the check
     matrix's shrink-and-dump pass.
     """
@@ -416,20 +250,10 @@ def run_scenario(
             outcome = _run_figure(spec)
         elif spec.scenario == "claims":
             outcome = _run_claims(spec)
-        elif spec.scenario == "chaos":
-            outcome = _run_chaos(spec)
         elif spec.scenario == "check":
             outcome = _run_check(spec, reproducer_dir)
-        elif spec.scenario == "saturate":
-            outcome = _run_saturate(spec)
-        elif spec.scenario == "overload":
-            outcome = _run_overload(spec)
-        elif spec.scenario == "qualify":
-            outcome = _run_qualify(spec)
-        elif spec.scenario == "tenants":
-            outcome = _run_tenants(spec)
-        else:  # pragma: no cover - from_dict already rejects these
-            raise ValueError(f"unknown scenario {spec.scenario!r}")
+        else:
+            outcome = _run_sweep(spec, runner)
         outcome.stats = runner.stats
 
     if cache is not None:

@@ -37,7 +37,9 @@ stays replayable via ``repro run``.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -86,8 +88,8 @@ class _Field:
     kind: str                     # int | float | number | bool | str | dict
     #                               | list:<scalar>  ("number" accepts int or
     #                               float and preserves which — used where
-    #                               legacy kwargs defaults are ints, so
-    #                               compiled cells stay bit-identical)
+    #                               the grid is written as ints, which cell
+    #                               digests and rendered loads keep)
     default: Any = None
     required: bool = False
     nullable: bool = False
@@ -128,9 +130,13 @@ def _normalize_value(value: Any, spec: _Field, path: str) -> Any:
                 raise SpecError(
                     f"{path}: expected number, got {_type_name(value)}"
                 )
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise SpecError(f"{path}: number out of range") from None
         elif not isinstance(value, str):
             raise SpecError(f"{path}: expected str, got {_type_name(value)}")
+        _check_finite(value, path)
         if spec.choices and value not in spec.choices:
             raise SpecError(
                 f"{path}: {value!r} not one of {sorted(spec.choices)}"
@@ -157,9 +163,16 @@ def _normalize_value(value: Any, spec: _Field, path: str) -> Any:
     raise AssertionError(f"unknown field kind {spec.kind!r}")
 
 
+def _check_finite(value: Any, path: str) -> None:
+    """NaN and infinities are not JSON numbers: reject them."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SpecError(f"{path}: {value!r} is not a finite number")
+
+
 def _normalize_json(value: Any, path: str) -> Any:
     """Strict JSON normalization for free-form dict fields."""
     if value is None or isinstance(value, (bool, int, float, str)):
+        _check_finite(value, path)
         return value
     if isinstance(value, (list, tuple)):
         return [_normalize_json(v, f"{path}[{i}]") for i, v in enumerate(value)]
@@ -281,7 +294,7 @@ def _normalize_faults(data: Any) -> Optional[Dict[str, Any]]:
             if not isinstance(entry, dict):
                 raise SpecError(f"faults.timed[{i}]: expected an object")
             kind = entry.get("kind")
-            if kind not in _TIMED_KINDS:
+            if not isinstance(kind, str) or kind not in _TIMED_KINDS:
                 raise SpecError(
                     f"faults.timed[{i}].kind: {kind!r} not one of "
                     f"{sorted(_TIMED_KINDS)}"
@@ -327,8 +340,12 @@ _WORKLOADS: Dict[str, Dict[str, _Field]] = {
         "flush_every": _Field("int", default=2, minimum=0),
     },
     "saturate": {
+        # Figs. 10-12's systems plus barrier.
         "systems": _Field("list:str",
                           default=("linux", "horae", "rio", "barrier")),
+        # Offered load (kIOPS), ascending: brackets every system's knee on
+        # the default single-Optane layout — barrier saturates ~85k,
+        # linux ~125k, horae ~300k, rio ~510k.
         "loads_kiops": _Field("list:number",
                               default=(25, 50, 100, 200, 400, 800),
                               minimum=0.0),
@@ -340,6 +357,9 @@ _WORKLOADS: Dict[str, Dict[str, _Field]] = {
         "mode": _Field("str", default="metastable",
                        choices=("metastable", "gray")),
         "systems": _Field("list:str", default=("rio",)),
+        # ~0.8x, ~2x and ~4x the device-limited knee of the default
+        # single-Optane layout (~515k 4KiB ordered writes/s: the 905P's
+        # 2.2 GB/s media pipe and 7-deep chip parallelism both land there).
         "loads_kiops": _Field("list:number", default=(400, 1100, 2200),
                               minimum=0.0),
         "tenants": _Field("int", default=4, minimum=1),
@@ -362,7 +382,10 @@ _WORKLOADS: Dict[str, Dict[str, _Field]] = {
     },
     "tenants": {
         "mode": _Field("str", default="curves", choices=("curves", "storm")),
+        # The storm's acceptance trio.
         "systems": _Field("list:str", default=("linux", "horae", "rio")),
+        # Saturate's ladder (the same int literals: a degenerate tenant
+        # mix reuses saturate's cells, and their digests care).
         "loads_kiops": _Field("list:number",
                               default=(25, 50, 100, 200, 400, 800),
                               minimum=0.0),
@@ -634,6 +657,12 @@ def _validate_scenario(spec: ScenarioSpec) -> None:
                 f"workload.figure: unknown figure {figure!r} "
                 f"(see `python -m repro list`)"
             )
+        try:
+            inspect.signature(FIGURES[figure][0]).bind_partial(
+                **(workload["options"] or {}))
+        except TypeError as exc:
+            raise SpecError(
+                f"workload.options: figure {figure!r} {exc}") from None
     elif scenario == "check":
         if spec.faults is not None:
             plan = spec.faults
@@ -713,9 +742,11 @@ def _validate_scenario(spec: ScenarioSpec) -> None:
         if spec.policies["floors"] is not None:
             raise SpecError("policies.floors: only the qualify scenario "
                             "takes floor overrides")
+        from repro.harness.overload import PROTECTIONS
+
         protections = spec.policies["protections"]
         if protections is not None:
-            bad = [p for p in protections if p not in ("off", "full")]
+            bad = [p for p in protections if p not in PROTECTIONS]
             if bad:
                 raise SpecError(
                     f"policies.protections: unknown profile(s) {bad}"
@@ -904,6 +935,8 @@ def load_spec(data: Dict[str, Any]) -> ScenarioSpec:
     if "scenario" in data or "version" in data:
         return ScenarioSpec.from_dict(data)
     if data.get("kind") == "repro-check-reproducer":
+        if not isinstance(data.get("spec"), dict):
+            raise SpecError("reproducer: expected a \"spec\" object")
         return upgrade_workload_spec(data["spec"])
     if "system" in data and set(data) <= _WORKLOAD_SPEC_KEYS:
         return upgrade_workload_spec(data)

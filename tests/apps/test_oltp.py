@@ -24,6 +24,15 @@ def test_oltp_commits_transactions():
     assert result.tps > 0
 
 
+def test_oltp_window_opens_after_setup():
+    """Opening the database takes ~3 ms of simulated time; a shorter
+    warm-up plus window still measures commits, all of them after setup."""
+    env, cluster, fs = build()
+    result = run_oltp(cluster, fs, threads=4, duration=1e-3, warmup=0.3e-3)
+    assert result.commits > 0
+    assert env.now > 1.3e-3
+
+
 def test_oltp_group_commit_batches():
     env, cluster, fs = build()
     holder = {}

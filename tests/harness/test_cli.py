@@ -144,6 +144,12 @@ VERB_SPECS = [
      {"scenario": "tenants",
       "workload": {"systems": ["rio"], "loads_kiops": [50.0],
                    "zipf_alpha": None, "duration": 0.001}}),
+    (["tenants", "--systems", "rio", "--loads", "50", "--tenants", "16",
+      "--zipf-alpha", "0", "--qos", "--duration", "0.0005"],
+     {"scenario": "tenants",
+      "workload": {"systems": ["rio"], "loads_kiops": [50.0],
+                   "num_tenants": 16, "zipf_alpha": None, "qos": True,
+                   "duration": 0.0005}}),
     (["tenants", "--storm", "--systems", "rio"],
      {"scenario": "tenants",
       "workload": {"mode": "storm", "systems": ["rio"]}}),
@@ -162,7 +168,8 @@ VERB_SPECS = [
 
 @pytest.mark.parametrize("argv, doc", VERB_SPECS, ids=[
     "saturate", "overload-metastable", "overload-gray", "tenants-qos",
-    "tenants-uniform", "tenants-storm", "qualify", "check",
+    "tenants-uniform", "tenants-uniform-qos", "tenants-storm", "qualify",
+    "check",
 ])
 def test_verb_and_its_spec_file_are_one_scenario(argv, doc, tmp_path,
                                                  capsys):

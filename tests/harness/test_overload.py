@@ -3,28 +3,36 @@ mirage, gray-failure isolation, and sweep bit-identity."""
 
 import pytest
 
-from repro.harness import figures
 from repro.harness.cache import ResultCache
 from repro.harness.overload import (
-    DEFAULT_OVERLOAD_KIOPS,
     PROTECTIONS,
-    overload_curves,
     overload_sweep,
     probe_gray,
     probe_overload,
 )
 from repro.harness.sweep import SweepRunner
+from repro.spec import ScenarioSpec
 
 #: The default acceptance grid: knee, 2x past it, 4x past it.  One
 #: shared sweep for the whole module (each cell is an independent seeded
 #: simulation; computing them once keeps the suite fast).
-GRID = dict(systems=("rio",), loads_kiops=DEFAULT_OVERLOAD_KIOPS,
-            duration=2e-3, tenants=4, initiators=2)
+GRID = {
+    "scenario": "overload",
+    "topology": {"initiators": 2},
+    "workload": {"systems": ["rio"], "duration": 2e-3, "tenants": 4},
+}
+LOADS = ScenarioSpec.from_dict(GRID).workload["loads_kiops"]
+
+
+def _sweep(**workload):
+    """The overload sweep of GRID with ``workload`` fields replaced."""
+    return overload_sweep(ScenarioSpec.from_dict(
+        dict(GRID, workload={**GRID["workload"], **workload})))
 
 
 @pytest.fixture(scope="module")
 def curves():
-    return SweepRunner(jobs=1).run(overload_sweep(**GRID))
+    return SweepRunner(jobs=1).run(_sweep())
 
 
 def _row(curves, protection, offered):
@@ -50,16 +58,16 @@ def test_probe_rejects_unknown_layout_and_protection():
 
 
 def test_grid_covers_both_protections(curves):
-    assert len(curves.rows) == len(PROTECTIONS) * len(DEFAULT_OVERLOAD_KIOPS)
+    assert len(curves.rows) == len(PROTECTIONS) * len(LOADS)
     for protection in PROTECTIONS:
         offered = curves.column("offered_kiops", protection=protection)
-        assert offered == sorted(DEFAULT_OVERLOAD_KIOPS)
+        assert offered == sorted(LOADS)
 
 
 def test_sub_knee_protection_is_free(curves):
     """Below the knee the protection stack must cost nothing: identical
     goodput, no sheds, no failures, same tail."""
-    low = min(DEFAULT_OVERLOAD_KIOPS)
+    low = min(LOADS)
     off, full = _row(curves, "off", low), _row(curves, "full", low)
     assert full["goodput_kiops"] == off["goodput_kiops"]
     assert full["shed_rate"] == 0.0
@@ -72,7 +80,7 @@ def test_protected_stack_holds_the_knee_at_2x_overload(curves):
     pins it at device capacity)."""
     knee = max(r["goodput_kiops"]
                for r in curves.series(system="rio", protection="full"))
-    mid, top = sorted(DEFAULT_OVERLOAD_KIOPS)[1:]
+    mid, top = sorted(LOADS)[1:]
     for offered in (mid, top):
         row = _row(curves, "full", offered)
         assert row["goodput_kiops"] >= 0.8 * knee, (offered, row)
@@ -86,7 +94,7 @@ def test_unprotected_stack_shows_the_completion_mirage_then_collapses(curves):
     by the in-order gate, so completions decouple from persistence (the
     mirage).  At 4x the retry ladder outruns the receive cores and real
     goodput collapses."""
-    mid, top = sorted(DEFAULT_OVERLOAD_KIOPS)[1:]
+    mid, top = sorted(LOADS)[1:]
     mirage = _row(curves, "off", mid)
     assert mirage["goodput_kiops"] > 1.2 * mirage["persisted_kiops"], mirage
     collapse = _row(curves, "off", top)
@@ -116,16 +124,10 @@ def test_gray_scenario_contains_the_blast_radius():
     assert probe_gray(seed=42) == r
 
 
-def test_overload_is_a_registered_figure():
-    assert "overload" in figures.SWEEP_BUILDERS
-    sweep = figures.SWEEP_BUILDERS["overload"](**GRID)
-    assert len(sweep.specs) == 6
-
-
 def test_parallel_overload_is_bit_identical_to_serial():
-    small = dict(GRID, loads_kiops=(200, 400), duration=1e-3)
-    serial = SweepRunner(jobs=1).run(overload_sweep(**small))
-    parallel = SweepRunner(jobs=2).run(overload_sweep(**small))
+    small = dict(loads_kiops=[200, 400], duration=1e-3)
+    serial = SweepRunner(jobs=1).run(_sweep(**small))
+    parallel = SweepRunner(jobs=2).run(_sweep(**small))
     assert serial.headers == parallel.headers
     assert serial.rows == parallel.rows  # == on floats: bit-identical
     assert serial.notes == parallel.notes
@@ -133,21 +135,29 @@ def test_parallel_overload_is_bit_identical_to_serial():
 
 
 def test_warm_cache_overload_rerun_executes_nothing(tmp_path):
-    small = dict(GRID, loads_kiops=(200, 400), duration=1e-3)
+    small = dict(loads_kiops=[200, 400], duration=1e-3)
     cold = SweepRunner(jobs=2, cache=ResultCache(root=tmp_path,
                                                  version="test"))
-    first = cold.run(overload_sweep(**small))
+    first = cold.run(_sweep(**small))
     assert cold.stats.executed == 4 and cold.stats.cache_hits == 0
 
     warm = SweepRunner(jobs=1, cache=ResultCache(root=tmp_path,
                                                  version="test"))
-    second = warm.run(overload_sweep(**small))
+    second = warm.run(_sweep(**small))
     assert warm.stats.executed == 0 and warm.stats.cache_hits == 4
     assert first.rows == second.rows
     assert first.render() == second.render()
 
 
-def test_overload_curves_uses_default_runner():
-    result = overload_curves(systems=("rio",), loads_kiops=(200,),
-                             duration=5e-4)
-    assert len(result.rows) == 2  # off + full at one load
+def test_sweep_reads_mode_and_protections_from_the_spec():
+    gray = overload_sweep(ScenarioSpec.from_dict(
+        {"scenario": "overload",
+         "workload": {"mode": "gray", "offered_kiops": 60}}))
+    (cell,) = gray.specs
+    assert cell.fn == "repro.harness.overload:probe_gray"
+    assert dict(cell.kwargs)["offered_kiops"] == 60
+    assert dict(cell.kwargs)["duration"] == 4e-3  # gray's default window
+    full_only = overload_sweep(ScenarioSpec.from_dict(
+        dict(GRID, policies={"protections": ["full"]})))
+    assert [dict(c.kwargs)["protection"] for c in full_only.specs] == \
+        ["full"] * len(LOADS)

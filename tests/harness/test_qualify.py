@@ -22,30 +22,39 @@ from repro.harness.qualify import (
     default_floors,
     probe_qualify_cell,
     probe_qualify_oracle,
-    qualify_report,
     qualify_sweep,
     write_report,
 )
 from repro.harness.sweep import SweepRunner
+from repro.spec import ScenarioSpec, SpecError
 
 GOLDEN_PATH = (pathlib.Path(__file__).resolve().parents[1]
                / "goldens" / "qualify_smoke.json")
 
 #: The golden matrix: small, seeded, matrix-phase only (fast + hermetic).
-GOLDEN_KWARGS = dict(
-    profile="smoke",
-    systems=("rio", "linux"),
-    blocks_kib=(4, 64),
-    queue_depths=(1,),
-    patterns=("seq",),
-    seed=7,
-    oracle=False,
-    sustained=False,
-)
+GOLDEN = {
+    "scenario": "qualify",
+    "workload": {
+        "profile": "smoke",
+        "systems": ["rio", "linux"],
+        "blocks_kib": [4, 64],
+        "queue_depths": [1],
+        "patterns": ["seq"],
+        "seed": 7,
+        "sustained": False,
+    },
+    "oracle": {"enabled": False},
+}
+
+
+def _sweep(doc, floors=None):
+    """The qualify sweep of ``doc`` with optional floor overrides."""
+    return qualify_sweep(ScenarioSpec.from_dict(
+        dict(doc, policies={"floors": floors})))
 
 
 def run_golden_report() -> QualifyReport:
-    return SweepRunner(jobs=1).run(qualify_sweep(**GOLDEN_KWARGS))
+    return SweepRunner(jobs=1).run(_sweep(GOLDEN))
 
 
 # ----------------------------------------------------------------------
@@ -86,12 +95,14 @@ def test_check_floors_flags_missing_metric():
 
 def test_unknown_floor_override_cell_raises():
     with pytest.raises(ValueError, match="unknown cells"):
-        qualify_sweep(floors_override={"matrix/zfs/4K/qd1/seq":
-                                       {"min_kiops": 1.0}})
+        _sweep({"scenario": "qualify"},
+               floors={"matrix/zfs/4K/qd1/seq": {"min_kiops": 1.0}})
 
 
 def test_linux_sustained_cell_waives_cache_stall_floor():
-    sweep = qualify_sweep(profile="smoke", systems=("rio", "linux"))
+    sweep = _sweep({"scenario": "qualify",
+                    "workload": {"profile": "smoke",
+                                 "systems": ["rio", "linux"]}})
     floors = {c.key: c.floors for c in _sweep_cells(sweep)}
     assert "min_cache_stalls" in floors["sustained/rio/64K/qd256/seq"]
     assert "min_cache_stalls" not in floors["sustained/linux/64K/qd256/seq"]
@@ -154,9 +165,8 @@ def test_unknown_layout_raises():
 
 
 def test_injected_regression_fails_loudly():
-    report = SweepRunner(jobs=1).run(qualify_sweep(
-        floors_override={"matrix/rio/4K/qd1/seq": {"min_kiops": 10_000.0}},
-        **GOLDEN_KWARGS,
+    report = SweepRunner(jobs=1).run(_sweep(
+        GOLDEN, floors={"matrix/rio/4K/qd1/seq": {"min_kiops": 10_000.0}},
     ))
     assert not report.ok
     assert report.failed == 1
@@ -200,8 +210,9 @@ def test_bench_artifact_shape():
 
 
 def test_unknown_profile_raises():
-    with pytest.raises(ValueError, match="unknown profile"):
-        qualify_report(profile="soak")
+    with pytest.raises(SpecError, match="workload.profile: 'soak' not one of"):
+        ScenarioSpec.from_dict({"scenario": "qualify",
+                                "workload": {"profile": "soak"}})
 
 
 # ----------------------------------------------------------------------

@@ -2,26 +2,30 @@
 
 import pytest
 
-from repro.harness import figures
 from repro.harness.saturate import (
-    DEFAULT_LOADS_KIOPS,
-    SATURATE_SYSTEMS,
     knee_point,
     probe_saturation,
-    saturation_curves,
     saturation_sweep,
 )
 from repro.harness.sweep import SweepRunner
+from repro.spec import ScenarioSpec
 
 #: One shared sweep for the whole module (each cell is an independent
 #: seeded simulation; computing them once keeps the suite fast).
-GRID = dict(systems=("linux", "rio"), loads_kiops=(50, 100, 200, 400),
-            duration=2e-3, tenants=4, initiators=2)
+GRID = {
+    "scenario": "saturate",
+    "topology": {"initiators": 2},
+    "workload": {"systems": ["linux", "rio"],
+                 "loads_kiops": [50, 100, 200, 400],
+                 "duration": 2e-3, "tenants": 4},
+}
+SYSTEMS = GRID["workload"]["systems"]
 
 
 @pytest.fixture(scope="module")
 def curves():
-    return SweepRunner(jobs=1).run(saturation_sweep(**GRID))
+    return SweepRunner(jobs=1).run(
+        saturation_sweep(ScenarioSpec.from_dict(GRID)))
 
 
 def test_probe_reports_one_load_point():
@@ -42,7 +46,7 @@ def test_probe_rejects_unknown_layout():
 
 def test_curves_cover_the_grid_in_ascending_load_order(curves):
     assert len(curves.rows) == 2 * 4
-    for system in GRID["systems"]:
+    for system in SYSTEMS:
         offered = curves.column("offered_kiops", system=system)
         assert offered == sorted(offered) == [50, 100, 200, 400]
 
@@ -50,14 +54,14 @@ def test_curves_cover_the_grid_in_ascending_load_order(curves):
 def test_achieved_throughput_is_monotone_in_offered_load(curves):
     """More offered load never yields less achieved throughput (up to 2%
     measurement noise): the curves rise, then plateau — never collapse."""
-    for system in GRID["systems"]:
+    for system in SYSTEMS:
         achieved = curves.column("achieved_kiops", system=system)
         for lower, higher in zip(achieved, achieved[1:]):
             assert higher >= lower * 0.98, (system, achieved)
 
 
 def test_latency_explodes_past_the_knee(curves):
-    for system in GRID["systems"]:
+    for system in SYSTEMS:
         rows = curves.series(system=system)
         knee = knee_point(curves, system)
         saturated = [r for r in rows
@@ -86,25 +90,13 @@ def test_knee_point_falls_back_to_best_throughput(curves):
 
 
 def test_notes_summarize_every_system_knee(curves):
-    assert len(curves.notes) == len(GRID["systems"])
-    for system in GRID["systems"]:
+    assert len(curves.notes) == len(SYSTEMS)
+    for system in SYSTEMS:
         assert any(note.startswith(f"{system} knee:")
                    for note in curves.notes)
 
 
 def test_defaults_cover_all_four_systems():
-    assert set(SATURATE_SYSTEMS) == {"linux", "horae", "rio", "barrier"}
-    assert list(DEFAULT_LOADS_KIOPS) == sorted(DEFAULT_LOADS_KIOPS)
-
-
-def test_saturate_is_a_registered_figure():
-    assert "saturate" in figures.SWEEP_BUILDERS
-    sweep = figures.SWEEP_BUILDERS["saturate"](**GRID)
-    assert len(sweep.specs) == 8
-
-
-def test_saturation_curves_uses_default_runner():
-    result = saturation_curves(systems=("rio",), loads_kiops=(50,),
-                               duration=5e-4)
-    assert len(result.rows) == 1
-    assert result.rows[0]["system"] == "rio"
+    defaults = ScenarioSpec.from_dict({"scenario": "saturate"}).workload
+    assert set(defaults["systems"]) == {"linux", "horae", "rio", "barrier"}
+    assert defaults["loads_kiops"] == sorted(defaults["loads_kiops"])

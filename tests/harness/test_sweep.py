@@ -11,7 +11,7 @@ import pytest
 
 from repro.harness import figures
 from repro.harness.cache import ResultCache
-from repro.harness.chaos import chaos_suite_sweep, run_chaos_suite
+from repro.harness.chaos import chaos_sweep, run_chaos_suite
 from repro.harness.sweep import (
     RunSpec,
     Sweep,
@@ -19,6 +19,7 @@ from repro.harness.sweep import (
     configured,
     run_sweep,
 )
+from repro.spec import ScenarioSpec
 
 # A small but real figure sweep: 2 systems x 2 thread counts on flash.
 SMALL_FIG10 = dict(panel="a", threads=(1, 2), duration=3e-4,
@@ -133,11 +134,16 @@ def test_entry_point_matches_explicit_sweep_under_parallel_runner():
     assert serial.rows == parallel.rows
 
 
+def _chaos_spec(**workload):
+    return ScenarioSpec.from_dict({"scenario": "chaos", "workload": workload})
+
+
 def test_parallel_chaos_suite_matches_inline(tmp_path):
-    kwargs = dict(systems=("rio",), trials=2, base_seed=77,
-                  groups_per_thread=4, trace=False)
-    inline = run_chaos_suite(**kwargs)
-    fanned = run_chaos_suite(jobs=2, **kwargs)
+    inline = run_chaos_suite(systems=("rio",), trials=2, base_seed=77,
+                             groups_per_thread=4)
+    fanned = SweepRunner(jobs=2).run(chaos_sweep(_chaos_spec(
+        systems=["rio"], trials=2, base_seed=77, groups_per_thread=4,
+    ))).results
     assert [r.summary() for r in inline] == [r.summary() for r in fanned]
     assert [r.completion_log for r in inline] == [
         r.completion_log for r in fanned
@@ -145,9 +151,22 @@ def test_parallel_chaos_suite_matches_inline(tmp_path):
 
 
 def test_chaos_sweep_specs_are_per_trial():
-    sweep = chaos_suite_sweep(systems=("rio", "linux"), trials=3)
+    sweep = chaos_sweep(_chaos_spec(systems=["rio", "linux"], trials=3))
     assert len(sweep.specs) == 6
     assert len({spec.digest() for spec in sweep.specs}) == 6
+
+
+def test_chaos_sweep_runs_scale_trials_across_initiators():
+    spec = ScenarioSpec.from_dict({
+        "scenario": "chaos", "topology": {"initiators": 2},
+        "workload": {"systems": ["rio"], "trials": 2, "victim": 1},
+    })
+    cells = chaos_sweep(spec).specs
+    assert [c.label for c in cells] == ["chaos/rio/x2/seed1000",
+                                        "chaos/rio/x2/seed1001"]
+    assert all(c.fn == "repro.harness.chaos:run_scale_chaos_trial"
+               for c in cells)
+    assert dict(cells[0].kwargs)["victim"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -156,15 +175,23 @@ def test_chaos_sweep_specs_are_per_trial():
 
 # A small but real saturation sweep: 2 systems x 2 offered loads over a
 # 2-initiator sharded cluster, trimmed to smoke duration.
-SMALL_SATURATE = dict(systems=("rio", "linux"), loads_kiops=(50, 200),
-                      duration=5e-4, tenants=2)
+SMALL_SATURATE = {
+    "scenario": "saturate",
+    "workload": {"systems": ["rio", "linux"], "loads_kiops": [50, 200],
+                 "duration": 5e-4, "tenants": 2},
+}
+
+
+def _saturation(**topology):
+    from repro.harness.saturate import saturation_sweep
+
+    return saturation_sweep(ScenarioSpec.from_dict(
+        dict(SMALL_SATURATE, topology=topology)))
 
 
 def test_parallel_saturation_is_bit_identical_to_serial():
-    from repro.harness.saturate import saturation_sweep
-
-    serial = SweepRunner(jobs=1).run(saturation_sweep(**SMALL_SATURATE))
-    parallel = SweepRunner(jobs=2).run(saturation_sweep(**SMALL_SATURATE))
+    serial = SweepRunner(jobs=1).run(_saturation())
+    parallel = SweepRunner(jobs=2).run(_saturation())
     assert serial.headers == parallel.headers
     assert serial.rows == parallel.rows  # == on floats: bit-identical
     assert serial.notes == parallel.notes
@@ -172,16 +199,14 @@ def test_parallel_saturation_is_bit_identical_to_serial():
 
 
 def test_warm_cache_saturation_rerun_executes_nothing(tmp_path):
-    from repro.harness.saturate import saturation_sweep
-
     cold = SweepRunner(jobs=2, cache=ResultCache(root=tmp_path,
                                                  version="test"))
-    first = cold.run(saturation_sweep(**SMALL_SATURATE))
+    first = cold.run(_saturation())
     assert cold.stats.executed == 4 and cold.stats.cache_hits == 0
 
     warm = SweepRunner(jobs=1, cache=ResultCache(root=tmp_path,
                                                  version="test"))
-    second = warm.run(saturation_sweep(**SMALL_SATURATE))
+    second = warm.run(_saturation())
     assert warm.stats.executed == 0, "warm rerun must skip every cell"
     assert warm.stats.cache_hits == 4
     assert first.rows == second.rows
@@ -189,12 +214,10 @@ def test_warm_cache_saturation_rerun_executes_nothing(tmp_path):
 
 
 def test_saturation_specs_are_per_cell_and_steering_aware():
-    from repro.harness.saturate import saturation_sweep
-
-    base = saturation_sweep(**SMALL_SATURATE)
+    base = _saturation()
     assert len(base.specs) == 4
     assert len({spec.digest() for spec in base.specs}) == 4
-    steered = saturation_sweep(steering="flow-hash", **SMALL_SATURATE)
+    steered = _saturation(steering="flow-hash")
     assert not ({s.digest() for s in base.specs}
                 & {s.digest() for s in steered.specs})
 
@@ -206,32 +229,39 @@ def test_saturation_specs_are_per_cell_and_steering_aware():
 # A small but real qualification matrix: 2 systems x 2 block sizes plus
 # the rio sustained (GC + eviction pressure) pass; oracle cells are
 # covered by tests/harness/test_qualify.py.
-SMALL_QUALIFY = dict(profile="smoke", systems=("rio", "linux"),
-                     blocks_kib=(4, 64), queue_depths=(1,),
-                     patterns=("seq",), oracle=False)
+SMALL_QUALIFY = {
+    "scenario": "qualify",
+    "workload": {"profile": "smoke", "systems": ["rio", "linux"],
+                 "blocks_kib": [4, 64], "queue_depths": [1],
+                 "patterns": ["seq"]},
+    "oracle": {"enabled": False},
+}
+
+
+def _qualification(floors=None):
+    from repro.harness.qualify import qualify_sweep
+
+    return qualify_sweep(ScenarioSpec.from_dict(
+        dict(SMALL_QUALIFY, policies={"floors": floors})))
 
 
 def test_parallel_qualify_is_bit_identical_to_serial():
-    from repro.harness.qualify import qualify_sweep
-
-    serial = SweepRunner(jobs=1).run(qualify_sweep(**SMALL_QUALIFY))
-    parallel = SweepRunner(jobs=2).run(qualify_sweep(**SMALL_QUALIFY))
+    serial = SweepRunner(jobs=1).run(_qualification())
+    parallel = SweepRunner(jobs=2).run(_qualification())
     assert serial.to_json() == parallel.to_json()  # bit-identical cells
     assert serial.digest() == parallel.digest()
     assert serial.render() == parallel.render()
 
 
 def test_warm_cache_qualify_rerun_executes_nothing(tmp_path):
-    from repro.harness.qualify import qualify_sweep
-
     cold = SweepRunner(jobs=2, cache=ResultCache(root=tmp_path,
                                                  version="test"))
-    first = cold.run(qualify_sweep(**SMALL_QUALIFY))
+    first = cold.run(_qualification())
     assert cold.stats.executed == 6 and cold.stats.cache_hits == 0
 
     warm = SweepRunner(jobs=1, cache=ResultCache(root=tmp_path,
                                                  version="test"))
-    second = warm.run(qualify_sweep(**SMALL_QUALIFY))
+    second = warm.run(_qualification())
     assert warm.stats.executed == 0, "warm rerun must skip every cell"
     assert warm.stats.cache_hits == 6
     assert first.to_json() == second.to_json()
@@ -239,17 +269,13 @@ def test_warm_cache_qualify_rerun_executes_nothing(tmp_path):
 
 
 def test_qualify_specs_are_per_cell_and_floors_do_not_change_identity():
-    from repro.harness.qualify import qualify_sweep
-
-    base = qualify_sweep(**SMALL_QUALIFY)
+    base = _qualification()
     assert len(base.specs) == 6
     assert len({spec.digest() for spec in base.specs}) == 6
     # Floors live in the reduce: overriding them must not invalidate the
     # cached cells (same spec digests).
-    floored = qualify_sweep(
-        floors_override={"matrix/rio/4K/qd1/seq": {"min_kiops": 1e9}},
-        **SMALL_QUALIFY,
-    )
+    floored = _qualification(
+        floors={"matrix/rio/4K/qd1/seq": {"min_kiops": 1e9}})
     assert ({s.digest() for s in base.specs}
             == {s.digest() for s in floored.specs})
 

@@ -17,19 +17,16 @@ import pathlib
 
 import pytest
 
-from repro.harness import figures
 from repro.harness.cache import ResultCache
 from repro.harness.saturate import saturation_sweep
 from repro.harness.tenants import (
-    DEFAULT_TENANT_LOADS_KIOPS,
-    TENANT_SYSTEMS,
-    noisy_neighbor_result,
     probe_noisy_neighbor,
     probe_tenants,
     tenants_report,
     tenants_sweep,
 )
 from repro.harness.sweep import SweepRunner
+from repro.spec import ScenarioSpec
 
 GOLDEN_PATH = (pathlib.Path(__file__).resolve().parents[1]
                / "goldens" / "tenants_smoke.json")
@@ -37,28 +34,42 @@ GOLDEN_PATH = (pathlib.Path(__file__).resolve().parents[1]
 #: The golden sweep: small, seeded, every tenant-plane feature armed
 #: (Zipf skew, diurnal breathing, QoS admission) so drift anywhere in
 #: the plane moves a row.
-GOLDEN_KWARGS = dict(
-    systems=("rio", "linux"),
-    loads_kiops=(50, 100),
-    initiators=1,
-    streams=2,
-    num_tenants=24,
-    zipf_alpha=1.1,
-    diurnal_amplitude=0.25,
-    diurnal_period=5e-4,
-    qos=True,
-    duration=1e-3,
-    seed=7,
-)
+GOLDEN = {
+    "scenario": "tenants",
+    "topology": {"initiators": 1},
+    "workload": {
+        "systems": ["rio", "linux"],
+        "loads_kiops": [50, 100],
+        "streams": 2,
+        "num_tenants": 24,
+        "zipf_alpha": 1.1,
+        "diurnal_amplitude": 0.25,
+        "diurnal_period": 5e-4,
+        "qos": True,
+        "duration": 1e-3,
+        "seed": 7,
+    },
+}
 
 #: A fast non-degenerate grid for the identity/cache tests.
-SMALL = dict(GOLDEN_KWARGS, systems=("rio",), loads_kiops=(50,))
+SMALL = dict(systems=["rio"], loads_kiops=[50])
+
+#: The storm's acceptance trio (the spec's default systems).
+STORM = ScenarioSpec.from_dict({"scenario": "tenants",
+                                "workload": {"mode": "storm"}})
+SYSTEMS = STORM.workload["systems"]
+
+
+def _spec(doc, **workload):
+    """``doc`` with ``workload`` fields replaced, as a spec."""
+    return ScenarioSpec.from_dict(
+        dict(doc, workload={**doc["workload"], **workload}))
 
 
 @pytest.fixture(scope="module")
 def storm():
     """The acceptance matrix: 3 systems x QoS on/off, one seed."""
-    return noisy_neighbor_result()
+    return SweepRunner(jobs=1).run(tenants_sweep(STORM))
 
 
 # ----------------------------------------------------------------------
@@ -74,11 +85,11 @@ def _storm_row(storm, system, qos):
 
 
 def test_storm_covers_the_acceptance_matrix(storm):
-    assert len(storm.rows) == 2 * len(TENANT_SYSTEMS)
-    assert {r["system"] for r in storm.rows} == set(TENANT_SYSTEMS)
+    assert len(storm.rows) == 2 * len(SYSTEMS)
+    assert {r["system"] for r in storm.rows} == set(SYSTEMS)
 
 
-@pytest.mark.parametrize("system", TENANT_SYSTEMS)
+@pytest.mark.parametrize("system", SYSTEMS)
 def test_qos_holds_the_gold_slo_under_the_storm(storm, system):
     """Direction one: with QoS on, the aggressor is paced/shed at the
     target's door and the quiet gold tenant's p999 stays within SLO."""
@@ -91,7 +102,7 @@ def test_qos_holds_the_gold_slo_under_the_storm(storm, system):
     assert row["shed_pace"] > 0, row
 
 
-@pytest.mark.parametrize("system", TENANT_SYSTEMS)
+@pytest.mark.parametrize("system", SYSTEMS)
 def test_same_seed_without_qos_violates_the_slo(storm, system):
     """Direction two: the very same seeded storm through an unprotected
     target demonstrably violates the gold SLO (here: starvation — the
@@ -119,8 +130,8 @@ def test_storm_probe_is_seeded_deterministic():
 
 
 def test_parallel_tenants_is_bit_identical_to_serial():
-    serial = SweepRunner(jobs=1).run(tenants_sweep(**GOLDEN_KWARGS))
-    parallel = SweepRunner(jobs=2).run(tenants_sweep(**GOLDEN_KWARGS))
+    serial = SweepRunner(jobs=1).run(tenants_sweep(_spec(GOLDEN)))
+    parallel = SweepRunner(jobs=2).run(tenants_sweep(_spec(GOLDEN)))
     assert serial.rows == parallel.rows  # == on floats: bit-identical
     assert serial.notes == parallel.notes
     assert (json.dumps(tenants_report(serial), sort_keys=True)
@@ -130,12 +141,12 @@ def test_parallel_tenants_is_bit_identical_to_serial():
 def test_warm_cache_tenants_rerun_executes_nothing(tmp_path):
     cold = SweepRunner(jobs=2, cache=ResultCache(root=tmp_path,
                                                  version="test"))
-    first = cold.run(tenants_sweep(**SMALL))
+    first = cold.run(tenants_sweep(_spec(GOLDEN, **SMALL)))
     assert cold.stats.executed == 1 and cold.stats.cache_hits == 0
 
     warm = SweepRunner(jobs=1, cache=ResultCache(root=tmp_path,
                                                  version="test"))
-    second = warm.run(tenants_sweep(**SMALL))
+    second = warm.run(tenants_sweep(_spec(GOLDEN, **SMALL)))
     assert warm.stats.executed == 0 and warm.stats.cache_hits == 1
     assert first.rows == second.rows
     assert first.render() == second.render()
@@ -145,11 +156,13 @@ def test_degenerate_config_is_the_saturation_sweep_bit_exactly():
     """No skew, no diurnal, no QoS: the tenant sweep *is* the saturation
     sweep — same cell digests (a warm `repro saturate` cache satisfies
     it with zero executions), same rows."""
-    shared = dict(systems=("rio",), loads_kiops=(50, 100), initiators=1,
-                  duration=1e-3, seed=7)
-    degenerate = tenants_sweep(streams=2, num_tenants=1, zipf_alpha=None,
-                               diurnal_amplitude=0.0, qos=False, **shared)
-    base = saturation_sweep(tenants=2, **shared)
+    base_doc = {"scenario": "saturate", "topology": {"initiators": 1},
+                "workload": {"systems": ["rio"], "loads_kiops": [50, 100],
+                             "duration": 1e-3, "seed": 7, "tenants": 2}}
+    degenerate = tenants_sweep(_spec(
+        GOLDEN, systems=["rio"], loads_kiops=[50, 100], num_tenants=1,
+        zipf_alpha=None, diurnal_amplitude=0.0, qos=False))
+    base = saturation_sweep(ScenarioSpec.from_dict(base_doc))
     assert [s.digest() for s in degenerate.specs] == \
            [s.digest() for s in base.specs]
     rows = SweepRunner(jobs=1).run(degenerate).rows
@@ -157,19 +170,14 @@ def test_degenerate_config_is_the_saturation_sweep_bit_exactly():
 
 
 def test_nondegenerate_config_changes_the_digests():
-    shared = dict(systems=("rio",), loads_kiops=(50,), initiators=1,
-                  duration=1e-3, seed=7)
-    skewed = tenants_sweep(streams=2, num_tenants=8, zipf_alpha=1.1,
-                           **shared)
-    base = saturation_sweep(tenants=2, **shared)
+    skewed = tenants_sweep(_spec(GOLDEN, **SMALL, num_tenants=8,
+                                 diurnal_amplitude=0.0, qos=False))
+    base = saturation_sweep(ScenarioSpec.from_dict(
+        {"scenario": "saturate", "topology": {"initiators": 1},
+         "workload": {"systems": ["rio"], "loads_kiops": [50],
+                      "duration": 1e-3, "seed": 7, "tenants": 2}}))
     assert {s.digest() for s in skewed.specs}.isdisjoint(
         {s.digest() for s in base.specs})
-
-
-def test_tenants_is_a_registered_figure():
-    assert "tenants" in figures.SWEEP_BUILDERS
-    sweep = figures.SWEEP_BUILDERS["tenants"](**SMALL)
-    assert len(sweep.specs) == 1
 
 
 # ----------------------------------------------------------------------
@@ -178,8 +186,8 @@ def test_tenants_is_a_registered_figure():
 
 
 def test_probe_reports_per_class_columns():
-    row = probe_tenants("rio", "optane", 50, **{
-        k: v for k, v in SMALL.items()
+    row = probe_tenants("rio", "optane", 50, initiators=1, **{
+        k: v for k, v in GOLDEN["workload"].items()
         if k not in ("systems", "loads_kiops")})
     assert row["achieved_kiops"] > 0
     for name in ("gold", "silver", "bronze"):
@@ -196,9 +204,13 @@ def test_probe_rejects_unknown_layout():
 
 
 def test_default_load_ladder_matches_saturate():
-    from repro.harness.saturate import DEFAULT_LOADS_KIOPS
-
-    assert DEFAULT_TENANT_LOADS_KIOPS == DEFAULT_LOADS_KIOPS
+    tenants = ScenarioSpec.from_dict({"scenario": "tenants"})
+    saturate = ScenarioSpec.from_dict({"scenario": "saturate"})
+    # Same values and the same int literals: cell digests care.
+    assert (tenants.workload["loads_kiops"]
+            == saturate.workload["loads_kiops"])
+    assert all(isinstance(load, int)
+               for load in tenants.workload["loads_kiops"])
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +278,7 @@ def test_weights_and_blocks_are_validated():
 
 
 def test_golden_tenants_report(request):
-    result = SweepRunner(jobs=1).run(tenants_sweep(**GOLDEN_KWARGS))
+    result = SweepRunner(jobs=1).run(tenants_sweep(_spec(GOLDEN)))
     report = tenants_report(result)
     if request.config.getoption("--regen-goldens"):
         GOLDEN_PATH.write_text(json.dumps(report, indent=1,

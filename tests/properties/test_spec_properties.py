@@ -1,6 +1,7 @@
 """Property-based ScenarioSpec guarantees: for any valid document,
 serialize → parse → canonicalize is idempotent, the digest is stable
-under renaming/reordering, and diff is a true equivalence check.
+under renaming/reordering, and diff is a true equivalence check; for any
+JSON value at all, loading yields a spec or a SpecError, nothing else.
 
 No simulation runs here — these exercise the model only, so the suite
 stays fast enough for every CI tier.
@@ -10,7 +11,14 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from repro.spec import ScenarioSpec, diff_specs, load_spec
+from repro.spec import (
+    SCENARIOS,
+    ScenarioSpec,
+    SpecError,
+    diff_specs,
+    load_spec,
+)
+from repro.spec import scenario as scenario_mod
 
 # ----------------------------------------------------------------------
 # Document strategies (valid by construction)
@@ -163,3 +171,63 @@ def test_integer_loads_stay_integers(loads):
     )
     assert spec.workload["loads_kiops"] == loads
     assert all(isinstance(v, int) for v in spec.workload["loads_kiops"])
+
+
+# ----------------------------------------------------------------------
+# Robustness: arbitrary JSON never escapes as anything but SpecError
+# ----------------------------------------------------------------------
+
+#: Every name the loader knows: top-level keys, section fields, legacy
+#: keys, and values that steer it (scenarios, modes, kinds, names).
+_FIELD_NAMES = sorted(
+    {"version", "scenario", "name", "topology", "devices", "workload",
+     "faults", "policies", "oracle", "kind", "spec", "timed"}
+    | {key for table in scenario_mod._WORKLOADS.values() for key in table}
+    | set(scenario_mod._TOPOLOGY) | set(scenario_mod._DEVICES)
+    | set(scenario_mod._POLICIES) | set(scenario_mod._ORACLE)
+    | set(scenario_mod._FAULT_FIELDS) | set(scenario_mod._WORKLOAD_SPEC_KEYS)
+    | {key for table in scenario_mod._TIMED_KINDS.values() for key in table}
+)
+_MEANINGFUL = [
+    *SCENARIOS, *scenario_mod._TIMED_KINDS, "repro-check-reproducer",
+    "fig3", "fig14", "recovery", "rio", "linux", "optane", "flash-qual",
+    "gray", "storm", "smoke", "full", "off", "pin",
+]
+
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(max_size=8), st.sampled_from(_MEANINGFUL),
+)
+_keys = st.one_of(st.sampled_from(_FIELD_NAMES), st.text(max_size=8))
+json_values = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(_keys, children, max_size=5),
+    ),
+    max_leaves=16,
+)
+#: Documents that get past the first checks: a real scenario, real
+#: section names, arbitrary (often real-keyed) contents.
+scenario_shaped = st.fixed_dictionaries(
+    {"scenario": st.sampled_from(SCENARIOS)},
+    optional={
+        section: st.dictionaries(_keys, json_values, max_size=5)
+        for section in ("topology", "devices", "workload", "faults",
+                        "policies", "oracle")
+    },
+)
+reproducer_shaped = st.fixed_dictionaries(
+    {"kind": st.just("repro-check-reproducer")},
+    optional={"spec": json_values},
+)
+
+
+@given(doc=st.one_of(json_values, scenario_shaped, reproducer_shaped))
+@settings(max_examples=400, deadline=None)
+def test_load_spec_yields_a_spec_or_a_spec_error(doc):
+    try:
+        spec = load_spec(doc)
+    except SpecError:
+        return
+    assert isinstance(spec, ScenarioSpec)

@@ -1,5 +1,6 @@
-"""Differential tests: a compiled ScenarioSpec must render bit-identically
-to the legacy kwargs entry point it replaces, for every verb."""
+"""run_scenario: figure, chaos and check specs render bit-identically to
+their direct entry points; claims wiring; both cache layers; and the
+reproducers of failing scenarios."""
 
 import pytest
 
@@ -53,62 +54,6 @@ def test_check_spec_matches_kwargs():
     assert outcome.ok
 
 
-def test_saturate_spec_matches_kwargs():
-    from repro.harness.saturate import saturation_curves
-
-    outcome = run_scenario(ScenarioSpec.from_dict(
-        {"scenario": "saturate",
-         "workload": {"systems": ["rio"], "loads_kiops": [100],
-                      "duration": 1e-3}}
-    ))
-    legacy = saturation_curves(systems=("rio",), loads_kiops=(100,),
-                               duration=1e-3)
-    assert outcome.render() == legacy.render()
-
-
-def test_overload_metastable_spec_matches_kwargs():
-    from repro.harness.overload import overload_curves
-
-    outcome = run_scenario(ScenarioSpec.from_dict(
-        {"scenario": "overload",
-         "workload": {"mode": "metastable", "duration": 1e-3,
-                      "loads_kiops": [200], "systems": ["rio"]},
-         "policies": {"protections": ["off"]}}
-    ))
-    legacy = overload_curves(systems=("rio",), protections=("off",),
-                             loads_kiops=(200,), duration=1e-3)
-    assert outcome.render() == legacy.render()
-
-
-def test_overload_gray_spec_matches_kwargs():
-    from repro.harness.overload import gray_result
-
-    outcome = run_scenario(ScenarioSpec.from_dict(
-        {"scenario": "overload",
-         "workload": {"mode": "gray", "duration": 2e-3,
-                      "offered_kiops": 60}}
-    ))
-    legacy = gray_result(duration=2e-3, offered_kiops=60)
-    assert outcome.render() == legacy.render()
-
-
-def test_qualify_cell_spec_matches_kwargs():
-    from repro.harness.qualify import qualify_report
-
-    outcome = run_scenario(ScenarioSpec.from_dict(
-        {"scenario": "qualify",
-         "workload": {"profile": "smoke", "systems": ["rio"],
-                      "blocks_kib": [4], "queue_depths": [1],
-                      "patterns": ["seq"], "sustained": False},
-         "oracle": {"enabled": False}}
-    ))
-    legacy = qualify_report(profile="smoke", systems=("rio",),
-                            blocks_kib=(4,), queue_depths=(1,),
-                            patterns=("seq",), sustained=False,
-                            oracle=False)
-    assert outcome.render() == legacy.render()
-
-
 def test_claims_spec_drives_the_scorecard(monkeypatch):
     """The claims compiler forwards the spec duration to the scorecard
     and maps a partial score to a failing outcome carrying the spec
@@ -159,22 +104,21 @@ def test_scenario_level_cache_returns_identical_outcome(tmp_path):
     assert warm.render() == cold.render()
 
 
-def test_cell_cache_is_shared_with_the_kwargs_entry_point(tmp_path):
-    """A spec-compiled cell and the same kwargs-form cell share one
-    digest, so either path warms the other."""
-    from repro.harness.saturate import saturation_curves
-    from repro.harness.sweep import configured
-
+def test_cell_cache_is_shared_across_scenarios(tmp_path):
+    """A degenerate tenant mix is the saturation sweep cell for cell: a
+    saturate run warms every cell the tenants spec needs (different
+    scenario-level key, same cell keys)."""
     cache = ResultCache(root=tmp_path)
-    with configured(cache=cache) as runner:
-        saturation_curves(systems=("rio",), loads_kiops=(50,),
-                          duration=5e-4)
-        assert runner.stats.executed > 0
-    # The spec path reuses the kwargs path's cells (different
-    # scenario-level key, same cell keys).
-    outcome = run_scenario(_tiny_saturate_spec(), cache=cache)
+    cold = run_scenario(_tiny_saturate_spec(), cache=cache)
+    assert cold.stats.executed > 0
+    outcome = run_scenario(ScenarioSpec.from_dict(
+        {"scenario": "tenants",
+         "workload": {"systems": ["rio"], "loads_kiops": [50],
+                      "duration": 5e-4, "zipf_alpha": None}}
+    ), cache=cache)
     assert outcome.stats.executed == 0
     assert outcome.stats.cache_hits > 0
+    assert outcome.render() == cold.render()
 
 
 def test_stats_are_attached_to_the_outcome():
@@ -199,9 +143,9 @@ def test_dump_reproducers_writes_loadable_specs(tmp_path):
     assert spec.digest()[:12] in path
 
 
-def test_failing_chaos_trial_yields_a_narrowed_spec(monkeypatch):
+def test_failing_chaos_trial_yields_a_narrowed_spec():
     """Force one trial to fail and check the reproducer pins its seed."""
-    import repro.spec.compile as compile_mod
+    from repro.spec.compile import _run_sweep
 
     class FakeTrial:
         def __init__(self, system, seed, ok):
@@ -211,18 +155,17 @@ def test_failing_chaos_trial_yields_a_narrowed_spec(monkeypatch):
             return f"{self.system}/seed{self.seed}: {'ok' if self.ok else 'FAIL'}"
 
     class FakeRunner:
-        stats = None
+        """Reduces the real chaos sweep over canned trial results."""
 
-        def map(self, specs):
-            return [FakeTrial("rio", 1000, True),
-                    FakeTrial("rio", 1001, False)]
+        def run(self, sweep):
+            assert len(sweep.specs) == 2
+            return sweep.reduce([FakeTrial("rio", 1000, True),
+                                 FakeTrial("rio", 1001, False)])
 
-    monkeypatch.setattr("repro.harness.sweep.get_runner",
-                        lambda: FakeRunner())
     spec = ScenarioSpec.from_dict(
         {"scenario": "chaos", "workload": {"systems": ["rio"], "trials": 2}}
     )
-    outcome = compile_mod._run_chaos(spec)
+    outcome = _run_sweep(spec, FakeRunner())
     assert not outcome.ok
     (repro_spec,) = outcome.reproducers
     assert repro_spec.workload["systems"] == ["rio"]
@@ -230,44 +173,3 @@ def test_failing_chaos_trial_yields_a_narrowed_spec(monkeypatch):
     assert repro_spec.workload["base_seed"] == 1001
     # The reproducer is itself a valid, canonical spec.
     assert ScenarioSpec.from_json(repro_spec.canonical_json()) == repro_spec
-
-
-def test_tenants_curves_spec_matches_kwargs():
-    from repro.harness.tenants import tenant_curves
-
-    outcome = run_scenario(ScenarioSpec.from_dict(
-        {"scenario": "tenants",
-         "workload": {"systems": ["rio"], "loads_kiops": [50],
-                      "streams": 2, "num_tenants": 8, "duration": 1e-3,
-                      "seed": 7},
-         "topology": {"initiators": 1}}
-    ))
-    legacy = tenant_curves(systems=("rio",), loads_kiops=(50,), streams=2,
-                           num_tenants=8, duration=1e-3, seed=7,
-                           initiators=1)
-    assert outcome.render() == legacy.render()
-
-
-def test_tenants_storm_cells_are_shared_with_the_kwargs_entry_point(
-    tmp_path,
-):
-    """The storm spec compiles to the very same content-addressed cells
-    as `noisy_neighbor_result()` called with kwargs (defaults trimmed,
-    the PR 9 idiom): a warm cache from one satisfies the other with
-    zero executions."""
-    from repro.harness import sweep as sweep_mod
-    from repro.harness.cache import ResultCache
-    from repro.harness.tenants import noisy_neighbor_result
-
-    cache = ResultCache(root=tmp_path, version="test")
-    with sweep_mod.configured(jobs=1, cache=cache):
-        kwargs_result = noisy_neighbor_result(systems=("rio",))
-    assert cache.hits == 0
-
-    warm = ResultCache(root=tmp_path, version="test")
-    outcome = run_scenario(ScenarioSpec.from_dict(
-        {"scenario": "tenants",
-         "workload": {"mode": "storm", "systems": ["rio"]}}
-    ), cache=warm)
-    assert warm.hits >= len(kwargs_result.rows)
-    assert outcome.result.rows == kwargs_result.rows

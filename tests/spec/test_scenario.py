@@ -101,6 +101,30 @@ def test_number_fields_preserve_int_vs_float():
         ({"scenario": "figure", "workload": {"figure": "fig99"}},
          "unknown figure"),
         ({"scenario": "figure"}, "figure"),  # required field missing
+        ({"scenario": "figure",
+          "workload": {"figure": "fig3", "options": {"bogus": 1}}},
+         "unexpected keyword argument 'bogus'"),
+        # fig14 and recovery take no measurement window.
+        ({"scenario": "figure",
+          "workload": {"figure": "fig14", "options": {"duration": 1e-3}}},
+         "'duration'"),
+        ({"scenario": "figure",
+          "workload": {"figure": "recovery", "options": {"duration": 1}}},
+         "'duration'"),
+        ({"scenario": "saturate",
+          "workload": {"loads_kiops": [float("nan")]}},
+         "loads_kiops.0.: nan is not a finite number"),
+        ({"scenario": "saturate", "workload": {"duration": float("inf")}},
+         "duration: inf is not a finite number"),
+        ({"scenario": "overload",
+          "workload": {"offered_kiops": float("-inf")}},
+         "offered_kiops: -inf is not a finite number"),
+        ({"scenario": "qualify",
+          "policies": {"floors": {"matrix/rio/4K/qd1/seq":
+                                  {"min_kiops": float("nan")}}}},
+         "min_kiops: nan is not a finite number"),
+        ({"scenario": "saturate", "workload": {"duration": 10 ** 400}},
+         "duration: number out of range"),
     ],
 )
 def test_invalid_documents_raise_spec_error(data, fragment):
@@ -312,6 +336,9 @@ def test_load_spec_rejects_garbage():
         load_spec({"what": "is this"})
     with pytest.raises(SpecError, match="expected an object"):
         load_spec([1, 2, 3])
+    for payload in ({}, {"spec": [1]}):  # a reproducer without a spec
+        with pytest.raises(SpecError, match='expected a "spec" object'):
+            load_spec({"kind": "repro-check-reproducer", **payload})
 
 
 def test_load_spec_file_wraps_errors_with_the_path(tmp_path):
