@@ -21,10 +21,10 @@ from the initiator's and targets' busy cores during the measured window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
 
 from repro.cluster import Cluster
 from repro.sim.engine import Environment
+from repro.sim.resources import IssueWindow
 from repro.sim.rng import DeterministicRNG
 from repro.sim.stats import LatencyRecorder
 from repro.systems.base import OrderedStack
@@ -101,7 +101,7 @@ def run_block_workload(
         core = cluster.initiator.cpus.pick(thread_id)
         base = thread_id * THREAD_AREA_BLOCKS
         seq_cursor = 0
-        inflight: List = []
+        window = IssueWindow(env, max(1, queue_depth // batch), complete)
 
         def next_lba(size: int) -> int:
             nonlocal seq_cursor
@@ -156,15 +156,9 @@ def run_block_workload(
                 events = [done]
                 op_blocks = write_blocks
 
-            tracker = env.all_of(events)
-            env.process(watch(issued_at, len(events), op_blocks, tracker))
-            inflight.append(tracker)
-            while len(inflight) >= max(1, queue_depth // max(1, batch)):
-                yield env.any_of(inflight)
-                inflight = [t for t in inflight if not t.triggered]
+            yield from window.issue(events, issued_at, len(events), op_blocks)
 
-    def watch(issued_at, nops, op_blocks, tracker):
-        yield tracker
+    def complete(issued_at, nops, op_blocks):
         if warmup <= env.now <= end_time:
             result.ops += nops
             result.bytes_written += op_blocks * 4096

@@ -28,6 +28,7 @@ from repro.harness.experiment import FigureResult, build_cluster, fio_run
 from repro.hw.ssd import OPTANE_905P
 from repro.scale.cluster import ScaleOutCluster
 from repro.sim.engine import Environment
+from repro.sim.resources import IssueWindow
 from repro.systems import make_stack
 from repro.systems.rio import RioStack
 
@@ -246,34 +247,31 @@ def multi_initiator_scaling(
             )
             for node in cluster.nodes
         ]
-        done = [0]
+        windows = []
 
         def writer(node, stream):
             core = node.cpus.pick(stream)
             rio = devices[node.index]
             area = (node.index * streams_per_initiator + stream) * 8_000_000
-            inflight = []
+            window = IssueWindow(env, 32)
+            windows.append(window)
             i = 0
             while env.now < duration:
                 event = yield from rio.write(
                     core, stream, lba=area + i * 2, nblocks=1,
                 )
                 i += 1
-                inflight.append(event)
-                if len(inflight) >= 32:
-                    yield env.any_of(inflight)
-                    for e in inflight:
-                        if e.triggered:
-                            done[0] += 1
-                    inflight = [e for e in inflight if not e.triggered]
+                yield from window.issue([event])
 
         for node in cluster.nodes:
             for stream in range(streams_per_initiator):
                 env.process(writer(node, stream))
         env.run(until=duration)
+        # A write counts once a wake of its writer has seen it complete.
+        done = sum(window.refreshed for window in windows)
         result.add(
             initiators=count,
-            total_kiops=done[0] / duration / 1e3,
-            per_initiator_kiops=done[0] / duration / 1e3 / count,
+            total_kiops=done / duration / 1e3,
+            per_initiator_kiops=done / duration / 1e3 / count,
         )
     return result

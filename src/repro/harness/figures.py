@@ -46,6 +46,7 @@ from repro.harness.experiment import (
     fio_run,
 )
 from repro.harness.sweep import RunSpec, Sweep, run_sweep
+from repro.sim.resources import IssueWindow
 
 __all__ = [
     "fig02_motivation",
@@ -188,16 +189,13 @@ def probe_recovery_trial(system: str, seed: int, threads: int, layout: str,
     def writer(thread_id):
         core = cluster.initiator.cpus.pick(thread_id)
         lba = thread_id * 16_000_000
-        inflight = []
+        window = IssueWindow(env, 32)
         while True:
             done = yield from stack.write_ordered(
                 core, thread_id, lba=lba, nblocks=1,
             )
             lba += 2
-            inflight.append(done)
-            if len(inflight) >= 32:
-                yield env.any_of(inflight)
-                inflight = [e for e in inflight if not e.triggered]
+            yield from window.issue([done])
 
     for thread_id in range(threads):
         env.process(writer(thread_id))

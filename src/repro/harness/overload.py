@@ -170,6 +170,7 @@ def _run_status_loop(
         TENANT_AREA_BLOCKS,
     )
     from repro.sim.engine import Environment
+    from repro.sim.resources import IssueWindow
     from repro.sim.rng import DeterministicRNG
     from repro.sim.stats import LatencyRecorder
 
@@ -183,8 +184,7 @@ def _run_status_loop(
     while len(recorders) < tenants:
         recorders.append(LatencyRecorder())
 
-    def watch(tenant, arrival, events, tracker):
-        yield tracker
+    def complete(tenant, arrival, events):
         if not (warmup <= env.now <= end_time):
             return
         statuses = [
@@ -217,7 +217,7 @@ def _run_status_loop(
                 return base + slot * 4
 
         arrival = 0.0
-        inflight: List = []
+        window = IssueWindow(env, OPEN_LOOP_INFLIGHT_CAP, complete)
         while True:
             arrival += rng.expovariate(per_tenant_rate)
             if arrival >= end_time:
@@ -233,12 +233,7 @@ def _run_status_loop(
                 end_of_group=True, deadline=deadline,
             )
             events = [done]
-            tracker = env.all_of(events)
-            env.process(watch(tenant, arrival, events, tracker))
-            inflight.append(tracker)
-            while len(inflight) >= OPEN_LOOP_INFLIGHT_CAP:
-                yield env.any_of(inflight)
-                inflight = [t for t in inflight if not t.triggered]
+            yield from window.issue(events, tenant, arrival, events)
 
     def measurement():
         yield env.timeout(warmup)

@@ -45,32 +45,25 @@ class Core:
         self._resource = Resource(env, capacity=1)
 
     def run(self, duration: float):
-        """Generator: occupy this core for ``duration`` seconds of work.
+        """Occupy this core for ``duration`` seconds of work — ``yield from
+        core.run(0.5e-6)``.
 
-        Usage: ``yield from core.run(0.5e-6)``.  Work on the same core is
-        serialized FIFO; busy time accrues only while work actually runs.
-        A free core and a wait that would dispatch next complete in place,
-        so this may return without ever yielding (the in-place waits of
+        Work on the same core is serialized FIFO; busy time accrues only
+        while work actually runs.  Returns the core resource's
+        :meth:`~repro.sim.resources.Resource.hold` generator, which
+        integrates the busy time itself: a free core and a charge that
+        would dispatch next complete in place, with no helper call and
+        without ever yielding (the in-place waits of
         :mod:`repro.sim.engine`).
         """
         if duration < 0:
             raise ValueError(f"negative CPU work: {duration}")
-        resource = self._resource
-        grant = resource.request_or_none()
-        if grant is not None:
-            yield grant
-        self.tracker.begin()
-        try:
-            timeout = self.env.timeout_or_none(duration)
-            if timeout is not None:
-                yield timeout
-        finally:
-            self.tracker.end()
-            resource.release()
+        return self._resource.hold(duration, self.tracker)
 
     def context_switch(self):
-        """Generator: charge one sleep/wake context-switch pair."""
-        yield from self.run(2 * CONTEXT_SWITCH_COST)
+        """Charge one sleep/wake context-switch pair — ``yield from
+        core.context_switch()``."""
+        return self.run(2 * CONTEXT_SWITCH_COST)
 
     @property
     def queued_work(self) -> int:

@@ -22,9 +22,10 @@ NIC_BANDWIDTH = 25e9
 class Nic:
     """One RDMA NIC port with independent TX and RX bandwidth pipes.
 
-    A free pipe and a wire time that would dispatch next complete in place
-    (the in-place waits of :mod:`repro.sim.engine`), so ``occupy_tx`` and
-    ``occupy_rx`` may return without ever yielding.
+    ``occupy_tx`` and ``occupy_rx`` are one :meth:`~repro.sim.resources.
+    Resource.hold` of the pipe each: a free pipe and a wire time that would
+    dispatch next complete in place (the in-place waits of
+    :mod:`repro.sim.engine`), so they may return without ever yielding.
     """
 
     def __init__(
@@ -49,33 +50,17 @@ class Nic:
 
     def occupy_tx(self, nbytes: int):
         """Generator: hold the TX pipe for the wire time of ``nbytes``."""
-        pipe = self._tx
-        grant = pipe.request_or_none()
-        if grant is not None:
-            yield grant
-        try:
-            timeout = self.env.timeout_or_none(
-                nbytes / self.bandwidth * self.inflation)
-            if timeout is not None:
-                yield timeout
-            self.bytes_sent += nbytes
-        finally:
-            pipe.release()
+        yield from self._tx.hold(nbytes / self.bandwidth, scale=self._inflate)
+        self.bytes_sent += nbytes
 
     def occupy_rx(self, nbytes: int):
         """Generator: hold the RX pipe for the wire time of ``nbytes``."""
-        pipe = self._rx
-        grant = pipe.request_or_none()
-        if grant is not None:
-            yield grant
-        try:
-            timeout = self.env.timeout_or_none(
-                nbytes / self.bandwidth * self.inflation)
-            if timeout is not None:
-                yield timeout
-            self.bytes_received += nbytes
-        finally:
-            pipe.release()
+        yield from self._rx.hold(nbytes / self.bandwidth, scale=self._inflate)
+        self.bytes_received += nbytes
+
+    def _inflate(self, wire_time: float) -> float:
+        """The wire time under the inflation in force at the grant."""
+        return wire_time * self.inflation
 
     def __repr__(self) -> str:
         return f"<Nic {self.name} {self.bandwidth / 1e9:.0f} GB/s>"

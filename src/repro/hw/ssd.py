@@ -602,13 +602,10 @@ class NvmeSsd:
         yield from self._slots.acquire()
         try:
             # Host DMA over the interface.
-            yield from self._interface.acquire()
-            try:
-                yield from self.env.sleep(
-                    self._service_time(io.nbytes / profile.interface_bandwidth)
-                )
-            finally:
-                self._interface.release()
+            yield from self._interface.hold(
+                io.nbytes / profile.interface_bandwidth,
+                scale=self._service_time,
+            )
             self._check_epoch(epoch)
 
             if profile.plp:
@@ -619,13 +616,10 @@ class NvmeSsd:
                     yield from self._await_barrier_turn(io, epoch)
                     yield from self._barrier_lane.acquire()
                 try:
-                    yield from self._media_pipe.acquire()
-                    try:
-                        yield from self.env.sleep(self._service_time(
-                            io.nbytes / profile.media_bandwidth
-                        ))
-                    finally:
-                        self._media_pipe.release()
+                    yield from self._media_pipe.hold(
+                        io.nbytes / profile.media_bandwidth,
+                        scale=self._service_time,
+                    )
                     self._check_epoch(epoch)
                     yield from self.env.sleep(self._service_time(
                         self.rng.jitter(profile.write_latency, 0.05)
@@ -699,13 +693,10 @@ class NvmeSsd:
                 self._service_time(self.rng.jitter(profile.read_latency, 0.05))
             )
             self._check_epoch(epoch)
-            yield from self._interface.acquire()
-            try:
-                yield from self.env.sleep(
-                    self._service_time(io.nbytes / profile.interface_bandwidth)
-                )
-            finally:
-                self._interface.release()
+            yield from self._interface.hold(
+                io.nbytes / profile.interface_bandwidth,
+                scale=self._service_time,
+            )
             self._check_epoch(epoch)
             io.payload = [
                 self.current_payload(lba) for lba in range(io.lba, io.lba + io.nblocks)

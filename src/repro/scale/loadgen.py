@@ -24,10 +24,12 @@ stream to its owning initiator host.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
-from repro.sim.engine import Environment
+from repro.sim.engine import Environment, Event
+from repro.sim.resources import IssueWindow
 from repro.sim.rng import DeterministicRNG
 from repro.sim.stats import LatencyRecorder
 
@@ -232,8 +234,7 @@ def run_open_loop(cluster, stack, config: OpenLoopConfig,
     blocks = _tenant_blocks(config)
     peak = plane.peak_factor() if plane is not None else 1.0
 
-    def watch(arrival, nops, tracker, who=None):
-        yield tracker
+    def complete(arrival, nops, who):
         if config.warmup <= env.now <= end_time:
             result.ops += nops
             if arrival >= config.warmup:
@@ -251,7 +252,7 @@ def run_open_loop(cluster, stack, config: OpenLoopConfig,
             tenant * TENANT_AREA_BLOCKS, op_blocks,
         )
         arrival = 0.0
-        inflight: List = []
+        window = IssueWindow(env, OPEN_LOOP_INFLIGHT_CAP, complete)
         while True:
             arrival += rng.expovariate(rates[tenant] * peak)
             if arrival >= end_time:
@@ -267,12 +268,7 @@ def run_open_loop(cluster, stack, config: OpenLoopConfig,
                 stack, core, tenant, next_lba, config, tenant=who,
                 nblocks=blocks[tenant],
             )
-            tracker = env.all_of(events)
-            env.process(watch(arrival, nops, tracker, who))
-            inflight.append(tracker)
-            while len(inflight) >= OPEN_LOOP_INFLIGHT_CAP:
-                yield env.any_of(inflight)
-                inflight = [t for t in inflight if not t.triggered]
+            yield from window.issue(events, arrival, nops, who)
 
     def measurement():
         yield env.timeout(config.warmup)
@@ -303,8 +299,7 @@ def run_closed_loop(cluster, stack, config: ClosedLoopConfig,
     end_time = config.warmup + config.duration
     op_blocks = 3 if config.pattern == "journal" else config.write_blocks
 
-    def watch(issued_at, nops, tracker, who=None):
-        yield tracker
+    def complete(issued_at, nops, who):
         if config.warmup <= env.now <= end_time:
             result.ops += nops
             if issued_at >= config.warmup:
@@ -320,18 +315,19 @@ def run_closed_loop(cluster, stack, config: ClosedLoopConfig,
             rng.fork("lba"), config.pattern,
             tenant * TENANT_AREA_BLOCKS, op_blocks,
         )
-        inflight: List = []
+        # Trackers only: this loop waits for the *oldest* op (head of
+        # line), a different rule from IssueWindow.issue's wait for any.
+        window = IssueWindow(env, config.queue_depth, complete)
+        inflight: Deque[Event] = deque()
         while env.now < end_time:
             issued_at = env.now
             who = plane.pick(tenant, plane_rng) if plane is not None else None
             events, nops = yield from _issue_op(
                 stack, core, tenant, next_lba, config, tenant=who
             )
-            tracker = env.all_of(events)
-            env.process(watch(issued_at, nops, tracker, who))
-            inflight.append(tracker)
+            inflight.append(window.track(events, issued_at, nops, who))
             while len(inflight) >= config.queue_depth:
-                head = inflight.pop(0)
+                head = inflight.popleft()
                 if not head.triggered:
                     yield head
             if config.think_time > 0:

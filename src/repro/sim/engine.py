@@ -48,8 +48,8 @@ _advance`).  Advancing to ``t`` moves *every* heap entry due at ``t`` onto
 In-place waits
 --------------
 
-Two waits finish without creating an event when that event would be the
-very next one dispatched.  Both apply only while the process is driven by
+Three waits finish without creating an event when that event would be the
+very next one dispatched.  All apply only while the process is driven by
 :meth:`Environment.run`'s inline loop: ``run()`` stores its ``until`` in
 ``_inline_limit`` and :meth:`Process._step` masks it to ``-inf`` while it
 drives a generator, because its caller (:meth:`~Environment.step`,
@@ -71,13 +71,28 @@ interrupt) may have more to run at the current time.
   advances rarer).  The timeout would have been the unique earliest
   entry, the clock would have advanced to it, and the yield would have
   been handed off to it.
+* **One-frame hold** (:meth:`repro.sim.resources.Resource.hold`): grant,
+  hold for a duration, release, as one generator that inlines both tests
+  above, so a free slot and a hold that would dispatch next cost no
+  helper call and no yield.  ``Core.run`` (which integrates its busy time
+  in the same frame), the NIC pipes and the SSD's interface and media
+  pipes are holds.
 
-In both cases the process continues at the same time, with the same
+In every case the process continues at the same time, with the same
 value, before any other event, exactly as in the ``(time, eid)`` order;
 only an event, its heap or queue entry and the trip up and down the
 ``yield from`` chain are saved.  Skipped eids leave the relative order of
-the others unchanged.  In every other case both fall back to the plain
+the others unchanged.  In every other case they fall back to the plain
 event.
+
+The closed-loop drivers keep their queue-depth windows in a
+:class:`repro.sim.resources.IssueWindow`, which reproduces the old
+``any_of`` over every op in flight at O(1) host work per op.  It keeps
+that loop's stale in-flight count (refreshed only after a wake, to the
+ops not yet triggered then) and wakes at the dispatch of the first op
+that triggered after the last refresh, using only a trigger count and a
+dispatch count: op trackers go through the FIFO ready queue, so they
+dispatch in trigger order.
 
 Performance notes
 -----------------

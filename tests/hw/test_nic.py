@@ -64,3 +64,27 @@ def test_byte_counters_accumulate():
     env.run_until_event(env.process(proc(env)))
     assert nic.bytes_sent == 400
     assert nic.bytes_received == 200
+
+
+def test_queued_transfer_uses_the_inflation_at_its_grant():
+    """A gray-failure degrade landing while a transfer waits for the pipe
+    slows that transfer: its wire time is computed when the pipe is
+    granted, not when the transfer was queued."""
+    env = Environment()
+    nic = Nic(env, bandwidth=1e9)
+    finished = {}
+
+    def tx(tag):
+        yield from nic.occupy_tx(1_000_000)
+        finished[tag] = env.now
+
+    def degrade():
+        yield env.timeout(0.5e-3)
+        nic.inflation = 3.0
+
+    env.process(tx("first"))
+    env.process(tx("queued"))
+    env.process(degrade())
+    env.run()
+    assert finished["first"] == pytest.approx(1e-3)
+    assert finished["queued"] == pytest.approx(1e-3 + 3e-3)

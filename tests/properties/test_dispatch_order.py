@@ -17,15 +17,17 @@ non-event yields, and a driver that alternates ``run(until=...)``,
 ``run_until_event`` and ``step``.  Every resume, callback and segment
 boundary is logged; the logs must be equal.
 
-The programs also exercise the engine's in-place waits: ``env.sleep`` and
-``Core.run``-shaped holds (``Resource.acquire``, ``env.sleep``, release;
-on a real :class:`~repro.hw.cpu.Core` too, whose busy time is logged), on
-a resource that ``request()`` holds contend for.  Their wake times tie
-with pending heap entries and with ``run(until=...)``, and processes are
-resumed by ``step()``, ``run_until_event`` and events with several
-callbacks, where a wait must not complete in place.  The reference never
-takes the in-place path: its ``run()`` leaves the engine's inline limit at
-``-inf``.
+The programs also exercise the engine's in-place waits: ``env.sleep``,
+holds built from ``Resource.acquire``, ``env.sleep`` and release, and the
+one-frame ``Resource.hold``, plain, as the TX pipe of a real
+:class:`~repro.hw.nic.Nic` (whose inflation can change while a transfer
+queues) and on a real :class:`~repro.hw.cpu.Core` (whose busy time is
+logged).  The plain holds and the NIC share the pipe that ``request()``
+holds contend for.  Their wake times tie with pending heap entries and
+with ``run(until=...)``, and processes are resumed by ``step()``,
+``run_until_event`` and events with several callbacks, where a wait must
+not complete in place.  The reference never takes the in-place path: its
+``run()`` leaves the engine's inline limit at ``-inf``.
 """
 
 from collections import deque
@@ -34,7 +36,8 @@ from heapq import heapify, heappop, heappush
 from hypothesis import example, given, settings, strategies as st
 
 from repro.hw.cpu import Core
-from repro.sim import Environment, Interrupt, Resource, SimulationError, Store
+from repro.hw.nic import Nic
+from repro.sim import Environment, Interrupt, SimulationError, Store
 from repro.sim.engine import _CANCELLED, _PROCESSED, Condition, _all_fired, _any_fired
 
 _INF = float("inf")
@@ -142,7 +145,10 @@ def play(env_cls, scripts, segments):
     timeouts = []
     procs = []
     stores = (Store(env), Store(env, capacity=1))
-    resource = Resource(env, capacity=1)
+    # 1 byte per microsecond: a transfer of k bytes takes _DELAYS-sized
+    # wire times.
+    nic = Nic(env, bandwidth=1e6)
+    resource = nic._tx
     core = Core(env, 0)
 
     def delay(k):
@@ -162,13 +168,23 @@ def play(env_cls, scripts, segments):
             yield from env.sleep(delay(op[1]))
             return env.now
         if kind == "charge":
-            # Core.run's shape on the resource "hold" requests contend for.
+            # acquire, sleep, release on the pipe "request" holds contend
+            # for.
             yield from resource.acquire()
             try:
                 yield from env.sleep(delay(op[1]))
             finally:
                 resource.release()
             return env.now
+        if kind == "hold":
+            yield from resource.hold(delay(op[1]))
+            return env.now
+        if kind == "nic":
+            yield from nic.occupy_tx(op[1] % 4)
+            return (nic.bytes_sent, resource.queued)
+        if kind == "inflate":
+            nic.inflation = 1.0 + op[1] % 2
+            return None
         if kind == "core":
             yield from core.run(delay(op[1]))
             return (core.tracker.busy_time, core.queued_work)
@@ -196,7 +212,7 @@ def play(env_cls, scripts, segments):
             return (yield stores[op[1] % 2].put(tag))
         elif kind == "get":
             return (yield stores[op[1] % 2].get())
-        elif kind == "hold":
+        elif kind == "request":
             yield resource.request()
             try:
                 yield timeout(op[1])
@@ -267,14 +283,15 @@ def play(env_cls, scripts, segments):
 
 
 _OP = st.one_of(
-    st.tuples(st.sampled_from(["sleep", "nap", "charge", "core"]),
+    st.tuples(st.sampled_from(["sleep", "nap", "charge", "hold", "nic",
+                               "inflate", "core"]),
               st.integers(0, 5)),
     st.tuples(st.sampled_from(["succeed", "fail", "renew", "wait",
                                "fire_wait", "observe", "interrupt",
                                "cancel", "spawn", "join"]),
               st.integers(0, 7)),
     st.tuples(st.sampled_from(["put", "get"]), st.integers(0, 1)),
-    st.tuples(st.just("hold"), st.integers(0, 5)),
+    st.tuples(st.just("request"), st.integers(0, 5)),
     st.tuples(st.sampled_from(["any", "all"]), st.integers(0, 7),
               st.integers(0, 7)),
     st.tuples(st.just("bad")),
@@ -323,6 +340,17 @@ _DRIVER = st.lists(
 @example(scripts=[[("observe", 1), ("wait", 1), ("core", 3), ("nap", 2)],
                   [("charge", 2), ("fire_wait", 1), ("nap", 3)]],
          segments=[("until_event", 0), ("step",)])
+# Resource.hold: a free slot is not granted in place while a zero-delay
+# timeout is due now; a hold whose release ties with a pending timeout
+# lets the timeout's smaller eid fire first.
+@example(scripts=[[("sleep", 0), ("sleep", 0)], [("hold", 0)]],
+         segments=[])
+@example(scripts=[[("sleep", 2)], [("hold", 2)]], segments=[])
+# NIC transfers queued behind a request() hold on their pipe while the
+# inflation changes, beside a core charge.
+@example(scripts=[[("request", 3)], [("nic", 2), ("nic", 1)],
+                  [("inflate", 1), ("core", 2)]],
+         segments=[("until", 1)])
 def test_engines_fire_the_reference_sequence(scripts, segments):
     expected = play(ReferenceEnvironment, scripts, segments)
     assert play(Environment, scripts, segments) == expected
