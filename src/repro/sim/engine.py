@@ -56,16 +56,14 @@ drives a generator, because its caller (:meth:`~Environment.step`,
 :meth:`~Environment.run_until_event`, an event with several callbacks, an
 interrupt) may have more to run at the current time.
 
-* **Synchronous grant** (:meth:`repro.sim.resources.Resource.
-  request_or_none`, and the generator ``acquire`` built on it): a free
-  slot is taken with no grant event and no yield when ``_ready`` is
-  empty.  The grant would be appended to the empty ``_ready`` and the
-  yield handed straight off to it (direct handoff, below), so nothing
-  could run in between.
-* **In-place advance** (:meth:`Environment.timeout_or_none`, and the
-  generator :meth:`Environment.sleep` built on it): the clock moves to
-  ``when = now + delay`` with no event when ``_ready`` is empty,
-  ``when <= until`` and no heap entry is due at or before ``when``
+* **Synchronous grant** (the generator :meth:`repro.sim.resources.
+  Resource.acquire`): a free slot is taken with no grant event and no
+  yield when ``_ready`` is empty.  The grant would be appended to the
+  empty ``_ready`` and the yield handed straight off to it (direct
+  handoff, below), so nothing could run in between.
+* **In-place advance** (the generator :meth:`Environment.sleep`): the
+  clock moves to ``when = now + delay`` with no event when ``_ready`` is
+  empty, ``when <= until`` and no heap entry is due at or before ``when``
   (strictly later, since an entry due at ``when`` has a smaller eid and
   fires first; a cancelled entry counts as due, which only makes in-place
   advances rarer).  The timeout would have been the unique earliest
@@ -86,13 +84,13 @@ the others unchanged.  In every other case they fall back to the plain
 event.
 
 The closed-loop drivers keep their queue-depth windows in a
-:class:`repro.sim.resources.IssueWindow`, which reproduces the old
-``any_of`` over every op in flight at O(1) host work per op.  It keeps
-that loop's stale in-flight count (refreshed only after a wake, to the
-ops not yet triggered then) and wakes at the dispatch of the first op
-that triggered after the last refresh, using only a trigger count and a
-dispatch count: op trackers go through the FIFO ready queue, so they
-dispatch in trigger order.
+:class:`repro.sim.resources.IssueWindow`: it waits exactly as an
+``any_of`` over every op in flight and a rescan would, at O(1) host work
+per op.  Its in-flight count is stale (refreshed only after a wake, to
+the ops not yet triggered then), and it wakes at the dispatch of the
+first op that triggered after the last refresh, using only a trigger
+count and a dispatch count: op trackers go through the FIFO ready queue,
+so they dispatch in trigger order.
 
 Performance notes
 -----------------
@@ -631,35 +629,23 @@ class Environment:
             heappush(self._heap, (when, next(self._eid), timeout))
         return timeout
 
-    def timeout_or_none(self, delay: float) -> Optional[Timeout]:
-        """:meth:`timeout`, or None when that timeout would be the next
-        event dispatched: then the clock has moved to ``now + delay`` in
-        place (module docstring, "In-place waits").  The caller yields what
-        it gets back, if anything::
+    def sleep(self, delay: float):
+        """Generator: wait ``delay`` seconds — ``yield from env.sleep(d)``.
 
-            timeout = env.timeout_or_none(delay)
-            if timeout is not None:
-                yield timeout
+        Behaves as ``yield env.timeout(delay)``, but moves the clock to
+        ``now + delay`` in place, with no event and no yield, when that
+        timeout would be the next event dispatched (module docstring,
+        "In-place waits").
         """
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
         when = self._now + delay
-        if not self._ready and when <= self._inline_limit:
-            heap = self._heap
-            if not heap or heap[0][0] > when:
-                self._now = when
-                return None
-        return self.timeout(delay)
-
-    def sleep(self, delay: float):
-        """Generator: wait ``delay`` seconds — ``yield from env.sleep(d)``.
-
-        Behaves as ``yield env.timeout(delay)``, but completes in place,
-        with no event and no yield, when :meth:`timeout_or_none` can.
-        """
-        timeout = self.timeout_or_none(delay)
-        if timeout is not None:
-            yield timeout
+        heap = self._heap
+        if (not self._ready and when <= self._inline_limit
+                and (not heap or heap[0][0] > when)):
+            self._now = when
+        else:
+            yield self.timeout(delay)
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)

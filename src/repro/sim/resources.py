@@ -169,35 +169,21 @@ class Resource:
                 return
         self._in_use -= 1
 
-    def request_or_none(self) -> Optional[Event]:
-        """:meth:`request`, or None when the slot is free and its grant
-        would be the next event dispatched (the ready queue is empty and
-        :meth:`Environment.run`'s inline loop drives the process): then the
-        slot is taken in place (the synchronous grant of
-        :mod:`repro.sim.engine`'s "In-place waits").  The caller yields
-        what it gets back, if anything::
+    def acquire(self):
+        """Generator: take a slot — ``yield from resource.acquire()``.
 
-            grant = resource.request_or_none()
-            if grant is not None:
-                yield grant
+        Behaves as ``yield resource.request()``, but takes a free slot in
+        place, with no grant event and no yield, when its grant would be
+        the next event dispatched: the ready queue is empty and
+        :meth:`Environment.run`'s inline loop drives the process (the
+        synchronous grant of :mod:`repro.sim.engine`'s "In-place waits").
         """
         env = self.env
         if (self._in_use < self.capacity and not env._ready
                 and env._now <= env._inline_limit):
             self._in_use += 1
-            return None
-        return self.request()
-
-    def acquire(self):
-        """Generator: take a slot — ``yield from resource.acquire()``.
-
-        Behaves as ``yield resource.request()``, but completes in place,
-        with no grant event and no yield, when :meth:`request_or_none`
-        can.
-        """
-        grant = self.request_or_none()
-        if grant is not None:
-            yield grant
+        else:
+            yield self.request()
 
     def hold(self, duration: float, busy=None, scale=None):
         """Generator: take a slot, hold it ``duration`` seconds, release it
@@ -205,10 +191,10 @@ class Resource:
 
         Behaves as ``yield from resource.acquire()``, then ``yield from
         env.sleep(duration)`` inside ``try``/``finally: release()``, in one
-        frame: the in-place tests of :meth:`request_or_none` and
-        :meth:`Environment.timeout_or_none` are inlined, so a free slot
-        and a hold that would dispatch next cost no helper call, no event
-        and no yield (the in-place waits of :mod:`repro.sim.engine`).
+        frame: the in-place tests of :meth:`acquire` and
+        :meth:`Environment.sleep` are inlined, so a free slot and a hold
+        that would dispatch next cost no helper call, no event and no
+        yield (the in-place waits of :mod:`repro.sim.engine`).
 
         ``scale``, if given, maps ``duration`` to the hold time once the
         slot is granted (a gray-failure inflation may change while the
@@ -301,7 +287,7 @@ class IssueWindow:
             trackers = [t for t in trackers if not t.triggered]
 
     with neither the rescan, the ``any_of`` over the whole window, nor a
-    process per op.  Its semantics, which the replacement keeps:
+    process per op.  Its semantics, exactly those of that loop:
 
     * an op's *tracker* triggers when the last of its events fires (or the
       first one fails) and is then dispatched from the ready queue like

@@ -340,9 +340,10 @@ _DRIVER = st.lists(
 @example(scripts=[[("observe", 1), ("wait", 1), ("core", 3), ("nap", 2)],
                   [("charge", 2), ("fire_wait", 1), ("nap", 3)]],
          segments=[("until_event", 0), ("step",)])
-# Resource.hold: a free slot is not granted in place while a zero-delay
-# timeout is due now; a hold whose release ties with a pending timeout
-# lets the timeout's smaller eid fire first.
+# Resource.acquire and Resource.hold: a free slot is not granted in place
+# while a zero-delay timeout is due now; a hold whose release ties with a
+# pending timeout lets the timeout's smaller eid fire first.
+@example(scripts=[[("charge", 0)], [("sleep", 0)]], segments=[])
 @example(scripts=[[("sleep", 0), ("sleep", 0)], [("hold", 0)]],
          segments=[])
 @example(scripts=[[("sleep", 2)], [("hold", 2)]], segments=[])

@@ -24,6 +24,7 @@ with its time; the logs of the two windows must be equal, up to and
 including the exception that a failed member raises out of ``run()``.
 """
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.sim import Environment
@@ -203,7 +204,5 @@ def test_oracle_has_teeth():
 
 
 def test_depth_must_be_positive():
-    import pytest
-
     with pytest.raises(ValueError):
         IssueWindow(Environment(), 0)
