@@ -399,9 +399,9 @@ class IssueWindow:
             self._complete(op)
 
     def _started_op(self, start: Event) -> None:
-        # The watch process's first step found its tracker processed: it
-        # ran on at once if nothing else was due now, else it queued an
-        # immediate resume.
+        # An op whose tracker was born triggered completes where a watch
+        # process started behind the tracker would have: at once if
+        # nothing else is due now, else behind everything due now.
         if self.env._ready:
             self._queue(start._value, [self._completed_op])
         else:
