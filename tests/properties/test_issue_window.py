@@ -15,13 +15,13 @@ window and a rescan for ops that have not triggered::
 Hypothesis generates issuers that push ops made of one to three member
 events through a window of depth 1-4.  A member is already processed
 (succeeded or failed) when the op is tracked, as on a synchronous stack,
-or is succeeded or failed by a helper
-process after a delay, or succeeded by a shared ticker that fires several
-members in one step.  Bystander processes log at the same instants, and
-the driver runs the program in ``run(until=...)`` segments or by
-``step()``.  Every issue, completion, wake and bystander tick is logged
-with its time; the logs of the two windows must be equal, up to and
-including the exception that a failed member raises out of ``run()``.
+or is succeeded or failed by a helper process after a delay, or is
+succeeded by a shared ticker that fires several members in one step.
+Bystander processes log at the same instants, and the program runs in
+``run(until=...)`` segments or by ``step()``.  Every issue, completion,
+wake and bystander tick is logged with its time; the logs of the two
+windows must be equal, up to and including the exception that a failed
+member raises out of ``run()``.
 """
 
 import pytest
@@ -145,7 +145,7 @@ _ISSUERS = st.lists(
     min_size=1, max_size=2,
 )
 _BYSTANDERS = st.lists(st.lists(st.integers(0, 5), max_size=4), max_size=2)
-_DRIVER = st.lists(
+_SEGMENT_LIST = st.lists(
     st.one_of(st.tuples(st.just("until"), st.integers(0, 3)),
               st.tuples(st.just("step"))),
     max_size=4,
@@ -157,7 +157,7 @@ def _ok(k=2):
 
 
 @settings(max_examples=300, deadline=None)
-@given(issuers=_ISSUERS, bystanders=_BYSTANDERS, segments=_DRIVER)
+@given(issuers=_ISSUERS, bystanders=_BYSTANDERS, segments=_SEGMENT_LIST)
 # Synchronous stack: every op is complete when it is tracked, so its
 # completion waits for the watch's start (and, with a bystander due at the
 # same instant, for its immediate resume).
