@@ -67,8 +67,6 @@ def test_chaos_suite_30_trials_all_systems(benchmark):
     # Rio's duplicate suppression fired somewhere across the suite (lost
     # responses force retransmits of already-admitted writes).
     assert sum(r.duplicates_suppressed for r in results if r.system == "rio") > 0
-    # Every fault and recovery action left a trace record.
-    assert all(r.trace_events > 0 for r in results)
     benchmark.extra_info["trials"] = len(results)
     benchmark.extra_info["drops"] = total_drops
     benchmark.extra_info["retries"] = total_retries

@@ -20,7 +20,7 @@ from repro.core.api import RioDevice
 from repro.hw.ssd import OPTANE_905P
 from repro.nvmeof.initiator import DriverHardening
 from repro.sim import Environment, FaultPlan
-from repro.sim.trace import Tracer
+from repro.sim.obs import Observability
 
 STREAMS = 2
 GROUPS_PER_STREAM = 25
@@ -28,7 +28,7 @@ GROUPS_PER_STREAM = 25
 
 def main():
     env = Environment()
-    env.tracer = Tracer(categories={"fault", "driver"})
+    obs = Observability(env)
     cluster = Cluster(
         env,
         target_ssds=((OPTANE_905P,),),
@@ -69,9 +69,10 @@ def main():
     env.run(until=env.now + 2e-3)  # drain trailing completions/retries
 
     print("fault & recovery trace:")
-    for record in env.tracer.events:
-        if record.event in ("qp_breakdown", "target_stall", "retry",
-                            "reconnect", "resubmit"):
+    for record in obs.events:
+        if record.category in ("fault", "driver") and record.event in (
+                "qp_breakdown", "target_stall", "retry", "reconnect",
+                "resubmit"):
             print(f"  {record}")
 
     driver = cluster.driver

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Watching the I/O pipeline work: tracing one journaling transaction.
 
-Attaches a :class:`~repro.sim.trace.Tracer` and submits the classic
-journal pattern through Rio, then prints the pipeline's internal events:
+Attaches an :class:`~repro.sim.obs.Observability` and submits the classic
+journal pattern through Rio, then prints the pipeline's internal events
+from its event log (``obs.events``):
 scheduler merges, PMR attribute appends, the target's in-order gate, SSD
 service, and the sequencer's in-order releases — the whole §4 machinery in
 one timeline.
@@ -10,15 +11,18 @@ one timeline.
 Run:  python examples/trace_the_pipeline.py
 """
 
+from collections import Counter
+
 from repro.cluster import Cluster
 from repro.core.api import RioDevice
 from repro.hw.ssd import OPTANE_905P
-from repro.sim import Environment, Tracer
+from repro.sim import Environment
+from repro.sim.obs import Observability
 
 
 def main():
     env = Environment()
-    env.tracer = Tracer()
+    obs = Observability(env)
     cluster = Cluster(env, target_ssds=((OPTANE_905P,),))
     rio = RioDevice(cluster, num_streams=2)
     core = cluster.initiator.cpus.pick(0)
@@ -41,9 +45,10 @@ def main():
     env.run_until_event(env.process(app(env)))
 
     print("pipeline timeline:")
-    print(env.tracer.render(limit=60))
-    print("\nevent counts:", env.tracer.counts())
-    counts = env.tracer.counts()
+    for event in obs.events[:60]:
+        print(event)
+    counts = Counter(f"{e.category}.{e.event}" for e in obs.events)
+    print("\nevent counts:", dict(counts))
     assert counts["rio.sched.merge"] >= 1   # JM+JC merged (Principle 3)
     assert counts["rio.seq.release"] == 3   # in-order completion (step 9)
     assert counts["ssd.write"] >= 2

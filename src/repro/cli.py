@@ -497,12 +497,10 @@ def _cmd_probe(args) -> int:
     from repro.harness.obs import traced_fsync_run
     from repro.sim.obs import export
 
-    tracing = args.command == "trace"
     probe = traced_fsync_run(args.fs, layout=args.layout,
-                             iterations=args.iterations, with_tracer=tracing)
-    if tracing:
-        doc = export.write_chrome_trace(probe.obs, args.out,
-                                        tracer=probe.env.tracer)
+                             iterations=args.iterations)
+    if args.command == "trace":
+        doc = export.write_chrome_trace(probe.obs, args.out)
         if args.validate:
             export.validate_chrome_trace(doc)
             print("trace_event schema: OK")

@@ -36,7 +36,6 @@ from repro.nvmeof.initiator import DriverHardening
 from repro.sim.engine import Environment, Event, SimulationError
 from repro.sim.faults import FaultPlan
 from repro.sim.rng import DeterministicRNG
-from repro.sim.trace import Tracer
 from repro.systems.base import make_stack
 
 __all__ = [
@@ -106,7 +105,6 @@ class ChaosResult:
     commands_resubmitted: int = 0
     commands_timed_out: int = 0
     duplicates_suppressed: int = 0
-    trace_events: int = 0
     #: Live (non-cancelled) event-heap entries at the end of the run.
     #: Completed watchdog arms must disarm their expiry timeouts; a large
     #: value here means commands are leaking armed timers (see
@@ -229,6 +227,105 @@ def _ordered_workload(
             yield event
 
 
+def _run_ordered_trial(
+    env: Environment,
+    cluster,
+    stack,
+    result: ChaosResult,
+    writes_per_group: int,
+    depth: int,
+    limit: float,
+) -> None:
+    """Run ``result.threads`` ordered streams to completion (or deadlock,
+    or ``limit``) and audit completion order and bio errors."""
+    all_done = Event(env)
+    bios: List = []
+
+    def on_group_done(stream: int, group: int):
+        def callback(event: Event) -> None:
+            result.completion_log.append((stream, group, env.now))
+            bio = getattr(event, "bio", None)
+            if bio is not None:
+                bios.append((stream, group, bio))
+            if (len(result.completion_log) == result.total_groups
+                    and not all_done.triggered):
+                all_done.succeed()
+
+        return callback
+
+    for thread_id in range(result.threads):
+        env.process(
+            _ordered_workload(
+                env,
+                cluster,
+                stack,
+                thread_id,
+                result.groups_per_thread,
+                writes_per_group,
+                depth,
+                on_group_done,
+            )
+        )
+
+    try:
+        env.run_until_event(all_done, limit=limit)
+    except SimulationError as exc:  # includes SimDeadlock
+        result.deadlocked = True
+        result.deadlock_reason = f"{type(exc).__name__}: {exc}"
+
+    result.completed_groups = len(result.completion_log)
+    result.elapsed = env.now
+    result.heap_live_entries = env.live_heap_size()
+
+    if result.system in ("rio", "linux"):
+        per_stream: Dict[int, List[int]] = {}
+        for stream, group, _t in result.completion_log:
+            per_stream.setdefault(stream, []).append(group)
+        for stream, order in sorted(per_stream.items()):
+            if order != sorted(order):
+                result.completion_order_violations.append((stream, order))
+    for stream, group, bio in bios:
+        if bio.status:
+            result.errors.append((stream, group, bio.status))
+
+
+def _audit_targets(result: ChaosResult, cluster) -> None:
+    """Target-side audits: duplicate applies, submission order,
+    suppressed duplicates and each device's SMART snapshot."""
+    for target in cluster.targets:
+        result.duplicate_applies.extend(target.duplicate_applies())
+        result.submission_order_violations.extend(
+            target.submission_order_violations()
+        )
+        result.duplicates_suppressed += target.duplicates_suppressed
+        for ssd in target.ssds:
+            result.device_health[ssd.name] = ssd.smart()
+
+
+def _account_plan(result: ChaosResult, plan: Optional[FaultPlan]) -> None:
+    if plan is not None:
+        result.fault_counts = plan.counts()
+        result.messages_dropped = plan.messages_dropped
+        result.messages_corrupted = plan.messages_corrupted
+        result.messages_delayed = plan.messages_delayed
+
+
+def _account_driver(result: ChaosResult, driver) -> None:
+    result.retries += driver.retries
+    result.rpc_retries += driver.rpc_retries
+    result.reconnects += driver.reconnects
+    result.commands_resubmitted += driver.commands_resubmitted
+    result.commands_timed_out += driver.commands_timed_out
+
+
+def _account_nodes(result: ChaosResult, cluster) -> None:
+    """Driver recovery counts per initiator host and summed."""
+    for node in cluster.nodes:
+        result.node_reconnects.append(node.driver.reconnects)
+        result.node_retries.append(node.driver.retries)
+        _account_driver(result, node.driver)
+
+
 def run_chaos_trial(
     system: str = "rio",
     seed: int = 0,
@@ -239,7 +336,6 @@ def run_chaos_trial(
     depth: int = 4,
     plan: Optional[FaultPlan] = None,
     limit: float = 50e-3,
-    trace: bool = True,
     prefill: float = 0.0,
     plan_spec: Optional[dict] = None,
 ) -> ChaosResult:
@@ -261,8 +357,6 @@ def run_chaos_trial(
             raise ValueError("pass plan or plan_spec, not both")
         plan = FaultPlan.from_dict(plan_spec)
     env = Environment()
-    if trace:
-        env.tracer = Tracer(categories={"fault", "driver", "rio.gate"})
     cluster = Cluster(
         env,
         target_ssds=LAYOUTS[layout],
@@ -289,82 +383,16 @@ def run_chaos_trial(
         threads=threads,
         groups_per_thread=groups_per_thread,
     )
-    total = threads * groups_per_thread
-    all_done = Event(env)
-    bios: List = []
-
-    def on_group_done(stream: int, group: int):
-        def callback(event: Event) -> None:
-            result.completion_log.append((stream, group, env.now))
-            bio = getattr(event, "bio", None)
-            if bio is not None:
-                bios.append((stream, group, bio))
-            if len(result.completion_log) == total and not all_done.triggered:
-                all_done.succeed()
-
-        return callback
-
-    for thread_id in range(threads):
-        env.process(
-            _ordered_workload(
-                env,
-                cluster,
-                stack,
-                thread_id,
-                groups_per_thread,
-                writes_per_group,
-                depth,
-                on_group_done,
-            )
-        )
-
-    try:
-        env.run_until_event(all_done, limit=limit)
-    except SimulationError as exc:  # includes SimDeadlock
-        result.deadlocked = True
-        result.deadlock_reason = f"{type(exc).__name__}: {exc}"
-
-    result.completed_groups = len(result.completion_log)
-    result.elapsed = env.now
-    result.heap_live_entries = env.live_heap_size()
-
-    # -- audits --------------------------------------------------------
-    if system in ("rio", "linux"):
-        per_stream: Dict[int, List[int]] = {}
-        for stream, group, _t in result.completion_log:
-            per_stream.setdefault(stream, []).append(group)
-        for stream, order in sorted(per_stream.items()):
-            if order != sorted(order):
-                result.completion_order_violations.append((stream, order))
-    for stream, group, bio in bios:
-        if bio.status:
-            result.errors.append((stream, group, bio.status))
-    for target in cluster.targets:
-        result.duplicate_applies.extend(target.duplicate_applies())
-        result.submission_order_violations.extend(
-            target.submission_order_violations()
-        )
-        result.duplicates_suppressed += target.duplicates_suppressed
-        for ssd in target.ssds:
-            result.device_health[ssd.name] = ssd.smart()
+    _run_ordered_trial(env, cluster, stack, result, writes_per_group, depth,
+                       limit)
+    _audit_targets(result, cluster)
     if not result.deadlocked:
         try:
             cluster.driver.assert_no_leaks()
         except AssertionError as exc:
             result.leak_error = str(exc)
-
-    result.fault_counts = plan.counts()
-    result.messages_dropped = plan.messages_dropped
-    result.messages_corrupted = plan.messages_corrupted
-    result.messages_delayed = plan.messages_delayed
-    driver = cluster.driver
-    result.retries = driver.retries
-    result.rpc_retries = driver.rpc_retries
-    result.reconnects = driver.reconnects
-    result.commands_resubmitted = driver.commands_resubmitted
-    result.commands_timed_out = driver.commands_timed_out
-    if env.tracer is not None:
-        result.trace_events = len(env.tracer.events)
+    _account_plan(result, plan)
+    _account_driver(result, cluster.driver)
     return result
 
 
@@ -637,31 +665,14 @@ def run_tenant_chaos_trial(
     result.completed_groups = 0
     result.class_latency = plane.class_summary()
     result.heap_live_entries = env.live_heap_size()
+    _audit_targets(result, cluster)
     for target in cluster.targets:
-        result.duplicate_applies.extend(target.duplicate_applies())
-        result.submission_order_violations.extend(
-            target.submission_order_violations()
-        )
-        result.duplicates_suppressed += target.duplicates_suppressed
-        for ssd in target.ssds:
-            result.device_health[ssd.name] = ssd.smart()
         if target.admission is not None:
             for reason, n in target.admission.shed_by_reason.items():
                 result.sheds_by_reason[reason] = (
                     result.sheds_by_reason.get(reason, 0.0) + n)
-    if plan is not None:
-        result.fault_counts = plan.counts()
-        result.messages_dropped = plan.messages_dropped
-        result.messages_corrupted = plan.messages_corrupted
-        result.messages_delayed = plan.messages_delayed
-    for node in cluster.nodes:
-        result.node_reconnects.append(node.driver.reconnects)
-        result.node_retries.append(node.driver.retries)
-        result.retries += node.driver.retries
-        result.rpc_retries += node.driver.rpc_retries
-        result.reconnects += node.driver.reconnects
-        result.commands_resubmitted += node.driver.commands_resubmitted
-        result.commands_timed_out += node.driver.commands_timed_out
+    _account_plan(result, plan)
+    _account_nodes(result, cluster)
     # No group structure in an open-loop storm: per-class op counts live
     # in class_latency; `ok` reduces to the target-side audits.
     return result
@@ -679,7 +690,6 @@ def run_scale_chaos_trial(
     depth: int = 4,
     limit: float = 50e-3,
     faults: bool = True,
-    trace: bool = True,
 ) -> ChaosResult:
     """One seeded multi-initiator trial: break QPs on one host only.
 
@@ -695,8 +705,6 @@ def run_scale_chaos_trial(
     from repro.scale import ScaleOutCluster, ShardedStack
 
     env = Environment()
-    if trace:
-        env.tracer = Tracer(categories={"fault", "driver", "rio.gate"})
     num_qps = max(threads, 2)
     cluster = ScaleOutCluster(
         env,
@@ -724,84 +732,15 @@ def run_scale_chaos_trial(
         threads=threads,
         groups_per_thread=groups_per_thread,
     )
-    total = threads * groups_per_thread
-    all_done = Event(env)
-    bios: List = []
-
-    def on_group_done(stream: int, group: int):
-        def callback(event: Event) -> None:
-            result.completion_log.append((stream, group, env.now))
-            bio = getattr(event, "bio", None)
-            if bio is not None:
-                bios.append((stream, group, bio))
-            if len(result.completion_log) == total and not all_done.triggered:
-                all_done.succeed()
-
-        return callback
-
-    for thread_id in range(threads):
-        env.process(
-            _ordered_workload(
-                env,
-                cluster,
-                stack,
-                thread_id,
-                groups_per_thread,
-                writes_per_group,
-                depth,
-                on_group_done,
-            )
-        )
-
-    try:
-        env.run_until_event(all_done, limit=limit)
-    except SimulationError as exc:  # includes SimDeadlock
-        result.deadlocked = True
-        result.deadlock_reason = f"{type(exc).__name__}: {exc}"
-
-    result.completed_groups = len(result.completion_log)
-    result.elapsed = env.now
-    result.heap_live_entries = env.live_heap_size()
-
-    # -- audits (same invariants as the single-host trial) -------------
-    if system in ("rio", "linux"):
-        per_stream: Dict[int, List[int]] = {}
-        for stream, group, _t in result.completion_log:
-            per_stream.setdefault(stream, []).append(group)
-        for stream, order in sorted(per_stream.items()):
-            if order != sorted(order):
-                result.completion_order_violations.append((stream, order))
-    for stream, group, bio in bios:
-        if bio.status:
-            result.errors.append((stream, group, bio.status))
-    for target in cluster.targets:
-        result.duplicate_applies.extend(target.duplicate_applies())
-        result.submission_order_violations.extend(
-            target.submission_order_violations()
-        )
-        result.duplicates_suppressed += target.duplicates_suppressed
-        for ssd in target.ssds:
-            result.device_health[ssd.name] = ssd.smart()
+    _run_ordered_trial(env, cluster, stack, result, writes_per_group, depth,
+                       limit)
+    _audit_targets(result, cluster)
     if not result.deadlocked:
         for node in cluster.nodes:
             try:
                 node.driver.assert_no_leaks()
             except AssertionError as exc:
                 result.leak_error = f"node {node.index}: {exc}"
-
-    if plan is not None:
-        result.fault_counts = plan.counts()
-        result.messages_dropped = plan.messages_dropped
-        result.messages_corrupted = plan.messages_corrupted
-        result.messages_delayed = plan.messages_delayed
-    for node in cluster.nodes:
-        result.node_reconnects.append(node.driver.reconnects)
-        result.node_retries.append(node.driver.retries)
-        result.retries += node.driver.retries
-        result.rpc_retries += node.driver.rpc_retries
-        result.reconnects += node.driver.reconnects
-        result.commands_resubmitted += node.driver.commands_resubmitted
-        result.commands_timed_out += node.driver.commands_timed_out
-    if env.tracer is not None:
-        result.trace_events = len(env.tracer.events)
+    _account_plan(result, plan)
+    _account_nodes(result, cluster)
     return result

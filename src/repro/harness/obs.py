@@ -21,7 +21,6 @@ from repro.harness.experiment import FigureResult, build_cluster
 from repro.sim.engine import Environment
 from repro.sim.obs import Observability
 from repro.sim.obs.analysis import fig14_averages
-from repro.sim.trace import Tracer
 
 __all__ = ["TracedRun", "traced_fsync_run", "fig14_breakdown_from_spans"]
 
@@ -42,17 +41,10 @@ def traced_fsync_run(
     layout: str = "optane",
     iterations: int = 8,
     seed: int = 42,
-    with_tracer: bool = False,
 ) -> TracedRun:
-    """Run the Fig. 14 append+fsync probe with observability attached.
-
-    With ``with_tracer=True`` an unfiltered :class:`Tracer` is attached
-    too, so the Chrome export can interleave instant events with spans.
-    """
+    """Run the Fig. 14 append+fsync probe with observability attached."""
     env = Environment()
     obs = Observability(env)
-    if with_tracer:
-        env.tracer = Tracer()
     cluster = build_cluster(layout, env=env, seed=seed)
     fs = make_filesystem(kind, cluster,
                          num_journals=(1 if kind == "ext4" else 24))

@@ -26,7 +26,6 @@ from repro.sim.faults import FaultPlan, FaultRecord
 from repro.sim.resources import Resource, Store
 from repro.sim.rng import DeterministicRNG
 from repro.sim.stats import BusyTracker, Counter, LatencyRecorder, ThroughputMeter
-from repro.sim.trace import TraceEvent, Tracer
 
 __all__ = [
     "Environment",
@@ -45,6 +44,4 @@ __all__ = [
     "Counter",
     "LatencyRecorder",
     "ThroughputMeter",
-    "TraceEvent",
-    "Tracer",
 ]

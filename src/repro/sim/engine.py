@@ -579,20 +579,18 @@ class Environment:
         #: the heap drains; see :class:`SimDeadlock`.
         self._liveness: dict = {}
         self._liveness_ids = count()
-        #: Optional :class:`repro.sim.trace.Tracer`; instrumented
-        #: components emit via :meth:`trace` when one is attached.
-        self.tracer = None
         #: Optional :class:`repro.sim.obs.Observability`; when attached
         #: (``Observability(env)``) components record lifecycle spans and
-        #: publish metrics.  None (the default) keeps every instrumentation
-        #: site a single attribute check — behavior is bit-identical to an
-        #: uninstrumented run.
+        #: events and publish metrics.  None (the default) keeps every
+        #: instrumentation site a single attribute check — behavior is
+        #: bit-identical to an uninstrumented run.
         self.obs = None
 
     def trace(self, category: str, event: str, **fields) -> None:
-        """Emit a trace event if a tracer is attached (cheap otherwise)."""
-        if self.tracer is not None:
-            self.tracer.emit(self._now, category, event, **fields)
+        """Log an instant event on the attached observability plane
+        (``env.obs.events``); a single attribute check when none is."""
+        if self.obs is not None:
+            self.obs.record(self._now, category, event, fields)
 
     @property
     def now(self) -> float:

@@ -18,8 +18,10 @@ interleaving.  A cluster without an installed plan performs **zero** extra
 RNG draws and no extra event scheduling: the fault plane is free when
 inactive, and all pre-existing RNG streams are untouched either way.
 
-Every injected fault is appended to :attr:`FaultPlan.injected` and emitted
-on the tracer (category ``"fault"``) with its cause and virtual timestamp.
+Every injected fault is appended to :attr:`FaultPlan.injected` and logged
+through ``env.trace`` (category ``"fault"``, kept in ``env.obs.events``
+when an observability plane is attached) with its cause and virtual
+timestamp.
 
 This module deliberately knows nothing about the upper layers: ``install``
 takes any cluster-shaped object (``env``, ``fabric``, ``targets``) and the
@@ -318,7 +320,8 @@ class FaultPlan:
     # ------------------------------------------------------------------
 
     def record(self, kind: str, **detail) -> None:
-        """Log one injected fault (list + tracer, with virtual timestamp)."""
+        """Log one injected fault (list + ``env.trace``, with virtual
+        timestamp)."""
         now = self.env.now if self.env is not None else 0.0
         self.injected.append(FaultRecord(time=now, kind=kind, detail=detail))
         if self.env is not None:

@@ -2,8 +2,8 @@
 
 The Chrome trace uses the JSON Object Format (``{"traceEvents": [...]}``)
 with complete ("X") events — one per closed span, timestamps in
-microseconds as the format requires — plus instant ("i") events for any
-attached :class:`~repro.sim.trace.Tracer` and process-name metadata so
+microseconds as the format requires — plus one instant ("i") event per
+entry of the observability event log and process-name metadata so
 ``chrome://tracing`` / Perfetto group rows by host (initiator vs each
 target).  ``pid`` is the host a span ran on; ``tid`` is the stream or
 queue pair when known.
@@ -82,7 +82,7 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
-def chrome_trace(obs, tracer=None) -> Dict[str, Any]:
+def chrome_trace(obs) -> Dict[str, Any]:
     """Build a Chrome ``trace_event`` document from an
     :class:`~repro.sim.obs.Observability` (open spans are skipped —
     export after the workload has quiesced)."""
@@ -107,8 +107,8 @@ def chrome_trace(obs, tracer=None) -> Dict[str, Any]:
             "tid": _span_tid(span),
             "args": args,
         })
-    if tracer is not None:
-        for event in tracer.events:
+    if obs.events:
+        for event in obs.events:
             events.append({
                 "name": f"{event.category}.{event.event}",
                 "cat": event.category,
@@ -128,8 +128,8 @@ def chrome_trace(obs, tracer=None) -> Dict[str, Any]:
     return {"traceEvents": metadata + events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(obs, path: str, tracer=None) -> Dict[str, Any]:
-    doc = chrome_trace(obs, tracer=tracer)
+def write_chrome_trace(obs, path: str) -> Dict[str, Any]:
+    doc = chrome_trace(obs)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
     return doc

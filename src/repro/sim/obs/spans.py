@@ -20,9 +20,7 @@ On fault-free runs neither tag ever appears — the property suite asserts
 exactly that, which is what actually tests instrumentation ordering.
 
 Every close feeds a ``span.<name>.seconds`` histogram in the owning
-:class:`~repro.sim.obs.metrics.MetricsRegistry`, and both open and close
-are mirrored through the existing ``env.tracer`` hook (category ``span``)
-so span activity shows up in ordinary event traces.  With no observability
+:class:`~repro.sim.obs.metrics.MetricsRegistry`.  With no observability
 attached, the instrumentation in the hot paths is a single attribute
 check (``env.obs is None``), schedules no events and draws no RNG — sim
 timing is bit-identical to an uninstrumented run.
@@ -66,7 +64,7 @@ class Span:
 
 
 class SpanRecorder:
-    """Collects spans; capacity-bounded like :class:`repro.sim.trace.Tracer`.
+    """Collects spans; capacity-bounded like the observability event log.
 
     Beyond ``capacity`` spans the recorder stops *storing* (counting drops)
     but keeps returning live :class:`Span` objects so open/close chains and
@@ -96,8 +94,6 @@ class SpanRecorder:
             self.spans.append(span)
         else:
             self.dropped += 1
-        self.env.trace("span", "open", sid=span.sid, name=name,
-                       parent=span.parent_sid)
         return span
 
     def close(self, span: Optional[Span], **attrs) -> None:
@@ -116,7 +112,6 @@ class SpanRecorder:
         if self.metrics is not None:
             self.metrics.observe(f"span.{span.name}.seconds",
                                  span.end - span.start)
-        self.env.trace("span", "close", sid=span.sid, name=span.name)
 
     # -- querying ----------------------------------------------------------
 

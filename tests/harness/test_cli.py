@@ -207,3 +207,23 @@ def test_sweep_spec_file_honours_clear_cache(tmp_path, capsys):
     assert "cleared " in out
     assert "scenario cache hit" not in out
     assert "[sweep check " in out
+
+
+def test_trace_exports_closed_spans_and_logged_events(tmp_path, capsys):
+    from repro.harness.obs import traced_fsync_run
+
+    out = tmp_path / "rio.trace.json"
+    argv = ["trace", "--fs", "riofs", "--iterations", "2", "--out", str(out),
+            "--validate"]
+    assert main(argv) == 0
+    assert "trace_event schema: OK" in capsys.readouterr().out
+    events = json.loads(out.read_text())["traceEvents"]
+    probe = traced_fsync_run("riofs", iterations=2)
+    closed = [s for s in probe.obs.spans.spans if s.closed]
+    # One X event per closed span; the spans are not repeated as instants.
+    assert sorted(e["args"]["sid"] for e in events if e["ph"] == "X") == (
+        sorted(s.sid for s in closed))
+    instants = [e["name"] for e in events if e["ph"] == "i"]
+    assert "ssd.write" in instants
+    assert not any(name.startswith("span.") for name in instants)
+    assert len(instants) == len(probe.obs.events)

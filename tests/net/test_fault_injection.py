@@ -6,7 +6,7 @@ import pytest
 from repro.hw.nic import Nic
 from repro.net.fabric import Fabric, Message
 from repro.sim import DeterministicRNG, Environment, FaultPlan, FaultRecord
-from repro.sim.trace import Tracer
+from repro.sim.obs import Observability
 
 
 def make_pair(num_qps=1, env=None, plan=None):
@@ -89,7 +89,7 @@ def test_message_loss_drops_messages_and_records_faults():
 def test_corrupted_messages_are_discarded_at_receiver_with_trace():
     plan = FaultPlan(seed=3, corruption=0.5)
     env, (qp,) = make_pair(plan=plan)
-    env.tracer = Tracer(categories={"fault"})
+    obs = Observability(env)
     received = []
     collect_into(env, qp, received)
     for i in range(60):
@@ -98,7 +98,8 @@ def test_corrupted_messages_are_discarded_at_receiver_with_trace():
     assert plan.messages_corrupted > 0
     # CRC discard: corrupted messages never reach the handler.
     assert len(received) == 60 - plan.messages_corrupted
-    discards = [e for e in env.tracer.events if e.event == "corrupt_discard"]
+    discards = [e for e in obs.events
+                if (e.category, e.event) == ("fault", "corrupt_discard")]
     assert len(discards) == plan.messages_corrupted
 
 

@@ -30,7 +30,7 @@ def assert_invariants(result):
 @settings(max_examples=20, deadline=None)
 def test_rio_invariants_hold_under_random_fault_plans(seed):
     result = run_chaos_trial(
-        system="rio", seed=seed, threads=2, groups_per_thread=8, trace=False
+        system="rio", seed=seed, threads=2, groups_per_thread=8
     )
     assert_invariants(result)
 
@@ -39,7 +39,7 @@ def test_rio_invariants_hold_under_random_fault_plans(seed):
 @settings(max_examples=10, deadline=None)
 def test_linux_invariants_hold_under_random_fault_plans(seed):
     result = run_chaos_trial(
-        system="linux", seed=seed, threads=2, groups_per_thread=6, trace=False
+        system="linux", seed=seed, threads=2, groups_per_thread=6
     )
     assert_invariants(result)
 

@@ -17,14 +17,12 @@ from repro.sim.obs.export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.sim.trace import Tracer
 
 
 @pytest.fixture
 def small_run():
     """A tiny hand-built span forest: two hosts, one open span."""
     env = Environment()
-    env.tracer = Tracer()
     obs = Observability(env)
 
     def script():
@@ -43,7 +41,7 @@ def small_run():
 
 def test_chrome_trace_structure(small_run):
     env, obs = small_run
-    doc = chrome_trace(obs, tracer=env.tracer)
+    doc = chrome_trace(obs)
     validate_chrome_trace(doc)
     events = doc["traceEvents"]
     x = [e for e in events if e["ph"] == "X"]
@@ -62,11 +60,13 @@ def test_chrome_trace_structure(small_run):
     svc = next(e for e in x if e["name"] == "ssd.service")
     assert svc["tid"] == "target0-ssd0"
     assert svc["args"]["parent"] == mq["args"]["sid"]
-    # process_name metadata for every host (incl. "sim" for tracer events).
+    # process_name metadata for every host (incl. "sim" for logged events).
     assert {e["args"]["name"] for e in meta} == {"initiator", "target0",
                                                 "sim"}
-    # Tracer instant events ride along (span open/close mirrors + ssd.write).
-    assert any(e["name"] == "ssd.write" for e in inst)
+    # Logged instant events ride along, one per obs.events entry; spans
+    # are X events only.
+    assert [e["name"] for e in inst] == [
+        f"{e.category}.{e.event}" for e in obs.events] == ["ssd.write"]
     assert doc["displayTimeUnit"] == "ms"
 
 

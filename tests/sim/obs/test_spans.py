@@ -6,7 +6,6 @@ from repro.sim.engine import Environment
 from repro.sim.obs import Observability
 from repro.sim.obs.metrics import Histogram, MetricsRegistry
 from repro.sim.obs.spans import SpanRecorder
-from repro.sim.trace import Tracer
 
 
 def drive(env, script):
@@ -114,9 +113,8 @@ def test_capacity_drops_but_keeps_live_spans():
     assert all(span.closed for span in spans)
 
 
-def test_span_close_feeds_histogram_and_tracer():
+def test_span_close_feeds_histogram_not_events():
     env = Environment()
-    env.tracer = Tracer()
     obs = Observability(env)
 
     def script():
@@ -128,9 +126,8 @@ def test_span_close_feeds_histogram_and_tracer():
     histo = obs.metrics.histograms["span.ssd.service.seconds"]
     assert histo.count == 1
     assert histo.mean == pytest.approx(2e-6)
-    counts = env.tracer.counts()
-    assert counts["span.open"] == 1
-    assert counts["span.close"] == 1
+    # Spans live in the span forest only, not again in the event log.
+    assert [e for e in obs.events if e.category == "span"] == []
 
 
 def test_metrics_counters_gauges_snapshot():
