@@ -13,10 +13,8 @@ def test_all_headline_claims_hold(benchmark):
     report = run_once(benchmark, evaluate_claims, duration=2.5e-3)
     print()
     print(report.render())
-    failed = [c for c in report.claims if not c.passed]
-    assert not failed, "failed claims: " + "; ".join(
-        f"{c.section}: {c.statement} ({c.measured})" for c in failed
-    )
-    assert report.total >= 15
+    failing = [v for v in report.verdicts if not v.ok]
+    assert not failing, "failing verdicts: " + "; ".join(map(str, failing))
+    assert len(report.claims) >= 15
     benchmark.extra_info["claims_passed"] = report.passed
-    benchmark.extra_info["claims_total"] = report.total
+    benchmark.extra_info["claims_total"] = len(report.claims)

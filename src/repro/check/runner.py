@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.check.differential import check_cell, shrink_spec, dump_reproducer
 from repro.check.workload import WorkloadSpec
+from repro.harness.report import Report, Verdict
 from repro.harness.sweep import RunSpec, SweepRunner
 
 __all__ = [
@@ -57,8 +58,14 @@ SCALE_MATRIX: Dict[str, Tuple[Tuple[str, int], ...]] = {
 }
 
 
+def _cell_verdict(report: dict) -> Verdict:
+    """A check cell passes when no crash point it replayed failed."""
+    return Verdict("failing_points", "<=", 0, len(report["failures"]),
+                   report["crash_points"])
+
+
 @dataclass
-class MatrixResult:
+class MatrixResult(Report):
     """Everything one ``repro check`` invocation found."""
 
     #: (spec, report-dict) per cell, in matrix order.
@@ -68,43 +75,39 @@ class MatrixResult:
     #: Paths of dumped reproducer files.
     dumped: List[str] = field(default_factory=list)
 
-    @property
-    def failures(self) -> List[Tuple[WorkloadSpec, dict]]:
-        return [(spec, report) for spec, report in self.cells
-                if not report["ok"]]
+    headers = ()
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+    def _graded(self):
+        return [((spec, report), [_cell_verdict(report)])
+                for spec, report in self.cells]
 
-    def render(self) -> str:
-        lines = []
-        per_system: Dict[str, List[Tuple[WorkloadSpec, dict]]] = {}
+    def _table(self):
+        per_system: Dict[str, List[dict]] = {}
         for spec, report in self.cells:
-            per_system.setdefault(spec.system, []).append((spec, report))
-        for system, cells in per_system.items():
-            points = sum(report["crash_points"] for _s, report in cells)
-            bad = [c for c in cells if not c[1]["ok"]]
-            status = "OK" if not bad else f"{len(bad)} FAILING"
-            lines.append(
-                f"{system:8s} {len(cells):3d} cell(s), "
-                f"{points:5d} crash point(s): {status}"
-            )
+            per_system.setdefault(spec.system, []).append(report)
+        rows = []
+        for system, reports in per_system.items():
+            points = sum(report["crash_points"] for report in reports)
+            bad = sum(not _cell_verdict(report).ok for report in reports)
+            status = "OK" if not bad else f"{bad} FAILING"
+            rows.append(([f"{system:8s} {len(reports):3d} cell(s), "
+                          f"{points:5d} crash point(s): {status}"], []))
         for spec, report in self.failures:
-            lines.append(f"  FAIL {spec.to_json()}")
+            details = [f"       {_cell_verdict(report)}"]
             for failure in report["failures"][:2]:
                 for violation in failure["violations"][:2]:
-                    lines.append(
+                    details.append(
                         f"       {violation['kind']}: stream "
                         f"{violation['stream']} group {violation['group']}"
                     )
+            rows.append(([f"  FAIL {spec.to_json()}"], details))
+        return rows
+
+    def _footer(self) -> List[str]:
         total_points = sum(r["crash_points"] for _s, r in self.cells)
         verdict = "all ordering invariants hold" if self.ok else "VIOLATIONS"
-        lines.append(
-            f"checked {len(self.cells)} cell(s), {total_points} crash "
-            f"point(s): {verdict}"
-        )
-        return "\n".join(lines)
+        return [f"checked {len(self.cells)} cell(s), {total_points} crash "
+                f"point(s): {verdict}"]
 
 
 def build_matrix_specs(

@@ -368,8 +368,7 @@ def _execute(spec: ScenarioSpec, args, label: str) -> int:
         reproducer_dir=dump_dir if spec.scenario == "check" else None,
     )
     result = outcome.result
-    if (getattr(args, "format", "table") == "markdown"
-            and hasattr(result, "render_markdown")):  # check: table only
+    if getattr(args, "format", "table") == "markdown":
         print(result.render_markdown())
     else:
         print(outcome.render())

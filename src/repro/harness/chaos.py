@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cluster import Cluster
 from repro.harness.experiment import LAYOUTS
+from repro.harness.report import Report, Verdict
 from repro.harness.sweep import RunSpec, Sweep
 from repro.nvmeof.initiator import DriverHardening
 from repro.sim.engine import Environment, Event, SimulationError
@@ -131,17 +132,26 @@ class ChaosResult:
         return self.threads * self.groups_per_thread
 
     @property
+    def verdicts(self) -> List[Verdict]:
+        """The trial's audits: progress, order, duplicates, errors, leaks."""
+        return [
+            Verdict("deadlocks", "<=", 0, int(self.deadlocked)),
+            Verdict("completed_groups", "==", self.total_groups,
+                    self.completed_groups),
+            Verdict("completion_order_violations", "<=", 0,
+                    len(self.completion_order_violations)),
+            Verdict("duplicate_applies", "<=", 0,
+                    len(self.duplicate_applies)),
+            Verdict("submission_order_violations", "<=", 0,
+                    len(self.submission_order_violations)),
+            Verdict("errors", "<=", 0, len(self.errors)),
+            Verdict("leaks", "<=", 0, int(bool(self.leak_error))),
+        ]
+
+    @property
     def ok(self) -> bool:
         """True when every robustness invariant held for this trial."""
-        return (
-            not self.deadlocked
-            and self.completed_groups == self.total_groups
-            and not self.completion_order_violations
-            and not self.duplicate_applies
-            and not self.submission_order_violations
-            and not self.errors
-            and not self.leak_error
-        )
+        return all(v.ok for v in self.verdicts)
 
     def summary(self) -> str:
         status = "ok" if self.ok else "FAILED"
@@ -397,27 +407,25 @@ def run_chaos_trial(
 
 
 @dataclass
-class ChaosSuiteResult:
-    """A chaos suite's trials plus a render/verdict, mirroring the other
-    planes' report objects (``repro run`` needs a uniform surface)."""
+class ChaosSuiteResult(Report):
+    """A chaos suite's trials, one line each, graded by their audits."""
 
     results: List[ChaosResult] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.results)
+    headers = ()
 
-    @property
-    def failures(self) -> List[ChaosResult]:
-        return [r for r in self.results if not r.ok]
+    def _graded(self):
+        return [(r, r.verdicts) for r in self.results]
 
-    def render(self) -> str:
-        lines = [r.summary() for r in self.results]
-        bad = len(self.failures)
-        verdict = ("all robustness invariants hold" if not bad
-                   else f"{bad} trial(s) FAILING")
-        lines.append(f"{len(self.results)} trial(s): {verdict}")
-        return "\n".join(lines)
+    def _table(self):
+        return [([r.summary()], [f"    FAIL {v}" for v in r.verdicts
+                                 if not v.ok])
+                for r in self.results]
+
+    def _footer(self) -> List[str]:
+        verdict = ("all robustness invariants hold" if self.ok
+                   else f"{self.failed} trial(s) FAILING")
+        return [f"{len(self.results)} trial(s): {verdict}"]
 
 
 def chaos_sweep(spec) -> Sweep:

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.apps.fio import BlockWorkloadResult, run_block_workload
 from repro.cluster import Cluster
+from repro.harness.report import Report, Verdict
 from repro.hw.ssd import (
     FLASH_PM981,
     FLASH_PM981_QUAL,
@@ -49,7 +50,7 @@ LAYOUTS: Dict[str, tuple] = {
 
 
 @dataclass
-class FigureResult:
+class FigureResult(Report):
     """One reproduced figure/table: headers plus one dict per row."""
 
     name: str
@@ -57,6 +58,12 @@ class FigureResult:
     headers: List[str]
     rows: List[Dict] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
+    #: Gate verdicts (the storm's SLO gate); a plain figure has none.
+    gates: List[Verdict] = field(default_factory=list, init=False)
+
+    @property
+    def title(self) -> str:
+        return f"{self.name}: {self.description}"
 
     def add(self, **row) -> None:
         self.rows.append(row)
@@ -72,37 +79,12 @@ class FigureResult:
     def column(self, name: str, **filters) -> List:
         return [row[name] for row in self.series(**filters)]
 
-    def render_markdown(self) -> str:
-        """GitHub-flavored markdown table."""
-        lines = [f"### {self.name}: {self.description}", ""]
-        lines.append("| " + " | ".join(self.headers) + " |")
-        lines.append("|" + "|".join("---" for _ in self.headers) + "|")
-        for row in self.rows:
-            lines.append(
-                "| " + " | ".join(_fmt(row.get(h)) for h in self.headers) + " |"
-            )
-        for note in self.notes:
-            lines.append(f"\n*{note}*")
-        return "\n".join(lines)
+    def _graded(self):
+        return [(gate, [gate]) for gate in self.gates]
 
-    def render(self) -> str:
-        """ASCII table, one line per row."""
-        widths = {
-            h: max(len(h), *(len(_fmt(row.get(h))) for row in self.rows))
-            if self.rows
-            else len(h)
-            for h in self.headers
-        }
-        lines = [f"== {self.name}: {self.description} =="]
-        lines.append("  ".join(h.ljust(widths[h]) for h in self.headers))
-        lines.append("  ".join("-" * widths[h] for h in self.headers))
-        for row in self.rows:
-            lines.append(
-                "  ".join(_fmt(row.get(h)).ljust(widths[h]) for h in self.headers)
-            )
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        return "\n".join(lines)
+    def _table(self):
+        return [([_fmt(row.get(h)) for h in self.headers], [])
+                for row in self.rows]
 
 
 def _fmt(value) -> str:

@@ -20,8 +20,10 @@ Every cell is an independent seeded simulation: cells fan out across
 cache, and because the reduce consumes results in spec order, a parallel
 or cache-warm run is bit-identical to a serial cold one.
 
-**Per-cell floors.**  Each cell carries a floor dict checked in the
-reduce step (so floors can change without invalidating cached cells):
+**Per-cell floors.**  Each cell carries a floor dict graded in the
+reduce step (so floors can change without invalidating cached cells),
+one :class:`~repro.harness.report.Verdict` per floor
+(:func:`grade_floors`):
 
 * ``min_kiops`` / ``min_mbps`` — throughput floors;
 * ``max_p999_us`` — tail-latency ceiling (defaults to the measurement
@@ -33,18 +35,21 @@ reduce step (so floors can change without invalidating cached cells):
 * ``max_violations`` / ``min_crash_points`` — ordering-oracle floors on
   oracle cells: zero violations over at least one replayed crash point.
 
-A failing floor marks the cell FAIL, is listed in the report, and makes
-``repro qualify`` exit nonzero.
+A missing metric fails its floor; a latency floor carries the cell's
+``samples`` count onto its failing line.  A failing floor marks the cell
+FAIL, is listed in the report, and makes ``repro qualify`` exit nonzero.
+:class:`QualifyReport` is a :class:`~repro.harness.report.Report`: its
+pass counts, canonical JSON, digest and both renders come from the base.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from repro.harness.experiment import LAYOUTS, build_cluster, build_stack
+from repro.harness.report import Report, Verdict
 from repro.harness.sweep import RunSpec, Sweep
 
 __all__ = [
@@ -60,6 +65,7 @@ __all__ = [
     "probe_qualify_cell",
     "probe_qualify_oracle",
     "default_floors",
+    "grade_floors",
     "qualify_sweep",
     "write_report",
     "bench_artifact",
@@ -314,38 +320,32 @@ def default_floors(phase: str, duration: float) -> Dict[str, float]:
     raise ValueError(f"unknown qualification phase {phase!r}")
 
 
-#: floor name -> (metric name, comparison): "ge" passes while
-#: metric >= floor, "le" while metric <= floor.
-_FLOOR_CHECKS = {
-    "min_kiops": ("kiops", "ge"),
-    "min_mbps": ("mbps", "ge"),
-    "max_p999_us": ("p999_us", "le"),
-    "min_write_amp": ("write_amp", "ge"),
-    "min_cache_stalls": ("cache_stalls", "ge"),
-    "require_gc": ("gc_active", "ge"),
-    "max_violations": ("violations", "le"),
-    "min_crash_points": ("crash_points", "ge"),
+#: floor name -> (metric name, comparison) of the verdict it grades.
+_FLOORS = {
+    "min_kiops": ("kiops", ">="),
+    "min_mbps": ("mbps", ">="),
+    "max_p999_us": ("p999_us", "<="),
+    "min_write_amp": ("write_amp", ">="),
+    "min_cache_stalls": ("cache_stalls", ">="),
+    "require_gc": ("gc_active", ">="),
+    "max_violations": ("violations", "<="),
+    "min_crash_points": ("crash_points", ">="),
 }
 
 
-def check_floors(metrics: Dict[str, float],
-                 floors: Dict[str, float]) -> List[str]:
-    """Every floor the metrics break, as human-readable failure lines."""
-    failures = []
+def grade_floors(metrics: Dict[str, float],
+                 floors: Dict[str, float]) -> Dict[str, Verdict]:
+    """One verdict per floor, keyed by floor name.  A missing metric
+    fails; a latency floor carries the cell's latency sample count."""
+    verdicts = {}
     for floor_name, floor_value in sorted(floors.items()):
-        metric_name, direction = _FLOOR_CHECKS[floor_name]
-        value = metrics.get(metric_name)
-        if value is None:
-            failures.append(f"{floor_name}: metric {metric_name} missing")
-            continue
-        ok = value >= floor_value if direction == "ge" else value <= floor_value
-        if not ok:
-            op = ">=" if direction == "ge" else "<="
-            failures.append(
-                f"{floor_name}: {metric_name}={value:g} not {op} "
-                f"{floor_value:g}"
-            )
-    return failures
+        metric_name, op = _FLOORS[floor_name]
+        samples = metrics.get("samples") if metric_name.endswith("_us") else None
+        verdicts[floor_name] = Verdict(
+            metric_name, op, floor_value, metrics.get(metric_name),
+            None if samples is None else int(samples),
+        )
+    return verdicts
 
 
 # ----------------------------------------------------------------------
@@ -365,11 +365,18 @@ class QualifyCell:
     pattern: str
     metrics: Dict[str, float] = field(default_factory=dict)
     floors: Dict[str, float] = field(default_factory=dict)
-    failures: List[str] = field(default_factory=list)
+    #: floor name -> its verdict (see :func:`grade_floors`).
+    verdicts: Dict[str, Verdict] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return all(v.ok for v in self.verdicts.values())
+
+    @property
+    def failures(self) -> List[str]:
+        """Every floor the metrics break, as human-readable lines."""
+        return [f"{name}: {verdict}"
+                for name, verdict in self.verdicts.items() if not verdict.ok]
 
     def as_dict(self) -> dict:
         return {
@@ -387,7 +394,7 @@ class QualifyCell:
 
 
 @dataclass
-class QualifyReport:
+class QualifyReport(Report):
     """The full qualification outcome: every cell plus summary notes."""
 
     profile: str
@@ -396,17 +403,13 @@ class QualifyReport:
     cells: List[QualifyCell] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return all(cell.ok for cell in self.cells)
+    headers = ("cell", "kiops", "mbps", "p999_us", "wa", "gc",
+               "stalls", "viol", "status")
 
     @property
-    def passed(self) -> int:
-        return sum(1 for cell in self.cells if cell.ok)
-
-    @property
-    def failed(self) -> int:
-        return len(self.cells) - self.passed
+    def title(self) -> str:
+        return (f"qualify: profile={self.profile} layout={self.layout} "
+                f"seed={self.seed}")
 
     def cell(self, key: str) -> QualifyCell:
         for cell in self.cells:
@@ -414,34 +417,28 @@ class QualifyReport:
                 return cell
         raise KeyError(key)
 
-    def as_dict(self) -> dict:
+    def _graded(self):
+        return [(cell, list(cell.verdicts.values())) for cell in self.cells]
+
+    def _payload(self) -> dict:
         return {
             "kind": "repro-qualify-report",
             "profile": self.profile,
             "layout": self.layout,
             "seed": self.seed,
             "cells": [cell.as_dict() for cell in self.cells],
-            "notes": list(self.notes),
-            "passed": self.passed,
-            "failed": self.failed,
-            "ok": self.ok,
         }
 
-    def to_json(self) -> str:
-        """Canonical JSON (sorted keys, fixed separators): the digest
-        input, so two runs agree iff their reports are byte-identical."""
-        return json.dumps(self.as_dict(), sort_keys=True,
-                          separators=(",", ":"))
+    def _table(self):
+        return [(self._row(cell), [f"    FAIL {f}" for f in cell.failures])
+                for cell in self.cells]
 
-    def digest(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
+    def _footer(self) -> List[str]:
+        return [f"result: {self.passed}/{len(self.cells)} cells pass"
+                + ("" if self.ok else f" ({self.failed} FAILING)")]
 
-    # -- rendering -----------------------------------------------------
-
-    _HEADERS = ("cell", "kiops", "mbps", "p999_us", "wa", "gc",
-                "stalls", "viol", "status")
-
-    def _row(self, cell: QualifyCell) -> List[str]:
+    @staticmethod
+    def _row(cell: QualifyCell) -> List[str]:
         m = cell.metrics
 
         def num(name, fmt="{:g}"):
@@ -458,56 +455,6 @@ class QualifyReport:
             num("violations"),
             "PASS" if cell.ok else "FAIL",
         ]
-
-    def render(self) -> str:
-        """ASCII table, one line per cell, plus failure detail lines."""
-        rows = [self._row(cell) for cell in self.cells]
-        widths = [
-            max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-            for i, h in enumerate(self._HEADERS)
-        ]
-        lines = [
-            f"== qualify: profile={self.profile} layout={self.layout} "
-            f"seed={self.seed} =="
-        ]
-        lines.append("  ".join(
-            h.ljust(widths[i]) for i, h in enumerate(self._HEADERS)
-        ))
-        lines.append("  ".join("-" * w for w in widths))
-        for cell, row in zip(self.cells, rows):
-            lines.append("  ".join(
-                col.ljust(widths[i]) for i, col in enumerate(row)
-            ))
-            for failure in cell.failures:
-                lines.append(f"    FAIL {failure}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        lines.append(
-            f"result: {self.passed}/{len(self.cells)} cells pass"
-            + ("" if self.ok else f" ({self.failed} FAILING)")
-        )
-        return "\n".join(lines)
-
-    def render_markdown(self) -> str:
-        lines = [
-            f"### Qualification report: profile `{self.profile}`, "
-            f"layout `{self.layout}`, seed {self.seed}",
-            "",
-            "| " + " | ".join(self._HEADERS) + " |",
-            "|" + "|".join("---" for _ in self._HEADERS) + "|",
-        ]
-        for cell in self.cells:
-            lines.append("| " + " | ".join(self._row(cell)) + " |")
-        for cell in self.cells:
-            for failure in cell.failures:
-                lines.append(f"\n* **FAIL** `{cell.key}`: {failure}")
-        for note in self.notes:
-            lines.append(f"\n*{note}*")
-        lines.append(
-            f"\n**{self.passed}/{len(self.cells)} cells pass**"
-            + ("" if self.ok else f" — {self.failed} failing")
-        )
-        return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -617,7 +564,7 @@ def qualify_sweep(spec) -> Sweep:
             cell.metrics = {
                 name: round(value, 4) for name, value in sorted(metrics.items())
             }
-            cell.failures = check_floors(cell.metrics, cell.floors)
+            cell.verdicts = grade_floors(cell.metrics, cell.floors)
             report.cells.append(cell)
         gc_cells = [
             c for c in report.cells

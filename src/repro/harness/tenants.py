@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.harness.experiment import LAYOUTS, FigureResult
+from repro.harness.report import Verdict
 from repro.harness.saturate import knee_point, saturation_sweep
 from repro.harness.sweep import RunSpec, Sweep
 
@@ -443,22 +444,29 @@ def probe_noisy_neighbor(
         "gold_slo_p999_us": gold_slo_p999_us,
         "qos": 1.0 if qos else 0.0,
     }
-    # The SLO covers availability too: a gold op that never completes
-    # inside the window (starved behind the aggressor's backlog) is the
-    # extreme tail, so "within SLO" requires both the p999 bound and
-    # that at least half the expected gold ops actually completed.
     expected = gold_kiops * 1e3 * duration
     row["gold_expected"] = expected
     row["gold_complete_ratio"] = (
         gold.get("count", 0.0) / expected if expected else 0.0)
-    row["gold_within_slo"] = (
-        1.0
-        if (0.0 < row["gold_p999_us"] <= gold_slo_p999_us
-            and row["gold_complete_ratio"] >= 0.5)
-        else 0.0
-    )
     row.update(_shed_counts(cluster))
     return row
+
+
+def _gold_slo(run: Dict[str, float], label: str) -> List[Verdict]:
+    """The gold tenant's SLO on one storm cell, over its gold ops.
+
+    The SLO covers availability too: a gold op that never completes
+    inside the window (starved behind the aggressor's backlog) is the
+    extreme tail, so it needs both the p999 bound (missing when no gold
+    op completed) and at least half the expected gold ops.
+    """
+    count = int(run["gold_count"])
+    return [
+        Verdict(f"{label} gold_p999_us", "<=", run["gold_slo_p999_us"],
+                run["gold_p999_us"] if count else None, count),
+        Verdict(f"{label} gold_complete_ratio", ">=", 0.5,
+                run["gold_complete_ratio"], count),
+    ]
 
 
 def storm_sweep(spec) -> Sweep:
@@ -493,30 +501,28 @@ def storm_sweep(spec) -> Sweep:
             ],
         )
         for (system, qos), run in zip(cells, results):
+            slo = _gold_slo(run, f"{system}/qos-{'on' if qos else 'off'}")
+            within = all(v.ok for v in slo)
             result.add(
                 system=system,
                 qos="on" if qos else "off",
                 gold_p999_us=round(run["gold_p999_us"], 2),
                 gold_slo_p999_us=run["gold_slo_p999_us"],
                 gold_done=round(run["gold_complete_ratio"], 2),
-                within_slo="yes" if run["gold_within_slo"] else "NO",
+                within_slo="yes" if within else "NO",
                 bronze_p999_us=round(run["bronze_p999_us"], 2),
                 sheds=run["sheds"],
                 shed_pace=run["shed_pace"],
                 shed_wfq=run["shed_wfq"],
             )
-        for (system, qos), run in zip(cells, results):
-            if qos and not run["gold_within_slo"]:
-                result.notes.append(
-                    f"{system}: gold p999 {run['gold_p999_us']:g} us "
-                    f"EXCEEDS SLO {run['gold_slo_p999_us']:g} us with QoS on"
-                )
-            if not qos and run["gold_within_slo"]:
-                result.notes.append(
-                    f"{system}: storm did not violate the gold SLO with "
-                    "QoS off (aggressor too weak to demonstrate pacing)"
-                )
-        if not result.notes:
+            # The gate, both directions: QoS on holds the gold SLO, QoS
+            # off demonstrably breaks it (else the aggressor is too weak
+            # to show that the pacing matters).
+            result.gates.extend(slo if qos else [Verdict(
+                f"{system}/qos-off gold_slo_breaches", ">=", 1,
+                sum(not v.ok for v in slo), slo[0].samples)])
+        result.notes.extend(f"FAIL {v}" for v in result.gates if not v.ok)
+        if result.ok:
             result.notes.append(
                 "all systems: QoS on holds the gold SLO under the storm; "
                 "QoS off violates it (both directions demonstrated)"

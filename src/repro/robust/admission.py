@@ -210,8 +210,6 @@ class AdmissionController:
         self.admitted = 0
         self.shed = 0
         self.shed_by_reason: Dict[str, int] = {}
-        #: Every ordered shed, in order: (stream, position, reason).
-        self.shed_log: List[Tuple[int, int, str]] = []
 
     # ------------------------------------------------------------------
 
@@ -381,7 +379,6 @@ class AdmissionController:
             marker = self._shed_from.get(stream)
             if marker is None or pos < marker:
                 self._shed_from[stream] = pos
-            self.shed_log.append((stream, pos, reason))
         return reason
 
     def complete(self, token: int, now: float) -> None:

@@ -19,9 +19,9 @@ RNG draws and no extra event scheduling: the fault plane is free when
 inactive, and all pre-existing RNG streams are untouched either way.
 
 Every injected fault is appended to :attr:`FaultPlan.injected` and logged
-through ``env.trace`` (category ``"fault"``, kept in ``env.obs.events``
-when an observability plane is attached) with its cause and virtual
-timestamp.
+once through ``env.trace`` (category ``"fault"``, kept in
+``env.obs.events`` when an observability plane is attached) with its
+cause and virtual timestamp.
 
 This module deliberately knows nothing about the upper layers: ``install``
 takes any cluster-shaped object (``env``, ``fabric``, ``targets``) and the
@@ -43,6 +43,11 @@ DELIVER = "deliver"
 DROP = "drop"
 CORRUPT = "corrupt"
 DELAY = "delay"
+
+#: Faults whose component logs its own ``fault`` event (``QueuePair.
+#: breakdown``, ``TargetServer.stall``/``degrade``/``restore``), so a
+#: direct call is logged too; the plan records them without a second one.
+_SELF_LOGGED = ("qp_breakdown", "target_stall", "degrade", "degrade_end")
 
 
 @dataclass
@@ -324,7 +329,7 @@ class FaultPlan:
         timestamp)."""
         now = self.env.now if self.env is not None else 0.0
         self.injected.append(FaultRecord(time=now, kind=kind, detail=detail))
-        if self.env is not None:
+        if self.env is not None and kind not in _SELF_LOGGED:
             self.env.trace("fault", kind, **detail)
 
     def counts(self) -> Dict[str, int]:

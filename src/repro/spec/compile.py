@@ -21,9 +21,12 @@ Two cache layers compose here:
   ``REPRO_*`` env fingerprint); the spec digest is domain-tagged so the
   two key spaces cannot collide.
 
-Every failing scenario yields minimal replayable specs in
-``outcome.reproducers`` — the same idea as ``repro check``'s shrunk
-reproducers, generalized to all eight verbs.
+Every result is a :class:`~repro.harness.report.Report`, so
+``outcome.ok`` is the result's own verdict for every scenario: all of
+its :class:`~repro.harness.report.Verdict` records pass.  Every failing
+scenario yields minimal replayable specs in ``outcome.reproducers`` —
+the same idea as ``repro check``'s shrunk reproducers, generalized to
+all eight verbs.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ class ScenarioOutcome:
     """What one compiled scenario produced."""
 
     spec: ScenarioSpec
+    #: The scenario's :class:`~repro.harness.report.Report`.
     result: Any
-    ok: bool = True
     #: Minimal replayable specs for whatever failed (empty when ok).
     reproducers: List[ScenarioSpec] = field(default_factory=list)
     #: True when the whole outcome came from the scenario-level cache.
@@ -53,6 +56,10 @@ class ScenarioOutcome:
     #: Sweep-runner statistics of the run that produced this outcome
     #: (``None`` until :func:`run_scenario` fills it in).
     stats: Any = None
+
+    @property
+    def ok(self) -> bool:
+        return self.result.ok
 
     def render(self) -> str:
         return self.result.render()
@@ -79,29 +86,23 @@ class ScenarioOutcome:
 # ----------------------------------------------------------------------
 
 
-def _run_figure(spec: ScenarioSpec) -> ScenarioOutcome:
+def _run_figure(spec: ScenarioSpec):
     from repro.harness.figures import FIGURES
 
     fn, _description, _takes_duration = FIGURES[spec.workload["figure"]]
     options = spec.workload["options"] or {}
-    return ScenarioOutcome(spec=spec, result=fn(**options))
+    return fn(**options)
 
 
-def _run_claims(spec: ScenarioSpec) -> ScenarioOutcome:
+def _run_claims(spec: ScenarioSpec):
     from repro.harness.claims import evaluate_claims
 
     # The figure sweeps run on run_scenario's ``configured`` runner, which
     # keeps all sweep statistics on one runner.
-    report = evaluate_claims(duration=spec.workload["duration"])
-    ok = report.passed == report.total
-    return ScenarioOutcome(
-        spec=spec, result=report, ok=ok,
-        reproducers=[] if ok else [spec],
-    )
+    return evaluate_claims(duration=spec.workload["duration"])
 
 
-def _run_check(spec: ScenarioSpec,
-               reproducer_dir: Optional[str]) -> ScenarioOutcome:
+def _run_check(spec: ScenarioSpec, reproducer_dir: Optional[str]):
     from repro.check.runner import build_matrix_specs, run_check_matrix
     from repro.harness.sweep import get_runner
 
@@ -129,18 +130,11 @@ def _run_check(spec: ScenarioSpec,
         seeds=workload["seeds"],
         **shape,
     )
-    result = run_check_matrix(
+    return run_check_matrix(
         cells,
         runner=get_runner(),
         shrink=spec.oracle["shrink"],
         reproducer_dir=reproducer_dir,
-    )
-    reproducers = [
-        upgrade_workload_spec(minimal.to_dict())
-        for minimal in result.reproducers
-    ]
-    return ScenarioOutcome(
-        spec=spec, result=result, ok=result.ok, reproducers=reproducers,
     )
 
 
@@ -159,9 +153,7 @@ def _qualify_reproducers(spec: ScenarioSpec, report) -> List[ScenarioSpec]:
     """One narrowed spec per failing qualification cell."""
     workload = spec.workload
     reproducers = []
-    for cell in report.cells:
-        if cell.ok:
-            continue
+    for cell in report.failures:
         narrowed = dict(workload)
         narrowed["sustained"] = False
         if cell.phase == "matrix":
@@ -184,38 +176,35 @@ def _qualify_reproducers(spec: ScenarioSpec, report) -> List[ScenarioSpec]:
     return reproducers
 
 
-def _run_sweep(spec: ScenarioSpec, runner) -> ScenarioOutcome:
-    """Build the scenario's sweep from the spec, run it on ``runner``,
-    and judge the result."""
-    module, builder = _SWEEPS[spec.scenario]
-    build = getattr(importlib.import_module(module), builder)
-    result = runner.run(build(spec))
-    workload = spec.workload
-    ok, reproducers = True, []
+def _reproducers(spec: ScenarioSpec, result) -> List[ScenarioSpec]:
+    """Minimal replayable specs for a failing result: one per failing
+    chaos trial, qualification cell or (shrunk) check cell, else the
+    spec itself."""
+    if result.ok:
+        return []
     if spec.scenario == "chaos":
-        ok = result.ok
-        reproducers = [
+        return [
             spec.with_(
                 name=f"failing chaos trial {r.system}/seed{r.seed}",
-                workload={**workload, "systems": [r.system], "trials": 1,
-                          "base_seed": r.seed},
+                workload={**spec.workload, "systems": [r.system],
+                          "trials": 1, "base_seed": r.seed},
             )
             for r in result.failures
         ]
-    elif spec.scenario == "qualify":
-        ok = result.ok
-        reproducers = _qualify_reproducers(spec, result)
-    elif spec.scenario == "tenants" and workload["mode"] == "storm":
-        # The acceptance criterion, both directions: QoS on holds the
-        # gold SLO on every system, QoS off demonstrably violates it.
-        ok = all(
-            (row["within_slo"] == "yes") == (row["qos"] == "on")
-            for row in result.rows
-        )
-        reproducers = [] if ok else [spec]
-    return ScenarioOutcome(
-        spec=spec, result=result, ok=ok, reproducers=reproducers,
-    )
+    if spec.scenario == "qualify":
+        return _qualify_reproducers(spec, result)
+    if spec.scenario == "check":
+        return [upgrade_workload_spec(minimal.to_dict())
+                for minimal in result.reproducers]
+    return [spec]
+
+
+def _run_sweep(spec: ScenarioSpec, runner):
+    """Build the scenario's sweep from the spec and run it on
+    ``runner``."""
+    module, builder = _SWEEPS[spec.scenario]
+    build = getattr(importlib.import_module(module), builder)
+    return runner.run(build(spec))
 
 
 # ----------------------------------------------------------------------
@@ -247,14 +236,16 @@ def run_scenario(
 
     with configured(jobs=jobs, cache=cache) as runner:
         if spec.scenario == "figure":
-            outcome = _run_figure(spec)
+            result = _run_figure(spec)
         elif spec.scenario == "claims":
-            outcome = _run_claims(spec)
+            result = _run_claims(spec)
         elif spec.scenario == "check":
-            outcome = _run_check(spec, reproducer_dir)
+            result = _run_check(spec, reproducer_dir)
         else:
-            outcome = _run_sweep(spec, runner)
-        outcome.stats = runner.stats
+            result = _run_sweep(spec, runner)
+        outcome = ScenarioOutcome(spec=spec, result=result,
+                                  reproducers=_reproducers(spec, result),
+                                  stats=runner.stats)
 
     if cache is not None:
         cache.put(spec.digest(), outcome)

@@ -18,8 +18,8 @@ from repro.harness.qualify import (
     PROFILES,
     QualifyReport,
     bench_artifact,
-    check_floors,
     default_floors,
+    grade_floors,
     probe_qualify_cell,
     probe_qualify_oracle,
     qualify_sweep,
@@ -76,21 +76,27 @@ def test_default_floors_per_phase():
 
 def test_check_floors_reports_each_breach():
     metrics = {"kiops": 10.0, "mbps": 40.0, "p999_us": 900.0,
-               "violations": 2.0, "crash_points": 5.0}
-    failures = check_floors(
+               "samples": 27.0, "violations": 2.0, "crash_points": 5.0}
+    verdicts = grade_floors(
         metrics,
         {"min_kiops": 50.0, "max_p999_us": 500.0, "max_violations": 0.0},
     )
-    assert len(failures) == 3
-    assert any("min_kiops" in f for f in failures)
-    assert any("max_violations: violations=2 not <= 0" in f
-               for f in failures)
-    assert check_floors(metrics, {"min_kiops": 1.0}) == []
+    failing = {name: v for name, v in verdicts.items() if not v.ok}
+    assert sorted(failing) == ["max_p999_us", "max_violations", "min_kiops"]
+    assert str(failing["max_violations"]) == "violations=2 not <= 0"
+    # A latency floor carries the cell's sample count to its failing line.
+    assert failing["max_p999_us"].samples == 27
+    assert str(failing["max_p999_us"]) == "p999_us=900 not <= 500 (27 samples)"
+    assert failing["min_kiops"].samples is None
+    assert all(v.ok for v in grade_floors(metrics, {"min_kiops": 1.0}).values())
 
 
 def test_check_floors_flags_missing_metric():
-    failures = check_floors({}, {"min_kiops": 1.0})
-    assert failures == ["min_kiops: metric kiops missing"]
+    (verdict,) = grade_floors({}, {"min_kiops": 1.0}).values()
+    assert not verdict.ok
+    assert verdict.observed is None
+    cell = _sweep(GOLDEN).reduce([{} for _ in range(4)]).cells[0]
+    assert "min_kiops: metric kiops missing" in cell.failures
 
 
 def test_unknown_floor_override_cell_raises():

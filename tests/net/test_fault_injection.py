@@ -176,6 +176,39 @@ def test_timed_faults_fire_at_configured_times():
     assert cluster.fabric.queue_pairs[0].generation == 1
 
 
+def test_each_timed_fault_is_logged_once():
+    """One ``fault`` event per injected fault, whether the plan fires it
+    or a caller invokes the component directly; the plan's own record
+    (``injected``/``counts()``) is unchanged."""
+    from repro.cluster import Cluster
+    from repro.hw.ssd import OPTANE_905P
+
+    env = Environment()
+    obs = Observability(env)
+    cluster = Cluster(env, target_ssds=((OPTANE_905P,),), initiator_cores=2,
+                      target_cores=2, num_qps=2)
+    plan = (
+        FaultPlan(seed=1)
+        .qp_breakdown(at=10e-6, qp_index=0)
+        .target_stall(at=20e-6, target_index=0, duration=30e-6)
+        .degrade(at=30e-6, target_index=0, factor=2.0, duration=20e-6)
+    )
+    plan.install(cluster)
+    env.run(until=100e-6)
+    timed = ("qp_breakdown", "target_stall", "degrade", "degrade_end")
+    assert plan.counts() == {kind: 1 for kind in timed}
+
+    def logged():
+        return [e.event for e in obs.events
+                if e.category == "fault" and e.event in timed]
+
+    assert sorted(logged()) == sorted(timed)
+    cluster.fabric.queue_pairs[1].breakdown()
+    cluster.targets[0].stall(10e-6)
+    assert sorted(logged()) == sorted(timed + ("qp_breakdown",
+                                               "target_stall"))
+
+
 def test_plan_cannot_be_installed_twice():
     from repro.cluster import Cluster
     from repro.hw.ssd import OPTANE_905P

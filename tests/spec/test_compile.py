@@ -5,6 +5,7 @@ reproducers of failing scenarios."""
 import pytest
 
 from repro.harness.cache import ResultCache
+from repro.harness.report import Report, Verdict
 from repro.spec import ScenarioSpec, run_scenario
 
 
@@ -60,8 +61,8 @@ def test_claims_spec_drives_the_scorecard(monkeypatch):
     itself as its reproducer (the scorecard is too slow to run for real
     here; the wiring is what's under test)."""
 
-    class FakeReport:
-        passed, total = 16, 17
+    class FakeReport(Report):
+        verdicts = [Verdict("claims held", ">=", 17, 16)]
 
         def render(self):
             return "16/17"
@@ -80,6 +81,98 @@ def test_claims_spec_drives_the_scorecard(monkeypatch):
     assert not outcome.ok
     assert outcome.render() == "16/17"
     assert outcome.reproducers == [outcome.spec]
+
+
+# ----------------------------------------------------------------------
+# Every gate grades through Verdict: outcome.ok is the verdicts' verdict
+# ----------------------------------------------------------------------
+
+
+def _qualify_cell(breach):
+    return {"kiops": 0.0 if breach else 35.0, "mbps": 143.4,
+            "p999_us": 29.0, "samples": 27.0}
+
+
+def _chaos_trial(breach):
+    from repro.harness.chaos import ChaosResult
+
+    trial = ChaosResult(system="rio", seed=1000, threads=1,
+                        groups_per_thread=1, completed_groups=1)
+    if breach:
+        trial.duplicate_applies.append((0, 1, 0))
+    return trial
+
+
+def _check_cell(breach):
+    failures = [{"crash_time": 1e-4, "violations": [
+        {"kind": "order_hole", "stream": 0, "group": 1}]}] if breach else []
+    return {"ok": not failures, "crash_points": 4, "groups_completed": 4,
+            "failures": failures}
+
+
+def _storm_cells(breach):
+    on = {"gold_count": 51.0, "gold_p999_us": 3162.28 if breach else 100.0,
+          "gold_slo_p999_us": 2000.0, "gold_complete_ratio": 0.85,
+          "bronze_p999_us": 177.83, "sheds": 9.0, "shed_pace": 9.0,
+          "shed_wfq": 0.0}
+    off = dict(on, gold_count=0.0, gold_p999_us=0.0, gold_complete_ratio=0.0,
+               sheds=0.0, shed_pace=0.0)
+    return [on, off]
+
+
+#: gate -> (spec document, canned sweep-cell results given ``breach``).
+GATES = {
+    "qualify": ({"scenario": "qualify",
+                 "workload": {"systems": ["rio"], "blocks_kib": [4],
+                              "queue_depths": [1], "patterns": ["seq"],
+                              "sustained": False},
+                 "oracle": {"enabled": False}},
+                lambda breach: [_qualify_cell(breach)]),
+    "chaos": ({"scenario": "chaos",
+               "workload": {"systems": ["rio"], "trials": 1}},
+              lambda breach: [_chaos_trial(breach)]),
+    "check": ({"scenario": "check",
+               "workload": {"systems": ["linux"], "layouts": ["optane"],
+                            "seeds": [0]},
+               "oracle": {"shrink": False}},
+              lambda breach: [_check_cell(breach)]),
+    "storm": ({"scenario": "tenants",
+               "workload": {"mode": "storm", "systems": ["rio"]}},
+              _storm_cells),
+    "claims": ({"scenario": "claims"}, None),
+}
+
+
+@pytest.mark.parametrize("breach", [False, True])
+@pytest.mark.parametrize("gate", sorted(GATES))
+def test_every_gate_grades_through_verdicts(monkeypatch, gate, breach):
+    """Each gate's result carries verdicts; an injected breach fails the
+    outcome, and ``outcome.ok`` is exactly the verdicts' conjunction."""
+    from repro.harness.claims import Claim, ClaimReport
+    from repro.harness.sweep import SweepRunner
+
+    doc, cells = GATES[gate]
+    if cells is None:
+        report = ClaimReport(claims=[Claim("§6.2", "rio above linux", [
+            Verdict("flash 1t rio/linux kiops", ">", 50,
+                    3.0 if breach else 203.0)])])
+        monkeypatch.setattr("repro.harness.claims.evaluate_claims",
+                            lambda duration: report)
+    else:
+        monkeypatch.setattr(SweepRunner, "map",
+                            lambda self, specs: cells(breach))
+    outcome = run_scenario(ScenarioSpec.from_dict(doc))
+    verdicts = outcome.result.verdicts
+    assert verdicts
+    assert outcome.ok == all(v.ok for v in verdicts)
+    assert outcome.ok is not breach
+    assert bool(outcome.reproducers) is breach
+    text = outcome.render()
+    assert ("FAIL" in text) is breach
+    for verdict in verdicts:
+        if not verdict.ok:
+            assert str(verdict) in text
+    assert outcome.result.render_markdown()
 
 
 # ----------------------------------------------------------------------
@@ -136,8 +229,7 @@ def test_dump_reproducers_writes_loadable_specs(tmp_path):
     from repro.spec import ScenarioOutcome, load_spec_file
 
     spec = _tiny_saturate_spec()
-    outcome = ScenarioOutcome(spec=spec, result=None, ok=False,
-                              reproducers=[spec])
+    outcome = ScenarioOutcome(spec=spec, result=None, reproducers=[spec])
     (path,) = outcome.dump_reproducers(tmp_path)
     assert load_spec_file(path) == spec
     assert spec.digest()[:12] in path
@@ -145,14 +237,15 @@ def test_dump_reproducers_writes_loadable_specs(tmp_path):
 
 def test_failing_chaos_trial_yields_a_narrowed_spec():
     """Force one trial to fail and check the reproducer pins its seed."""
-    from repro.spec.compile import _run_sweep
+    from repro.spec.compile import _reproducers, _run_sweep
 
     class FakeTrial:
         def __init__(self, system, seed, ok):
-            self.system, self.seed, self.ok = system, seed, ok
+            self.system, self.seed = system, seed
+            self.verdicts = [Verdict("errors", "<=", 0, 0 if ok else 1)]
 
         def summary(self):
-            return f"{self.system}/seed{self.seed}: {'ok' if self.ok else 'FAIL'}"
+            return f"{self.system}/seed{self.seed}"
 
     class FakeRunner:
         """Reduces the real chaos sweep over canned trial results."""
@@ -165,9 +258,9 @@ def test_failing_chaos_trial_yields_a_narrowed_spec():
     spec = ScenarioSpec.from_dict(
         {"scenario": "chaos", "workload": {"systems": ["rio"], "trials": 2}}
     )
-    outcome = _run_sweep(spec, FakeRunner())
-    assert not outcome.ok
-    (repro_spec,) = outcome.reproducers
+    result = _run_sweep(spec, FakeRunner())
+    assert not result.ok
+    (repro_spec,) = _reproducers(spec, result)
     assert repro_spec.workload["systems"] == ["rio"]
     assert repro_spec.workload["trials"] == 1
     assert repro_spec.workload["base_seed"] == 1001
