@@ -595,52 +595,8 @@ def run_tenant_chaos_trial(
     target-side audits (duplicate applies, submission order) apply
     unchanged.
     """
-    from repro.harness.tenants import (
-        _storm_class,
-        _storm_hardening,
-        _StormPlane,
-    )
-    from repro.robust.admission import (
-        AdmissionConfig,
-        AdmissionController,
-        QosClass,
-        TenantQos,
-    )
-    from repro.scale import (
-        OpenLoopConfig,
-        ScaleOutCluster,
-        ShardedStack,
-        run_open_loop,
-    )
+    from repro.harness.tenants import _run_storm
 
-    env = Environment()
-    cluster = ScaleOutCluster(
-        env,
-        LAYOUTS[layout],
-        num_initiators=1,
-        seed=seed,
-        hardening=_storm_hardening() if qos else None,
-    )
-    lanes = 1 + aggressor_lanes
-    stack = ShardedStack(cluster, system, num_streams=lanes)
-    if qos:
-        tenant_qos = TenantQos(
-            (
-                QosClass("gold", weight=8.0),
-                QosClass("bronze", weight=1.0,
-                         rate_iops=pace_kiops * 1e3, burst=1.0),
-            ),
-            classifier=_storm_class,
-            quantum=quantum,
-        )
-        for target in cluster.targets:
-            target.install_admission(AdmissionController(
-                AdmissionConfig(max_inflight_ordered=128,
-                                max_inflight_unordered=128),
-                qos=tenant_qos,
-            ))
-            target.install_tenant_steering(
-                _storm_class, {"gold": (0.0, 0.2), "bronze": (0.2, 1.0)})
     plan: Optional[FaultPlan] = None
     if faults:
         # Break an aggressor lane's queue pair (gold's lane 0 pins to QP
@@ -651,28 +607,19 @@ def run_tenant_chaos_trial(
         plan.qp_breakdown(at=burst_at, qp_index=1 + aggressor_lanes // 2)
         plan.target_stall(at=burst_at + 0.1 * duration, target_index=0,
                           duration=150e-6)
-        plan.install(cluster)
-
-    plane = _StormPlane()
-    run_open_loop(
-        cluster, stack,
-        OpenLoopConfig(
-            offered_iops=(gold_kiops + aggressor_kiops) * 1e3,
-            tenants=lanes, duration=duration, warmup=warmup, seed=seed,
-            weights=(gold_kiops,) + (
-                aggressor_kiops / aggressor_lanes,) * aggressor_lanes,
-            blocks=(1,) + (aggressor_blocks,) * aggressor_lanes,
-        ),
-        plane=plane,
+    cluster, _, plane = _run_storm(
+        system, layout, gold_kiops, aggressor_kiops, aggressor_lanes,
+        aggressor_blocks, pace_kiops, qos, quantum, duration, warmup,
+        steering="pin", seed=seed, plan=plan,
     )
 
     result = ChaosResult(
-        system=system, seed=seed, threads=lanes, groups_per_thread=0,
+        system=system, seed=seed, threads=1 + aggressor_lanes,
+        groups_per_thread=0,
     )
-    result.elapsed = env.now
-    result.completed_groups = 0
+    result.elapsed = cluster.env.now
     result.class_latency = plane.class_summary()
-    result.heap_live_entries = env.live_heap_size()
+    result.heap_live_entries = cluster.env.live_heap_size()
     _audit_targets(result, cluster)
     for target in cluster.targets:
         if target.admission is not None:

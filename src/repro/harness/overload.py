@@ -42,6 +42,8 @@ from typing import Dict, List, Optional
 
 from repro.harness.experiment import LAYOUTS, FigureResult
 from repro.harness.sweep import RunSpec, Sweep
+from repro.nvmeof.initiator import DriverHardening
+from repro.robust.admission import AdmissionConfig
 
 __all__ = [
     "PROTECTIONS",
@@ -55,13 +57,30 @@ __all__ = [
 #: Protection profiles compared by ``repro overload``.
 PROTECTIONS = ("off", "full")
 
-#: Virtual-seconds knobs shared by both protection profiles.
-_COMMAND_TIMEOUT_OFF = 100e-6
-_COMMAND_TIMEOUT_FULL = 1.5e-3
-_QFULL_BACKOFF = 20e-6
+#: The robustness plane's protected driver: a timeout with headroom,
+#: jittered backoff, a token-bucket retry budget, QFULL requeues that
+#: turn target-side sheds into initiator-side pacing, and sticky
+#: fail-fast dead streams.  Overload ``full``, the gray target, QoS
+#: tenant runs and the noisy-neighbor storm all run it.
+PROTECTED_HARDENING = DriverHardening(
+    command_timeout=1.5e-3,
+    max_retries=5,
+    backoff=2.0,
+    jitter=0.25,
+    retry_budget_ratio=0.1,
+    retry_budget_cap=8.0,
+    qfull_backoff=20e-6,
+    qfull_max_requeues=256,
+    fail_fast=True,
+)
+
+#: The target-side admission paired with :data:`PROTECTED_HARDENING`: it
+#: bounds in-target queueing well below the driver's timeout.
+PROTECTED_ADMISSION = AdmissionConfig(max_inflight_ordered=128,
+                                      max_inflight_unordered=128)
 
 
-def _hardening(protection: str):
+def _hardening(protection: str) -> DriverHardening:
     """The driver hardening of one protection profile.
 
     ``off`` is a conventional timeout-and-retransmit driver: a per-attempt
@@ -73,41 +92,18 @@ def _hardening(protection: str):
     decouple from persistence); when the retransmission load saturates
     the receive cores, the ~475 us retry ladder expires before the gate
     is even reached and goodput collapses in timeout aborts.
-    ``full`` is the robustness plane: a timeout with headroom, jittered
-    backoff, a token-bucket retry budget, QFULL requeues and sticky
-    fail-fast dead streams, paired with target-side admission control
-    that bounds in-target queueing well below the timeout.
+    ``full`` is :data:`PROTECTED_HARDENING`, paired with
+    :data:`PROTECTED_ADMISSION` at the targets.
     """
-    from repro.nvmeof.initiator import DriverHardening
-
     if protection == "off":
         return DriverHardening(
-            command_timeout=_COMMAND_TIMEOUT_OFF,
+            command_timeout=100e-6,
             max_retries=3,
             backoff=1.5,
         )
     if protection == "full":
-        return DriverHardening(
-            command_timeout=_COMMAND_TIMEOUT_FULL,
-            max_retries=5,
-            backoff=2.0,
-            jitter=0.25,
-            retry_budget_ratio=0.1,
-            retry_budget_cap=8.0,
-            qfull_backoff=_QFULL_BACKOFF,
-            qfull_max_requeues=256,
-            fail_fast=True,
-        )
+        return PROTECTED_HARDENING
     raise ValueError(f"unknown protection {protection!r} (have {PROTECTIONS})")
-
-
-def _admission_config():
-    from repro.robust.admission import AdmissionConfig
-
-    return AdmissionConfig(
-        max_inflight_ordered=128,
-        max_inflight_unordered=128,
-    )
 
 
 @dataclass
@@ -300,7 +296,7 @@ def probe_overload(
         hardening=_hardening(protection),
     )
     if protection == "full":
-        cluster.install_admission(_admission_config())
+        cluster.install_admission(PROTECTED_ADMISSION)
     stack = ShardedStack(cluster, system, num_streams=max(tenants, 1))
 
     def _persisted() -> float:
@@ -490,9 +486,9 @@ def probe_gray(
     env = Environment()
     cluster = ScaleOutCluster(
         env, profiles, num_initiators=1, seed=seed,
-        hardening=_hardening("full"),
+        hardening=PROTECTED_HARDENING,
     )
-    cluster.install_admission(_admission_config())
+    cluster.install_admission(PROTECTED_ADMISSION)
     monitors = cluster.attach_health()
     stack = ShardedStack(cluster, system, num_streams=max(tenants, 1))
     plan = FaultPlan(seed=seed).degrade(

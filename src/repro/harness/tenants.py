@@ -43,42 +43,15 @@ __all__ = [
 #: Tenant classes reported as per-class columns, in severity order.
 _CLASS_NAMES = ("gold", "silver", "bronze")
 
-#: The storm's driver hardening: QFULL requeues with backoff turn
-#: target-side sheds into initiator-side pacing (the overload plane's
-#: ``full`` protection profile).
-_STORM_COMMAND_TIMEOUT = 1.5e-3
-_STORM_QFULL_BACKOFF = 20e-6
-
-
-def _storm_hardening():
-    from repro.nvmeof.initiator import DriverHardening
-
-    return DriverHardening(
-        command_timeout=_STORM_COMMAND_TIMEOUT,
-        max_retries=5,
-        backoff=2.0,
-        jitter=0.25,
-        retry_budget_ratio=0.1,
-        retry_budget_cap=8.0,
-        qfull_backoff=_STORM_QFULL_BACKOFF,
-        qfull_max_requeues=256,
-        fail_fast=True,
-    )
-
-
 def _install_qos(cluster, directory, quantum: float) -> list:
     """Arm every target with a QoS admission controller; returns them."""
-    from repro.robust.admission import (
-        AdmissionConfig,
-        AdmissionController,
-        TenantQos,
-    )
+    from repro.harness.overload import PROTECTED_ADMISSION
+    from repro.robust.admission import AdmissionController, TenantQos
 
     controllers = []
     for target in cluster.targets:
         controller = AdmissionController(
-            AdmissionConfig(max_inflight_ordered=128,
-                            max_inflight_unordered=128),
+            PROTECTED_ADMISSION,
             qos=TenantQos.from_directory(directory, quantum=quantum),
         )
         target.install_admission(controller)
@@ -127,6 +100,7 @@ def probe_tenants(
     Top-level and scalar-valued so the sweep runner can execute it in a
     worker process and key it in the content-addressed result cache.
     """
+    from repro.harness.overload import PROTECTED_HARDENING
     from repro.scale import (
         OpenLoopConfig,
         ScaleOutCluster,
@@ -146,7 +120,7 @@ def probe_tenants(
     cluster = ScaleOutCluster(
         env, LAYOUTS[layout], num_initiators=initiators, seed=seed,
         steering=steering,
-        hardening=_storm_hardening() if qos else None,
+        hardening=PROTECTED_HARDENING if qos else None,
     )
     stack = ShardedStack(cluster, system, num_streams=max(streams, 1))
     directory = TenantDirectory(
@@ -307,7 +281,6 @@ class _StormPlane:
         from repro.tenants import ClassAccountant, DEFAULT_CLASSES
 
         self.accountant = ClassAccountant(DEFAULT_CLASSES)
-        self.ops_by_class: Dict[str, int] = {}
 
     def peak_factor(self) -> float:
         return 1.0
@@ -319,12 +292,95 @@ class _StormPlane:
         return stream  # lane identity: tenant id == stream id
 
     def record(self, tenant: int, latency_s: float) -> None:
-        name = _storm_class(tenant)
-        self.accountant.record(name, latency_s)
-        self.ops_by_class[name] = self.ops_by_class.get(name, 0) + 1
+        self.accountant.record(_storm_class(tenant), latency_s)
 
     def class_summary(self):
         return self.accountant.summary()
+
+
+def _run_storm(
+    system: str,
+    layout: str,
+    gold_kiops: float,
+    aggressor_kiops: float,
+    aggressor_lanes: int,
+    aggressor_blocks: int,
+    pace_kiops: float,
+    qos: bool,
+    quantum: float,
+    duration: float,
+    warmup: float,
+    steering: str,
+    seed: int,
+    plan=None,
+):
+    """Build the storm testbed and run it; returns ``(cluster, run, plane)``.
+
+    ``plan`` (a :class:`~repro.sim.faults.FaultPlan`) is installed once
+    admission is armed, so its faults land on the protected target.
+    """
+    from repro.harness.overload import PROTECTED_ADMISSION, PROTECTED_HARDENING
+    from repro.robust.admission import (
+        AdmissionController,
+        QosClass,
+        TenantQos,
+    )
+    from repro.scale import (
+        OpenLoopConfig,
+        ScaleOutCluster,
+        ShardedStack,
+        run_open_loop,
+    )
+    from repro.sim.engine import Environment
+
+    if layout not in LAYOUTS:
+        raise ValueError(f"unknown layout {layout!r} (have {sorted(LAYOUTS)})")
+    if aggressor_lanes < 1:
+        raise ValueError("need at least one aggressor lane")
+    env = Environment()
+    cluster = ScaleOutCluster(
+        env, LAYOUTS[layout], num_initiators=1, seed=seed,
+        steering=steering,
+        # QFULL requeue/backoff turns target sheds into initiator-side
+        # pacing; the unprotected run has no sheds to pace (and no
+        # timeouts to mask the queueing it is meant to expose).
+        hardening=PROTECTED_HARDENING if qos else None,
+    )
+    lanes = 1 + aggressor_lanes
+    stack = ShardedStack(cluster, system, num_streams=lanes)
+    if qos:
+        tenant_qos = TenantQos(
+            (
+                QosClass("gold", weight=8.0),
+                # burst=1: a big-write token banked per lane is ~60 us of
+                # media occupancy, so idle credit must stay shallow.
+                QosClass("bronze", weight=1.0,
+                         rate_iops=pace_kiops * 1e3, burst=1.0),
+            ),
+            classifier=_storm_class,
+            quantum=quantum,
+        )
+        for target in cluster.targets:
+            target.install_admission(
+                AdmissionController(PROTECTED_ADMISSION, qos=tenant_qos))
+            target.install_tenant_steering(
+                _storm_class, {"gold": (0.0, 0.2), "bronze": (0.2, 1.0)})
+    if plan is not None:
+        plan.install(cluster)
+    plane = _StormPlane()
+    run = run_open_loop(
+        cluster, stack,
+        OpenLoopConfig(
+            offered_iops=(gold_kiops + aggressor_kiops) * 1e3,
+            tenants=lanes, duration=duration, warmup=warmup,
+            seed=seed,
+            weights=(gold_kiops,) + (
+                aggressor_kiops / aggressor_lanes,) * aggressor_lanes,
+            blocks=(1,) + (aggressor_blocks,) * aggressor_lanes,
+        ),
+        plane=plane,
+    )
+    return cluster, run, plane
 
 
 def probe_noisy_neighbor(
@@ -365,67 +421,10 @@ def probe_noisy_neighbor(
     ``qos=False`` the same seed drives the same storm through an
     unprotected target and demonstrably violates the SLO.
     """
-    from repro.robust.admission import (
-        AdmissionConfig,
-        AdmissionController,
-        QosClass,
-        TenantQos,
-    )
-    from repro.scale import (
-        OpenLoopConfig,
-        ScaleOutCluster,
-        ShardedStack,
-        run_open_loop,
-    )
-    from repro.sim.engine import Environment
-
-    if layout not in LAYOUTS:
-        raise ValueError(f"unknown layout {layout!r} (have {sorted(LAYOUTS)})")
-    if aggressor_lanes < 1:
-        raise ValueError("need at least one aggressor lane")
-    env = Environment()
-    cluster = ScaleOutCluster(
-        env, LAYOUTS[layout], num_initiators=1, seed=seed,
-        steering=steering,
-        # QFULL requeue/backoff turns target sheds into initiator-side
-        # pacing; the unprotected run has no sheds to pace (and no
-        # timeouts to mask the queueing it is meant to expose).
-        hardening=_storm_hardening() if qos else None,
-    )
-    lanes = 1 + aggressor_lanes
-    stack = ShardedStack(cluster, system, num_streams=lanes)
-    if qos:
-        tenant_qos = TenantQos(
-            (
-                QosClass("gold", weight=8.0),
-                # burst=1: a big-write token banked per lane is ~60 us of
-                # media occupancy, so idle credit must stay shallow.
-                QosClass("bronze", weight=1.0,
-                         rate_iops=pace_kiops * 1e3, burst=1.0),
-            ),
-            classifier=_storm_class,
-            quantum=quantum,
-        )
-        for target in cluster.targets:
-            target.install_admission(AdmissionController(
-                AdmissionConfig(max_inflight_ordered=128,
-                                max_inflight_unordered=128),
-                qos=tenant_qos,
-            ))
-            target.install_tenant_steering(
-                _storm_class, {"gold": (0.0, 0.2), "bronze": (0.2, 1.0)})
-    plane = _StormPlane()
-    run = run_open_loop(
-        cluster, stack,
-        OpenLoopConfig(
-            offered_iops=(gold_kiops + aggressor_kiops) * 1e3,
-            tenants=lanes, duration=duration, warmup=warmup,
-            seed=seed,
-            weights=(gold_kiops,) + (
-                aggressor_kiops / aggressor_lanes,) * aggressor_lanes,
-            blocks=(1,) + (aggressor_blocks,) * aggressor_lanes,
-        ),
-        plane=plane,
+    cluster, run, plane = _run_storm(
+        system, layout, gold_kiops, aggressor_kiops, aggressor_lanes,
+        aggressor_blocks, pace_kiops, qos, quantum, duration, warmup,
+        steering, seed,
     )
     summary = plane.class_summary()
     gold = summary.get("gold", {})

@@ -65,21 +65,5 @@ class CpuCosts:
     #: is copied through the socket on both ends).
     tcp_copy_per_block: float = 0.40e-6
 
-    @property
-    def initiator_per_command(self) -> float:
-        """Asynchronous-path initiator CPU for one command."""
-        return self.command_build_and_post + self.completion_interrupt
-
-    @property
-    def target_per_command(self) -> float:
-        """Asynchronous-path target CPU for one write command."""
-        return (
-            self.recv_process
-            + self.rdma_read_post
-            + self.nvme_submit
-            + self.nvme_completion
-            + self.response_post
-        )
-
 
 DEFAULT_COSTS = CpuCosts()

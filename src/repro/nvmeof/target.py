@@ -85,11 +85,6 @@ class TargetPolicy:
     def attach(self, target: "TargetServer") -> None:
         """Called when installed on a target."""
 
-    def on_receive(self, ctx: TargetContext, cmd: NvmeCommand):
-        """Hook after command reception, before data fetch."""
-        return
-        yield  # pragma: no cover - makes this a generator function
-
     def before_submit(self, ctx: TargetContext, cmd: NvmeCommand):
         """Hook before the command is submitted to the SSD."""
         return
@@ -461,7 +456,6 @@ class TargetServer:
 
     def _execute_command(self, ctx: TargetContext, cmd: NvmeCommand):
         core, endpoint = ctx.core, ctx.endpoint
-        yield from self.policy.on_receive(ctx, cmd)
         if self.crashed:
             return
 

@@ -1,4 +1,5 @@
-"""Scale-out plane: sharded multi-initiator clusters + load generators.
+"""Scale-out plane: sharded multi-initiator clusters + an open-loop
+load generator.
 
 The paper's headline claim is CPU-efficient ordering *at scale* (§3.2,
 §6, Figs. 10-12); this package is the fan-in testbed that claim is
@@ -14,9 +15,10 @@ exercised on:
   disjoint global stream-id ranges per initiator) and
   :class:`ShardedStack` (one ordered-stack facade over the per-node
   stacks, routing global streams to their owning node).
-* :mod:`repro.scale.loadgen` — open-loop (fixed-rate Poisson) and
-  closed-loop (think-time-bounded) per-tenant load generators that
-  drive a :class:`ShardedStack` and record completion latencies.
+* :mod:`repro.scale.loadgen` — the open-loop (fixed-rate Poisson)
+  per-tenant load generator that drives a :class:`ShardedStack` and
+  records completion latencies.  Fixed-depth closed loops are
+  :func:`repro.apps.fio.run_block_workload`.
 
 The saturation experiment over this plane lives in
 :mod:`repro.harness.saturate` (``repro saturate``).
@@ -29,10 +31,8 @@ from repro.scale.cluster import (
     StreamDirectory,
 )
 from repro.scale.loadgen import (
-    ClosedLoopConfig,
     LoadgenResult,
     OpenLoopConfig,
-    run_closed_loop,
     run_open_loop,
 )
 
@@ -42,8 +42,6 @@ __all__ = [
     "ShardedStack",
     "StreamDirectory",
     "OpenLoopConfig",
-    "ClosedLoopConfig",
     "LoadgenResult",
     "run_open_loop",
-    "run_closed_loop",
 ]

@@ -1,22 +1,17 @@
-"""Open- and closed-loop load generators for the scale-out plane.
+"""The scale-out plane's open-loop load generator.
 
-Two canonical load models from queueing practice:
-
-* **Open loop** (:func:`run_open_loop`) — arrivals are a fixed-rate
-  Poisson process, independent of completions.  Latency is measured from
-  the *intended arrival time*, so queueing delay counts: past the
-  saturation knee the arrival queue grows and tail latency explodes —
-  exactly the throughput-latency hockey stick ``repro saturate`` plots.
-* **Closed loop** (:func:`run_closed_loop`) — each tenant keeps a bounded
-  number of groups in flight and waits (plus exponential think time)
-  before issuing the next, so offered load self-limits to completion
-  rate, like the paper's FIO jobs at fixed queue depth.
+:func:`run_open_loop` drives fixed-rate Poisson arrivals, independent of
+completions.  Latency is measured from the *intended arrival time*, so
+queueing delay counts: past the saturation knee the arrival queue grows
+and tail latency explodes — exactly the throughput-latency hockey stick
+``repro saturate`` plots.  Fixed-depth closed loops, the paper's FIO
+jobs, are :func:`repro.apps.fio.run_block_workload`.
 
 Tenants reuse the :mod:`repro.apps` workload shapes (``rand``/``seq``
 write patterns and the §3.1 ``journal`` 2-block + 1-block commit shape),
 each on a private LBA area and a private stream — one tenant, one
-ordered stream, as the paper's per-thread streams.  Both generators
-drive any :class:`~repro.systems.base.OrderedStack`, including the
+ordered stream, as the paper's per-thread streams.  The generator
+drives any :class:`~repro.systems.base.OrderedStack`, including the
 sharded multi-initiator facade
 (:class:`repro.scale.cluster.ShardedStack`), which routes each tenant's
 stream to its owning initiator host.
@@ -24,21 +19,18 @@ stream to its owning initiator host.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment
 from repro.sim.resources import IssueWindow
 from repro.sim.rng import DeterministicRNG
 from repro.sim.stats import LatencyRecorder
 
 __all__ = [
     "OpenLoopConfig",
-    "ClosedLoopConfig",
     "LoadgenResult",
     "run_open_loop",
-    "run_closed_loop",
 ]
 
 #: Private LBA area per tenant, in blocks (mirrors the fio driver).
@@ -78,23 +70,6 @@ class OpenLoopConfig:
     blocks: Optional[Tuple[int, ...]] = None
 
 
-@dataclass(frozen=True)
-class ClosedLoopConfig:
-    """Think-time-bounded closed loops, one per tenant."""
-
-    tenants: int = 4
-    queue_depth: int = 1
-    #: Mean exponential think time between an ordered completion and the
-    #: next submission (0 = back-to-back).
-    think_time: float = 0.0
-    duration: float = 2e-3
-    warmup: float = 0.5e-3
-    write_blocks: int = 1
-    pattern: str = "rand"
-    durable: bool = False
-    seed: int = 1234
-
-
 @dataclass
 class LoadgenResult:
     """Measured outcome of one load-generator run."""
@@ -120,13 +95,6 @@ class LoadgenResult:
         return self.achieved_iops / self.initiator_busy_cores
 
 
-def _validate(pattern: str, tenants: int) -> None:
-    if pattern not in ("rand", "seq", "journal"):
-        raise ValueError(f"pattern must be rand|seq|journal, got {pattern!r}")
-    if tenants < 1:
-        raise ValueError("need at least one tenant")
-
-
 def _make_lba_chooser(rng: DeterministicRNG, pattern: str, base: int,
                       op_blocks: int):
     """Address generator for one tenant (fio's rand/seq idiom)."""
@@ -145,14 +113,12 @@ def _make_lba_chooser(rng: DeterministicRNG, pattern: str, base: int,
     return next_lba
 
 
-def _issue_op(stack, core, stream, next_lba, config, tenant=None,
-              nblocks=None):
+def _issue_op(stack, core, stream, next_lba, config, tenant, nblocks):
     """Generator: issue one workload op; returns (events, nops).
 
     ``tenant`` (multi-tenant plane) tags the bios with the issuing tenant
     id; None issues anonymously, exactly as before the plane existed.
-    ``nblocks`` overrides the op size (``config.blocks`` per-tenant mix);
-    None keeps ``config.write_blocks``.
+    ``nblocks`` is the op size of a non-journal op.
     """
     extra = {} if tenant is None else {"tenant": tenant}
     if config.pattern == "journal":
@@ -168,8 +134,7 @@ def _issue_op(stack, core, stream, next_lba, config, tenant=None,
         return [e1, e2], 2
     done = yield from stack.write_ordered(
         core, stream, lba=next_lba(),
-        nblocks=config.write_blocks if nblocks is None else nblocks,
-        end_of_group=True, flush=config.durable, **extra,
+        nblocks=nblocks, end_of_group=True, flush=config.durable, **extra,
     )
     return [done], 1
 
@@ -203,13 +168,6 @@ def _tenant_blocks(config: OpenLoopConfig) -> List[int]:
     return list(config.blocks)
 
 
-def _finish(result: LoadgenResult, cluster, config) -> LoadgenResult:
-    result.elapsed = config.duration
-    result.initiator_busy_cores = cluster.initiator_busy_cores(config.duration)
-    result.target_busy_cores = cluster.target_busy_cores(config.duration)
-    return result
-
-
 def run_open_loop(cluster, stack, config: OpenLoopConfig,
                   plane=None) -> LoadgenResult:
     """Run a fixed-rate Poisson workload to the end of its window.
@@ -223,7 +181,11 @@ def run_open_loop(cluster, stack, config: OpenLoopConfig,
     the stock anonymous generator, bit-identical to before the plane
     existed — the tenant RNG is only ever forked when a plane is given.
     """
-    _validate(config.pattern, config.tenants)
+    if config.pattern not in ("rand", "seq", "journal"):
+        raise ValueError(
+            f"pattern must be rand|seq|journal, got {config.pattern!r}")
+    if config.tenants < 1:
+        raise ValueError("need at least one tenant")
     if config.offered_iops <= 0:
         raise ValueError("offered_iops must be > 0")
     env: Environment = cluster.env
@@ -280,67 +242,7 @@ def run_open_loop(cluster, stack, config: OpenLoopConfig,
     for tenant in range(config.tenants):
         env.process(tenant_body(tenant))
     env.run(until=end_time)
-    return _finish(result, cluster, config)
-
-
-def run_closed_loop(cluster, stack, config: ClosedLoopConfig,
-                    plane=None) -> LoadgenResult:
-    """Run think-time-bounded closed loops to the end of their window.
-
-    ``plane`` layers tenant identity over the loops (Zipf member pick and
-    per-class latency accounting, as in :func:`run_open_loop`); diurnal
-    thinning does not apply — a closed loop's rate is completion-bound.
-    """
-    _validate(config.pattern, config.tenants)
-    if config.queue_depth < 1:
-        raise ValueError("queue_depth must be >= 1")
-    env: Environment = cluster.env
-    result = LoadgenResult(system=stack.name, tenants=config.tenants)
-    end_time = config.warmup + config.duration
-    op_blocks = 3 if config.pattern == "journal" else config.write_blocks
-
-    def complete(issued_at, nops, who):
-        if config.warmup <= env.now <= end_time:
-            result.ops += nops
-            if issued_at >= config.warmup:
-                result.latency.record(env.now - issued_at)
-                if plane is not None and who is not None:
-                    plane.record(who, env.now - issued_at)
-
-    def tenant_body(tenant: int):
-        rng = DeterministicRNG(config.seed).fork(f"loadgen-closed{tenant}")
-        plane_rng = rng.fork("tenant-plane") if plane is not None else None
-        core = cluster.initiator.cpus.pick(tenant)
-        next_lba = _make_lba_chooser(
-            rng.fork("lba"), config.pattern,
-            tenant * TENANT_AREA_BLOCKS, op_blocks,
-        )
-        # Trackers only: this loop waits for the *oldest* op (head of
-        # line), a different rule from IssueWindow.issue's wait for any.
-        window = IssueWindow(env, config.queue_depth, complete)
-        inflight: Deque[Event] = deque()
-        while env.now < end_time:
-            issued_at = env.now
-            who = plane.pick(tenant, plane_rng) if plane is not None else None
-            events, nops = yield from _issue_op(
-                stack, core, tenant, next_lba, config, tenant=who
-            )
-            inflight.append(window.track(events, issued_at, nops, who))
-            while len(inflight) >= config.queue_depth:
-                head = inflight.popleft()
-                if not head.triggered:
-                    yield head
-            if config.think_time > 0:
-                yield env.timeout(rng.expovariate(1.0 / config.think_time))
-
-    def measurement():
-        yield env.timeout(config.warmup)
-        cluster.start_cpu_window()
-        yield env.timeout(config.duration)
-        cluster.stop_cpu_window()
-
-    env.process(measurement())
-    for tenant in range(config.tenants):
-        env.process(tenant_body(tenant))
-    env.run(until=end_time)
-    return _finish(result, cluster, config)
+    result.elapsed = config.duration
+    result.initiator_busy_cores = cluster.initiator_busy_cores(config.duration)
+    result.target_busy_cores = cluster.target_busy_cores(config.duration)
+    return result

@@ -25,7 +25,7 @@ from repro.sim.engine import (
 from repro.sim.faults import FaultPlan, FaultRecord
 from repro.sim.resources import Resource, Store
 from repro.sim.rng import DeterministicRNG
-from repro.sim.stats import BusyTracker, Counter, LatencyRecorder, ThroughputMeter
+from repro.sim.stats import BusyTracker, LatencyRecorder
 
 __all__ = [
     "Environment",
@@ -41,7 +41,5 @@ __all__ = [
     "Store",
     "DeterministicRNG",
     "BusyTracker",
-    "Counter",
     "LatencyRecorder",
-    "ThroughputMeter",
 ]

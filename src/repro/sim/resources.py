@@ -312,10 +312,9 @@ class IssueWindow:
     that fired the wake triggered after the refresh before it), so one
     wait per issue suffices.
 
-    :meth:`track` alone returns the tracker for a caller that waits on
-    trackers itself (the head-of-line wait of
-    :func:`repro.scale.loadgen.run_closed_loop`).  Member events must be
-    plain events, not timeouts that could be cancelled.
+    :meth:`track` is the first half of :meth:`issue` and has no caller of
+    its own.  Member events must be plain events, not timeouts that could
+    be cancelled.
     """
 
     def __init__(self, env: Environment, depth: int, on_complete=None):

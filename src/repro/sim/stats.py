@@ -1,4 +1,4 @@
-"""Measurement helpers: throughput, latency distributions, CPU busy time.
+"""Measurement helpers: latency distributions and CPU busy time.
 
 The paper reports throughput (IOPS / MB/s / ops/s), average and 99th
 percentile latency, and "CPU efficiency" defined in §6.1 as throughput
@@ -10,27 +10,11 @@ busy virtual time per core.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.sim.engine import Environment
 
-__all__ = ["Counter", "LatencyRecorder", "ThroughputMeter", "BusyTracker"]
-
-
-class Counter:
-    """A named monotonically increasing event counter."""
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
-
-    def add(self, name: str, amount: int = 1) -> None:
-        self._counts[name] = self._counts.get(name, 0) + amount
-
-    def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self._counts)
+__all__ = ["LatencyRecorder", "BusyTracker"]
 
 
 class LatencyRecorder:
@@ -79,55 +63,6 @@ class LatencyRecorder:
     @property
     def maximum(self) -> float:
         return max(self._samples) if self._samples else 0.0
-
-
-class ThroughputMeter:
-    """Counts completed operations/bytes over a measurement window."""
-
-    def __init__(self, env: Environment):
-        self.env = env
-        self._ops = 0
-        self._bytes = 0
-        self._window_start: Optional[float] = None
-        self._window_end: Optional[float] = None
-
-    def start_window(self) -> None:
-        """Begin measuring; completions before this are warm-up."""
-        self._window_start = self.env.now
-        self._ops = 0
-        self._bytes = 0
-
-    def stop_window(self) -> None:
-        self._window_end = self.env.now
-
-    def complete(self, nbytes: int = 0, ops: int = 1) -> None:
-        if self._window_start is None or self._window_end is not None:
-            return  # outside the measurement window
-        self._ops += ops
-        self._bytes += nbytes
-
-    @property
-    def elapsed(self) -> float:
-        if self._window_start is None:
-            return 0.0
-        end = self._window_end if self._window_end is not None else self.env.now
-        return max(0.0, end - self._window_start)
-
-    @property
-    def ops(self) -> int:
-        return self._ops
-
-    @property
-    def ops_per_sec(self) -> float:
-        return self._ops / self.elapsed if self.elapsed > 0 else 0.0
-
-    @property
-    def bytes_per_sec(self) -> float:
-        return self._bytes / self.elapsed if self.elapsed > 0 else 0.0
-
-    @property
-    def mb_per_sec(self) -> float:
-        return self.bytes_per_sec / 1e6
 
 
 class BusyTracker:

@@ -783,6 +783,8 @@ def _validate_scenario(spec: ScenarioSpec) -> None:
         if spec.policies["protections"] is not None:
             raise SpecError("policies.protections: only the overload "
                             "scenario takes protection profiles")
+        from repro.harness.qualify import _FLOORS
+
         floors = spec.policies["floors"]
         if floors is not None:
             for cell_key, cell_floors in floors.items():
@@ -798,6 +800,11 @@ def _validate_scenario(spec: ScenarioSpec) -> None:
                         raise SpecError(
                             f"policies.floors[{cell_key!r}][{floor_name!r}]"
                             ": expected a number"
+                        )
+                    if floor_name not in _FLOORS:
+                        raise SpecError(
+                            f"policies.floors[{cell_key!r}]: unknown floor "
+                            f"{floor_name!r} (have {sorted(_FLOORS)})"
                         )
     if scenario in ("saturate", "overload") or (
         scenario == "tenants" and workload["mode"] == "curves"

@@ -287,24 +287,6 @@ class TenantDirectory:
         first = (inv * (stream - self._b)) % self.num_streams
         return first + rank * self.num_streams
 
-    def stream_weights(self) -> List[float]:
-        """Per-stream popularity mass (normalized to sum 1).
-
-        Exact over the Zipf head, with the tail mass spread uniformly —
-        the same split :func:`zipf_rank` samples from.
-        """
-        head = min(self.num_tenants, _ZIPF_HEAD)
-        masses = [0.0] * self.num_streams
-        for rank in range(head):
-            w = 1.0 / (rank + 1) ** self.zipf_alpha
-            masses[self.stream_of(self.tenant_at_rank(rank))] += w
-        tail = _zipf_tail_mass(head, self.num_tenants, self.zipf_alpha)
-        if tail > 0:
-            for stream in range(self.num_streams):
-                masses[stream] += tail / self.num_streams
-        total = sum(masses)
-        return [m / total for m in masses]
-
     def _check(self, tenant: int) -> None:
         if not 0 <= tenant < self.num_tenants:
             raise ValueError(f"tenant {tenant} out of range")

@@ -42,7 +42,6 @@ class TenantTrafficPlane:
             accountant if accountant is not None
             else ClassAccountant(directory.classes)
         )
-        self.ops_by_class: Dict[str, int] = {}
 
     # -- generator hooks ---------------------------------------------------
 
@@ -57,9 +56,8 @@ class TenantTrafficPlane:
             stream % self.directory.num_streams, rng)
 
     def record(self, tenant: int, latency_s: float) -> None:
-        name = self.directory.class_name_of(tenant)
-        self.accountant.record(name, latency_s)
-        self.ops_by_class[name] = self.ops_by_class.get(name, 0) + 1
+        self.accountant.record(self.directory.class_name_of(tenant),
+                               latency_s)
 
     # -- results -----------------------------------------------------------
 

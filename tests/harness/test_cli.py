@@ -98,6 +98,8 @@ def _exit_code(argv):
     ["overload", "--scenario", "gray", "--systems", "linux"],
     ["overload", "--protection", "bogus"],
     ["qualify", "--floor", "no-assignment"],
+    ["qualify", "--profile", "smoke", "--systems", "rio", "--no-cache",
+     "--floor", "matrix/rio/4K/qd1/seq:min_kiopz=1"],
     ["saturate", "--layout", "nope"],
 ])
 def test_malformed_verb_flags_exit_2_with_one_message(argv, capsys):

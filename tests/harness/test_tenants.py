@@ -124,6 +124,28 @@ def test_storm_probe_is_seeded_deterministic():
     assert probe_noisy_neighbor("rio", **fast) == row
 
 
+@pytest.mark.parametrize("qos, gold, bronze, sheds", [
+    (True, 13, 8, 630),
+    (False, 3, 6, 0),
+])
+def test_fault_free_chaos_trial_measures_the_storm(qos, gold, bronze, sheds):
+    """The tenant chaos trial runs the storm's own testbed: without
+    faults it sees the very ops, tails and sheds the storm probe sees."""
+    from repro.harness.chaos import run_tenant_chaos_trial
+
+    window = dict(duration=1e-3, warmup=0.5e-3)
+    trial = run_tenant_chaos_trial(system="rio", seed=3, qos=qos,
+                                   faults=False, **window)
+    row = probe_noisy_neighbor("rio", qos=qos, seed=3, **window)
+    classes = trial.class_latency
+    assert (row["gold_count"], row["bronze_count"]) == (gold, bronze)
+    for name in ("gold", "bronze"):
+        assert classes[name]["count"] == row[f"{name}_count"]
+        assert classes[name]["p999_us"] == row[f"{name}_p999_us"]
+    assert classes["gold"]["p50_us"] == row["gold_p50_us"]
+    assert sum(trial.sheds_by_reason.values()) == row["sheds"] == sheds
+
+
 # ----------------------------------------------------------------------
 # Sweep identity and cache reuse
 # ----------------------------------------------------------------------

@@ -1,14 +1,12 @@
-"""Open/closed-loop load generators: rates, latency accounting, shapes."""
+"""The open-loop load generator: rates, latency accounting, shapes."""
 
 import pytest
 
 from repro.harness.experiment import LAYOUTS
 from repro.scale import (
-    ClosedLoopConfig,
     OpenLoopConfig,
     ScaleOutCluster,
     ShardedStack,
-    run_closed_loop,
     run_open_loop,
 )
 from repro.sim.engine import Environment
@@ -112,37 +110,3 @@ def test_open_loop_rejects_bad_config():
         run_open_loop(cluster, stack, OpenLoopConfig(
             offered_iops=1000, tenants=0,
         ))
-
-
-# ----------------------------------------------------------------------
-# Closed loop
-# ----------------------------------------------------------------------
-
-
-def test_closed_loop_self_limits_to_completion_rate():
-    cluster, stack = make_testbed()
-    run = run_closed_loop(cluster, stack, ClosedLoopConfig(
-        queue_depth=4, duration=1e-3, seed=3,
-    ))
-    assert run.ops > 0
-    assert run.latency.count > 0
-    assert run.achieved_iops > 0
-    assert run.initiator_busy_cores > 0
-
-
-def test_closed_loop_think_time_lowers_throughput():
-    cluster, stack = make_testbed()
-    eager = run_closed_loop(cluster, stack, ClosedLoopConfig(
-        queue_depth=1, duration=1e-3, seed=3,
-    ))
-    cluster, stack = make_testbed()
-    thinking = run_closed_loop(cluster, stack, ClosedLoopConfig(
-        queue_depth=1, think_time=50e-6, duration=1e-3, seed=3,
-    ))
-    assert thinking.achieved_iops < eager.achieved_iops
-
-
-def test_closed_loop_rejects_zero_depth():
-    cluster, stack = make_testbed()
-    with pytest.raises(ValueError):
-        run_closed_loop(cluster, stack, ClosedLoopConfig(queue_depth=0))

@@ -3,17 +3,7 @@
 import pytest
 
 from repro.sim import Environment
-from repro.sim.stats import BusyTracker, Counter, LatencyRecorder, ThroughputMeter
-
-
-def test_counter():
-    counter = Counter()
-    counter.add("ops")
-    counter.add("ops", 4)
-    counter.add("bytes", 100)
-    assert counter.get("ops") == 5
-    assert counter.get("missing") == 0
-    assert counter.as_dict() == {"ops": 5, "bytes": 100}
+from repro.sim.stats import BusyTracker, LatencyRecorder
 
 
 def test_latency_recorder_statistics():
@@ -41,27 +31,6 @@ def test_latency_recorder_validation():
         recorder.record(-1.0)
     with pytest.raises(ValueError):
         recorder.percentile(101)
-
-
-def test_throughput_meter_window():
-    env = Environment()
-    meter = ThroughputMeter(env)
-    meter.complete(4096)  # before the window: ignored
-    meter.start_window()
-
-    def advance(env):
-        yield env.timeout(2.0)
-
-    env.process(advance(env))
-    env.run()
-    meter.complete(4096)
-    meter.complete(4096)
-    meter.stop_window()
-    meter.complete(4096)  # after the window: ignored
-    assert meter.ops == 2
-    assert meter.ops_per_sec == pytest.approx(1.0)
-    assert meter.bytes_per_sec == pytest.approx(4096.0)
-    assert meter.mb_per_sec == pytest.approx(4096.0 / 1e6)
 
 
 def test_busy_tracker_nested_sections_count_once():

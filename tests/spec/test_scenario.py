@@ -123,6 +123,10 @@ def test_number_fields_preserve_int_vs_float():
           "policies": {"floors": {"matrix/rio/4K/qd1/seq":
                                   {"min_kiops": float("nan")}}}},
          "min_kiops: nan is not a finite number"),
+        ({"scenario": "qualify",
+          "policies": {"floors": {"matrix/rio/4K/qd1/seq":
+                                  {"min_kiopz": 1}}}},
+         "unknown floor 'min_kiopz'"),
         ({"scenario": "saturate", "workload": {"duration": 10 ** 400}},
          "duration: number out of range"),
     ],
