@@ -123,12 +123,12 @@ def test_number_fields_preserve_int_vs_float():
           "policies": {"floors": {"matrix/rio/4K/qd1/seq":
                                   {"min_kiops": float("nan")}}}},
          "min_kiops: nan is not a finite number"),
+        ({"scenario": "saturate", "workload": {"duration": 10 ** 400}},
+         "duration: number out of range"),
         ({"scenario": "qualify",
           "policies": {"floors": {"matrix/rio/4K/qd1/seq":
                                   {"min_kiopz": 1}}}},
          "unknown floor 'min_kiopz'"),
-        ({"scenario": "saturate", "workload": {"duration": 10 ** 400}},
-         "duration: number out of range"),
     ],
 )
 def test_invalid_documents_raise_spec_error(data, fragment):
