@@ -148,7 +148,6 @@ class BlockLayer:
                         bios=[bio],
                         stream_id=bio.stream_id,
                         attr=bio.attr,
-                        deadline=bio.deadline,
                         tenant=bio.tenant,
                     ),
                 )
@@ -182,7 +181,6 @@ class BlockLayer:
                     barrier=bio.flags.barrier,
                     attr=bio.attr,
                     stream_id=bio.stream_id,
-                    deadline=bio.deadline,
                     tenant=bio.tenant,
                     is_split_fragment=split,
                     volume_offsets=vol_offsets[start : start + chunk],
@@ -258,11 +256,6 @@ class BlockLayer:
         prev.nblocks += request.nblocks
         prev.bios.extend(request.bios)
         prev.flush = prev.flush or request.flush
-        if request.deadline is not None:
-            prev.deadline = (
-                request.deadline if prev.deadline is None
-                else min(prev.deadline, request.deadline)
-            )
         if prev.payload is not None and request.payload is not None:
             prev.payload = prev.payload + request.payload
         elif request.payload is not None:

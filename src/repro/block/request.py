@@ -59,11 +59,6 @@ class Bio:
     stream_id: int = 0
     #: Rio ordering attribute (set by the sequencer); opaque to this layer.
     attr: Any = None
-    #: Absolute virtual-time deadline propagated from the issuing layer
-    #: (fsync/write), or None (no deadline).  Carried down through
-    #: merge/split to the driver, which fast-fails a request whose
-    #: remaining budget is below the expected service cost.
-    deadline: Optional[float] = None
     #: Issuing tenant (multi-tenant traffic plane), or None for anonymous
     #: flows.  Rides merge/split down to the NVMe-oF command context so the
     #: target's QoS admission can bucket/weigh per tenant class.
@@ -149,8 +144,6 @@ class BlockRequest:
     #: Compact ordering attribute covering all bios (merged range), or None.
     attr: Any = None
     stream_id: int = 0
-    #: Tightest deadline over the covered bios (None = no deadline).
-    deadline: Optional[float] = None
     #: Issuing tenant shared by the covered bios (merge never crosses
     #: tenants), or None for anonymous flows.
     tenant: Optional[int] = None

@@ -54,11 +54,6 @@ class Transaction:
     #: Fired when the transaction is durable.
     done: Optional[Event] = None
     enqueued_at: float = 0.0
-    #: Absolute virtual-time deadline for this transaction's durability
-    #: (None = none).  The commit stamps the batch's tightest deadline on
-    #: every bio it issues; the driver fast-fails when the remaining
-    #: budget cannot cover the expected service cost.
-    deadline: Optional[float] = None
 
 
 @dataclass
@@ -171,14 +166,6 @@ class Journal:
 
         yield from core.run(TXN_ASSEMBLY_COST * len(batch))
 
-        # Tightest deadline over the batch rides on every bio of the commit
-        # (a batch is durable all-or-nothing, so the earliest requester's
-        # budget governs).
-        deadline = min(
-            (t.deadline for t in batch if t.deadline is not None),
-            default=None,
-        )
-
         # Checkpoint when the journal area is nearly exhausted.
         if self._used >= int(self.area_blocks * 0.8):
             yield from self._checkpoint(cspan)
@@ -186,8 +173,7 @@ class Journal:
         # Block reuse regresses to the classic synchronous FLUSH (§4.4.2/§4.7).
         if any(t.block_reuse for t in batch):
             flush_bio = Bio(op="write", lba=self.area_start, nblocks=1,
-                            stream_id=stream, deadline=deadline,
-                            flags=WriteFlags(flush=True),
+                            stream_id=stream, flags=WriteFlags(flush=True),
                             obs_parent=cspan, obs_role="reuse_flush")
             done = yield from self.stack.submit_ordered(
                 core, flush_bio, end_of_group=True, flush=True
@@ -211,7 +197,7 @@ class Journal:
             for lba, nblocks, payload, ipu in txn.data_extents:
                 bio = Bio(op="write", lba=lba, nblocks=nblocks,
                           payload=payload, stream_id=stream,
-                          deadline=deadline, flags=WriteFlags(ipu=ipu),
+                          flags=WriteFlags(ipu=ipu),
                           obs_parent=cspan, obs_role="data")
                 last_data = bio
                 data_bios.append(bio)
@@ -230,7 +216,7 @@ class Journal:
         ]
         jm_bio = Bio(op="write", lba=journal_lba, nblocks=jd_jm_blocks,
                      payload=jd_payload, stream_id=stream,
-                     deadline=deadline, obs_parent=cspan, obs_role="jm")
+                     obs_parent=cspan, obs_role="jm")
         done = yield from self.stack.submit_ordered(
             core, jm_bio, end_of_group=True, kick=False,
         )
@@ -239,7 +225,7 @@ class Journal:
         # ---- final group: the commit record, flushed for durability ----
         jc_bio = Bio(op="write", lba=journal_lba + jd_jm_blocks, nblocks=1,
                      payload=[("JC", self._txn_counter)], stream_id=stream,
-                     deadline=deadline, obs_parent=cspan, obs_role="jc")
+                     obs_parent=cspan, obs_role="jc")
         jc_done = yield from self.stack.submit_ordered(
             core, jc_bio, end_of_group=True, flush=True, kick=True,
         )

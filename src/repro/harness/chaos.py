@@ -595,7 +595,7 @@ def run_tenant_chaos_trial(
     target-side audits (duplicate applies, submission order) apply
     unchanged.
     """
-    from repro.harness.tenants import _run_storm
+    from repro.harness.tenants import _run_storm, _shed_by_reason
 
     plan: Optional[FaultPlan] = None
     if faults:
@@ -621,11 +621,7 @@ def run_tenant_chaos_trial(
     result.class_latency = plane.class_summary()
     result.heap_live_entries = cluster.env.live_heap_size()
     _audit_targets(result, cluster)
-    for target in cluster.targets:
-        if target.admission is not None:
-            for reason, n in target.admission.shed_by_reason.items():
-                result.sheds_by_reason[reason] = (
-                    result.sheds_by_reason.get(reason, 0.0) + n)
+    result.sheds_by_reason = _shed_by_reason(cluster)
     _account_plan(result, plan)
     _account_nodes(result, cluster)
     # No group structure in an open-loop storm: per-class op counts live

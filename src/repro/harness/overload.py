@@ -127,7 +127,6 @@ class OverloadRun:
 def _cause_of(status: int) -> str:
     from repro.nvmeof.command import (
         STATUS_BROWNOUT,
-        STATUS_DEADLINE,
         STATUS_QFULL,
         STATUS_TIMEOUT,
     )
@@ -135,7 +134,6 @@ def _cause_of(status: int) -> str:
     return {
         STATUS_QFULL: "shed",
         STATUS_TIMEOUT: "timeout",
-        STATUS_DEADLINE: "deadline",
         STATUS_BROWNOUT: "brownout",
     }.get(status, "error")
 
@@ -149,7 +147,6 @@ def _run_status_loop(
     warmup: float,
     seed: int,
     next_lba_for=None,
-    deadline_budget: Optional[float] = None,
     per_tenant: Optional[List] = None,
 ) -> OverloadRun:
     """Status-aware open loop: like
@@ -220,13 +217,8 @@ def _run_status_loop(
                 return
             if arrival > env.now:
                 yield env.timeout(arrival - env.now)
-            deadline = (
-                env.now + deadline_budget
-                if deadline_budget is not None else None
-            )
             done = yield from stack.write_ordered(
-                core, tenant, lba=next_lba(), nblocks=1,
-                end_of_group=True, deadline=deadline,
+                core, tenant, lba=next_lba(), nblocks=1, end_of_group=True,
             )
             events = [done]
             yield from window.issue(events, tenant, arrival, events)
@@ -561,6 +553,11 @@ def probe_gray(
         (per_tenant[t].p999 for t in bystanders if per_tenant[t].count),
         default=0.0,
     )
+    # The p999 gate reads 0.0 when no bystander completes anything, so the
+    # fewest samples any bystander recorded rides along to back it.
+    bystander_samples = min(
+        (per_tenant[t].count for t in bystanders), default=0,
+    )
     sick_good = sum(
         1 for t in sick if per_tenant[t].count
     )
@@ -574,6 +571,7 @@ def probe_gray(
         "failed_ops": float(run.failed_ops),
         "brownouts": float(run.failures_by_cause.get("brownout", 0)),
         "bystander_p999_us": bystander_p999 * 1e6,
+        "bystander_samples": float(bystander_samples),
         "sick_tenants_active": float(sick_good),
         "breaker_trips": float(monitor.target(sick_name).trips),
         "sick_breaker_open": float(

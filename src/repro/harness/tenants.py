@@ -59,18 +59,22 @@ def _install_qos(cluster, directory, quantum: float) -> list:
     return controllers
 
 
-def _shed_counts(cluster) -> Dict[str, float]:
-    """Aggregate admission shed counters over every target."""
+def _shed_by_reason(cluster) -> Dict[str, float]:
+    """Admission sheds per reason, summed over every target."""
     by_reason: Dict[str, float] = {}
-    total = 0.0
     for target in cluster.targets:
         if target.admission is None:
             continue
-        total += target.admission.shed
         for reason, n in target.admission.shed_by_reason.items():
             by_reason[reason] = by_reason.get(reason, 0.0) + n
+    return by_reason
+
+
+def _shed_counts(cluster) -> Dict[str, float]:
+    """The storm row's shed columns: the total and the QoS reasons."""
+    by_reason = _shed_by_reason(cluster)
     return {
-        "sheds": total,
+        "sheds": sum(by_reason.values(), 0.0),
         "shed_pace": by_reason.get("pace", 0.0),
         "shed_wfq": by_reason.get("wfq", 0.0),
     }

@@ -42,7 +42,6 @@ __all__ = [
     "STATUS_OK",
     "STATUS_TIMEOUT",
     "STATUS_QFULL",
-    "STATUS_DEADLINE",
     "STATUS_BROWNOUT",
     "RioFields",
     "NvmeCommand",
@@ -74,10 +73,6 @@ STATUS_TIMEOUT = 0x07
 #: (SCSI TASK SET FULL analogue).  Retryable: the driver re-posts the same
 #: command after a backoff, so ordering attributes are preserved.
 STATUS_QFULL = 0x06
-#: Host-side fast-fail: the request's remaining deadline budget was below
-#: the expected service cost, so the driver failed it locally instead of
-#: spending fabric and target CPU on a doomed command.
-STATUS_DEADLINE = 0x0B
 #: Host-side fast-fail: the circuit breaker for the stream's target is
 #: open (fail-slow/erroring target) and ordered streams cannot migrate,
 #: so the stream surfaces a brownout error instead of wedging.

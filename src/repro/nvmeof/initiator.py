@@ -26,7 +26,6 @@ from repro.nvmeof.command import (
     OP_READ,
     OP_WRITE,
     STATUS_BROWNOUT,
-    STATUS_DEADLINE,
     STATUS_QFULL,
     STATUS_TIMEOUT,
     NvmeCommand,
@@ -49,6 +48,9 @@ __all__ = [
 #: Latency of tearing down and re-arming a broken queue pair (modem-level
 #: RC reconnect: destroy QP, re-exchange, transition to RTS).
 RECONNECT_DELAY = 20e-6
+
+#: Upper bound on the AIMD wave size of the QFULL requeue pacer.
+QFULL_BATCH = 32
 
 
 class RpcTimeout(Exception):
@@ -90,7 +92,7 @@ class DriverHardening:
         retransmission (the watchdog keeps waiting) so retries stay a
         bounded fraction of fresh traffic.  ``None`` (default) disables
         budgeting — retransmissions are limited only by ``max_retries``.
-    ``qfull_backoff`` / ``qfull_max_requeues`` / ``qfull_batch``
+    ``qfull_backoff`` / ``qfull_max_requeues``
         Reaction to a target-side admission shed (``STATUS_QFULL``): shed
         commands join a per-(target, stream) requeue queue drained by a
         pacer that re-posts a wave of them *in position order* every
@@ -99,15 +101,12 @@ class DriverHardening:
         the target's dense gate depends on).  The wave size adapts AIMD:
         it grows by one after a wave with no bounce and halves after a
         bounced wave, probing the target's admission window like a
-        congestion window, bounded above by ``qfull_batch``.  An ordered
+        congestion window, bounded above by :data:`QFULL_BATCH`.  An ordered
         stream's shed position is a hole only the exact same command can
         fill, so the driver keeps re-posting, throttled, until it gets in.
         ``None`` (default) error-completes sheds instead.  A command
         re-posted ``qfull_max_requeues`` times without ever being admitted
         error-completes and kills its stream.
-    ``deadline_margin``
-        Fast-fail margin for deadline-carrying requests: fail locally when
-        ``now + margin * service_ewma(target)`` exceeds the deadline.
     ``fail_fast``
         After an ordered stream suffers a timeout abort, fail its later
         submissions immediately (sticky dead stream) instead of posting
@@ -124,8 +123,6 @@ class DriverHardening:
     retry_budget_cap: float = 8.0
     qfull_backoff: Optional[float] = None
     qfull_max_requeues: int = 16
-    qfull_batch: int = 32
-    deadline_margin: float = 1.0
     fail_fast: bool = False
 
 
@@ -288,9 +285,6 @@ class InitiatorDriver:
         #: Bounce feedback for the pacer's AIMD wave sizing: sheds whose
         #: verdict returned since the key's last wave.
         self._requeue_bounced: Dict[Tuple[str, Any], int] = {}
-        #: Per-target EWMA of successful command service time (deadline
-        #: fast-fail's expected-cost estimate).
-        self._service_ewma: Dict[str, float] = {}
         #: Completion-IRQ steering over the host's cores.  ``pin`` with
         #: flow key = per-connection endpoint index reproduces the
         #: historical ``cpus.pick(index)`` assignment bit-exactly.
@@ -382,19 +376,10 @@ class InitiatorDriver:
                     )
                     return
                 self.qfull_responses += 1
-                request = entry.request
-                deadline = request.deadline if request is not None else None
-                if entry.requeues < cfg.qfull_max_requeues and (
-                    deadline is None or self.env.now < deadline
-                ):
+                if entry.requeues < cfg.qfull_max_requeues:
                     self._enqueue_requeue(entry)
                     return
-                status = (
-                    STATUS_DEADLINE
-                    if deadline is not None and self.env.now >= deadline
-                    else STATUS_QFULL
-                )
-                self._abort_command(entry, status,
+                self._abort_command(entry, STATUS_QFULL,
                                     cause="qfull requeues exhausted")
                 return
             del self._pending[response.cid]
@@ -402,17 +387,7 @@ class InitiatorDriver:
             if entry.expiry is not None:
                 entry.expiry.cancel()  # no live heap entry outlives us
                 entry.expiry = None
-            now = self.env.now
-            ok = response.status == 0
-            latency = now - entry.posted_at
-            target_name = entry.ns.target.name
-            if ok:
-                previous = self._service_ewma.get(target_name)
-                self._service_ewma[target_name] = (
-                    latency if previous is None
-                    else 0.2 * latency + 0.8 * previous
-                )
-            elif response.status == STATUS_QFULL:
+            if response.status == STATUS_QFULL:
                 # Final shed (no requeue configured): the stream now has a
                 # hole at the gate that nothing will fill.
                 if entry.request is not None and entry.request.attr is not None:
@@ -421,7 +396,10 @@ class InitiatorDriver:
                     )
             if self.health is not None and response.status != STATUS_QFULL:
                 # Admission sheds are deliberate protection, not sickness.
-                self.health.observe(target_name, latency, ok, now)
+                now = self.env.now
+                self.health.observe(entry.ns.target.name,
+                                    now - entry.posted_at,
+                                    response.status == 0, now)
             done, cmd = entry.done, entry.cmd
             obs = self.env.obs
             cspan = None
@@ -469,10 +447,9 @@ class InitiatorDriver:
         completion :class:`Event` (value: the command).  Callers wait with
         ``done = yield from driver.submit(...)`` then ``yield done``.
 
-        Three robustness checks may fail the request locally (an already
+        Two robustness checks may fail the request locally (an already
         triggered event is returned, ``request.status`` set) without ever
-        touching the wire: a sticky dead stream, a deadline whose remaining
-        budget is below the expected service cost, and an open circuit
+        touching the wire: a sticky dead stream and an open circuit
         breaker on an ordered stream's (unmigratable) target.
         """
         now = self.env.now
@@ -481,13 +458,6 @@ class InitiatorDriver:
             status = self._dead_streams.get((ns.target.name, attr.stream_id))
             if status is not None:
                 return self._fast_fail(request, status, cause="dead stream")
-        if request.deadline is not None:
-            expect = self._service_ewma.get(ns.target.name, 0.0)
-            if now + self.hardening.deadline_margin * expect > request.deadline:
-                if attr is not None:
-                    self._kill_stream(ns, attr.stream_id, STATUS_DEADLINE)
-                return self._fast_fail(request, STATUS_DEADLINE,
-                                       cause="deadline budget exhausted")
         if (
             self.health is not None
             and attr is not None
@@ -773,7 +743,7 @@ class InitiatorDriver:
         constant per wave regardless of how much admission room is free.
 
         The wave size is AIMD-adapted (grow by one on a clean wave, halve
-        when sheds bounced since the last one, capped at ``qfull_batch``):
+        when sheds bounced since the last one, capped at :data:`QFULL_BATCH`):
         the pacer probes the target's free admission share the way a
         congestion window probes a bottleneck.  Overshooting is not merely
         wasted — each excess post costs the target receive work, and a
@@ -784,7 +754,7 @@ class InitiatorDriver:
         """
         cfg = self.hardening
         queue = self._requeue_queues[key]
-        wave = min(cfg.qfull_batch, 8)
+        wave = min(QFULL_BATCH, 8)
         #: A posted entry whose verdict hasn't returned after a full
         #: timeout-scale stall lost it (message drop): rest and re-post.
         stale_after = (
@@ -812,7 +782,7 @@ class InitiatorDriver:
                 if self._requeue_bounced.pop(key, 0):
                     wave = max(1, wave // 2)
                 else:
-                    wave = min(cfg.qfull_batch, wave + 1)
+                    wave = min(QFULL_BATCH, wave + 1)
                 posted = 0
                 for entry in queue:
                     if posted >= wave:
@@ -820,17 +790,6 @@ class InitiatorDriver:
                     if not entry.backing_off:
                         if self.env.now - entry.posted_at >= stale_after:
                             entry.backing_off = True
-                        continue
-                    request = entry.request
-                    if (
-                        request is not None
-                        and request.deadline is not None
-                        and self.env.now >= request.deadline
-                    ):
-                        self._abort_command(
-                            entry, STATUS_DEADLINE,
-                            cause="deadline expired in requeue queue",
-                        )
                         continue
                     if entry.requeues >= cfg.qfull_max_requeues:
                         self._abort_command(
@@ -855,7 +814,7 @@ class InitiatorDriver:
     ) -> None:
         """Error-complete a pending command locally (timeout exhaustion,
         QFULL-requeue exhaustion).  An ordered stream is killed sticky when
-        the shed/deadline machinery aborts it — its position history now
+        the shed machinery aborts it — its position history now
         has a permanent hole at the target gate."""
         self._pending.pop(entry.cmd.cid, None)
         self._unwatch(entry)
@@ -865,8 +824,7 @@ class InitiatorDriver:
         request = entry.request
         if request is not None:
             request.status = status
-            if status in (STATUS_QFULL, STATUS_DEADLINE) \
-                    and request.attr is not None:
+            if status == STATUS_QFULL and request.attr is not None:
                 self._kill_stream(entry.ns, request.attr.stream_id, status)
         if entry.span is not None:
             obs = self.env.obs

@@ -403,22 +403,6 @@ class TargetServer:
             return 0.0
         return self.costs.irq_entry
 
-    def _device_pressure(self, cmd: NvmeCommand) -> float:
-        """Write-cache pressure of the command's destination device.
-
-        Cache-stall backpressure: when the destination SSD's volatile
-        write cache is nearly full, an incoming write admitted anyway
-        would park in the target holding an SSD slot while the cache
-        drains (GC-inflated, at QD 256 for the whole stall).  With
-        admission armed and a ``cache_pressure_limit`` configured, the
-        controller sheds it at the door instead — one receive plus one
-        QFULL response — and the driver's backoff becomes the flow
-        control.  Reads and flushes never shed on cache pressure.
-        """
-        if cmd.opcode != OP_WRITE:
-            return 0.0
-        return self.ssds[cmd.nsid].cache_pressure
-
     def _handle_command(self, ctx: TargetContext, cmd: NvmeCommand):
         core = ctx.core
         self.commands_received += 1
@@ -429,9 +413,7 @@ class TargetServer:
         # Admission decision *before* the policy hooks, the barrier-ticket
         # reservation and the data fetch: a shed command costs one receive
         # and one response, never an RDMA READ or an SSD slot.
-        token, reason = self.admission.admit(
-            cmd, self.env.now, pressure=self._device_pressure(cmd)
-        )
+        token, reason = self.admission.admit(cmd, self.env.now)
         if token is None:
             self.commands_shed += 1
             self.env.trace(
@@ -452,7 +434,7 @@ class TargetServer:
         finally:
             # Runs on the normal exit *and* while unwinding a CrashedError:
             # every admitted command is completed exactly once.
-            self.admission.complete(token, self.env.now)
+            self.admission.complete(token)
 
     def _execute_command(self, ctx: TargetContext, cmd: NvmeCommand):
         core, endpoint = ctx.core, ctx.endpoint

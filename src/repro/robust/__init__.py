@@ -1,10 +1,10 @@
 """Overload- and gray-failure-robustness plane.
 
-Three cooperating mechanisms keep the stack on the good side of the
+Two cooperating mechanisms keep the stack on the good side of the
 metastable-failure cliff:
 
 * :mod:`repro.robust.admission` — bounded per-class admission at the
-  target (queue-depth cap + CoDel-style sojourn threshold) with
+  target (queue-depth cap, optional tenant QoS) with
   ordering-aware suffix shedding, plus the token-bucket retry budget the
   initiator driver uses to bound retransmission storms;
 * :mod:`repro.robust.health` — per-target EWMA health scores and a

@@ -4,13 +4,9 @@
 path, after the RECV completion is processed but *before* the ordering
 policy runs and before any data is fetched — a shed command costs the
 target one receive and one response, never an RDMA READ or an SSD slot.
-Two triggers shed load:
-
-* a **queue-depth cap** per class (ordered vs. unordered) on commands
-  admitted and not yet completed;
-* a **CoDel-style sojourn threshold**: when the EWMA of time-in-target of
-  completing commands exceeds the target sojourn, new arrivals are shed
-  even though the queue cap has not been hit (standing-queue detection).
+A **queue-depth cap** per class (ordered vs. unordered) on commands
+admitted and not yet completed sheds load; an optional
+:class:`TenantQos` adds per-tenant pacing and weighted-fair shedding.
 
 **Ordering × shedding.**  An ordered stream's durable history must stay a
 prefix: the target-side gate admits dense per-server positions, so a shed
@@ -57,33 +53,10 @@ class AdmissionConfig:
     #: Queue-depth cap per class: commands admitted and not yet completed.
     max_inflight_ordered: int = 64
     max_inflight_unordered: int = 64
-    #: CoDel-style sojourn threshold in seconds (None disables): shed new
-    #: arrivals while the EWMA time-in-target exceeds this.
-    sojourn_target: Optional[float] = None
-    #: EWMA smoothing factor for the sojourn estimate.
-    sojourn_alpha: float = 0.2
-    #: Never sojourn-shed below this inflight count — an almost idle
-    #: target with one slow command is not a standing queue.
-    sojourn_min_inflight: int = 8
-    #: Device write-cache pressure (dirty fraction) at or above which new
-    #: writes are shed (None disables — the default).  This is the
-    #: cache-stall backpressure path: the target feeds the destination
-    #: SSD's cache pressure into :meth:`AdmissionController.admit`, so a
-    #: write that would park on a full, GC-throttled cache is refused at
-    #: the door instead of wedging an admission slot for the whole stall.
-    cache_pressure_limit: Optional[float] = None
 
     def __post_init__(self):
         if self.max_inflight_ordered < 1 or self.max_inflight_unordered < 1:
             raise ValueError("admission caps must be >= 1")
-        if self.sojourn_target is not None and self.sojourn_target <= 0:
-            raise ValueError("sojourn_target must be positive")
-        if not 0.0 < self.sojourn_alpha <= 1.0:
-            raise ValueError("sojourn_alpha must be in (0, 1]")
-        if self.cache_pressure_limit is not None and not (
-            0.0 < self.cache_pressure_limit <= 1.0
-        ):
-            raise ValueError("cache_pressure_limit must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -173,7 +146,7 @@ class AdmissionController:
         try:
             ...execute the command...
         finally:
-            controller.complete(token, env.now)
+            controller.complete(token)
 
     Every admitted token is completed exactly once (command conservation),
     including when the command dies mid-flight to a target crash — the
@@ -188,8 +161,8 @@ class AdmissionController:
         self.config = config if config is not None else AdmissionConfig()
         self.qos = qos
         self._tokens = count(1)
-        #: token -> (class, admit time, qos class name or None).
-        self._entries: Dict[int, Tuple[str, float, Optional[str]]] = {}
+        #: token -> (class, qos class name or None).
+        self._entries: Dict[int, Tuple[str, Optional[str]]] = {}
         #: tenant -> [tokens, last refill time] (token-bucket pacing).
         self._buckets: Dict[int, List[float]] = {}
         #: QoS class -> accumulated virtual work (1/weight per admit).
@@ -197,9 +170,6 @@ class AdmissionController:
         #: QoS class -> commands admitted and not yet completed.
         self._class_inflight: Dict[str, int] = {}
         self._inflight: Dict[str, int] = {ORDERED: 0, UNORDERED: 0}
-        self._sojourn_ewma: Dict[str, Optional[float]] = {
-            ORDERED: None, UNORDERED: None,
-        }
         #: Ordered suffix markers: stream -> first shed position.  While a
         #: marker is planted, every position >= it is shed until the marker
         #: position itself is admitted.
@@ -229,23 +199,13 @@ class AdmissionController:
             return ORDERED
         return UNORDERED
 
-    def sojourn_estimate(self, cls: str) -> Optional[float]:
-        return self._sojourn_ewma[cls]
-
     def inflight(self, cls: str) -> int:
         return self._inflight[cls]
 
     # ------------------------------------------------------------------
 
-    def admit(
-        self, cmd, now: float, pressure: float = 0.0,
-    ) -> Tuple[Optional[int], Optional[str]]:
-        """Decide one arrival: ``(token, None)`` or ``(None, reason)``.
-
-        ``pressure`` is the destination device's write-cache pressure
-        (dirty fraction) as observed by the caller; it only matters when
-        the config sets a ``cache_pressure_limit``.
-        """
+    def admit(self, cmd, now: float) -> Tuple[Optional[int], Optional[str]]:
+        """Decide one arrival: ``(token, None)`` or ``(None, reason)``."""
         cls = self.classify(cmd)
         attr = self._attr_of(cmd) if cls == ORDERED else None
         stream = attr.stream_id if attr is not None else None
@@ -282,23 +242,6 @@ class AdmissionController:
         )
         if self._inflight[cls] >= cap:
             return None, self._reject(cls, stream, pos, "qfull")
-        if (
-            self.config.cache_pressure_limit is not None
-            and cmd.opcode == OP_WRITE
-            and pressure >= self.config.cache_pressure_limit
-        ):
-            # Cache-stall backpressure: the destination device's volatile
-            # write cache is (nearly) full, so this write would stall on
-            # eviction anyway — shed it while it is still cheap.
-            return None, self._reject(cls, stream, pos, "cache")
-        sojourn = self._sojourn_ewma[cls]
-        if (
-            self.config.sojourn_target is not None
-            and sojourn is not None
-            and sojourn > self.config.sojourn_target
-            and self._inflight[cls] >= self.config.sojourn_min_inflight
-        ):
-            return None, self._reject(cls, stream, pos, "sojourn")
 
         tenant = self._tenant_of(cmd)
         qcls: Optional[QosClass] = None
@@ -350,7 +293,7 @@ class AdmissionController:
             self._class_inflight[qos_name] = (
                 self._class_inflight.get(qos_name, 0) + 1)
         token = next(self._tokens)
-        self._entries[token] = (cls, now, qos_name)
+        self._entries[token] = (cls, qos_name)
         self._inflight[cls] += 1
         self.admitted += 1
         return token, None
@@ -381,23 +324,16 @@ class AdmissionController:
                 self._shed_from[stream] = pos
         return reason
 
-    def complete(self, token: int, now: float) -> None:
+    def complete(self, token: int) -> None:
         """Account one admitted command's exit (response posted, or the
         handler unwound because the server crashed)."""
         entry = self._entries.pop(token, None)
         if entry is None:
             return
-        cls, admitted_at, qos_name = entry
+        cls, qos_name = entry
         self._inflight[cls] -= 1
         if qos_name is not None:
             self._class_inflight[qos_name] -= 1
-        sojourn = now - admitted_at
-        previous = self._sojourn_ewma[cls]
-        if previous is None:
-            self._sojourn_ewma[cls] = sojourn
-        else:
-            alpha = self.config.sojourn_alpha
-            self._sojourn_ewma[cls] = alpha * sojourn + (1 - alpha) * previous
 
     def reset_markers(self) -> None:
         """Forget suffix markers (target restart: per-server positions are

@@ -401,7 +401,6 @@ class ShardedStack:
         flush: bool = False,
         ipu: bool = False,
         kick: Optional[bool] = None,
-        deadline: Optional[float] = None,
         tenant: Optional[int] = None,
     ):
         bio = Bio(
@@ -411,7 +410,6 @@ class ShardedStack:
             payload=payload,
             stream_id=stream_id,
             flags=WriteFlags(ipu=ipu),
-            deadline=deadline,
             tenant=tenant,
         )
         return (yield from self.submit_ordered(core, bio, end_of_group,

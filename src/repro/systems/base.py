@@ -54,7 +54,6 @@ class OrderedStack:
         flush: bool = False,
         ipu: bool = False,
         kick: Optional[bool] = None,
-        deadline: Optional[float] = None,
     ):
         """Generator: convenience wrapper building the bio inline."""
         bio = Bio(
@@ -64,7 +63,6 @@ class OrderedStack:
             payload=payload,
             stream_id=stream_id,
             flags=WriteFlags(ipu=ipu),
-            deadline=deadline,
         )
         return (yield from self.submit_ordered(core, bio, end_of_group, flush, kick))
 

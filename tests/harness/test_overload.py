@@ -119,6 +119,7 @@ def test_gray_scenario_contains_the_blast_radius():
     assert r["healthy_breakers_closed"] == 1.0
     assert r["failovers"] >= 1
     assert r["brownouts"] >= 1
+    assert r["bystander_samples"] >= 1
     assert r["bystander_p999_us"] < 60.0
     # Seeded determinism: the same cell twice is value-identical.
     assert probe_gray(seed=42) == r

@@ -144,6 +144,8 @@ def test_fault_free_chaos_trial_measures_the_storm(qos, gold, bronze, sheds):
         assert classes[name]["p999_us"] == row[f"{name}_p999_us"]
     assert classes["gold"]["p50_us"] == row["gold_p50_us"]
     assert sum(trial.sheds_by_reason.values()) == row["sheds"] == sheds
+    assert trial.sheds_by_reason.get("pace", 0.0) == row["shed_pace"]
+    assert trial.sheds_by_reason.get("wfq", 0.0) == row["shed_wfq"]
 
 
 # ----------------------------------------------------------------------

@@ -119,7 +119,7 @@ def test_conservation_and_ordered_density(script, cap_o, cap_u):
             offer(_unordered())
         elif op == "complete" and outstanding:
             now += 1e-6
-            controller.complete(outstanding.pop(pick % len(outstanding)), now)
+            controller.complete(outstanding.pop(pick % len(outstanding)))
 
     # The driver drains: every shed ordered command is retransmitted (in
     # position order, the way the requeue pacer re-posts) with capacity
@@ -129,7 +129,7 @@ def test_conservation_and_ordered_density(script, cap_o, cap_u):
             break
         while outstanding:
             now += 1e-6
-            controller.complete(outstanding.pop(), now)
+            controller.complete(outstanding.pop())
         batch = sorted(
             shed_cmds, key=lambda c: (c.context.attr.stream_id,
                                       c.context.attr.server_pos)
@@ -140,7 +140,7 @@ def test_conservation_and_ordered_density(script, cap_o, cap_u):
     assert not shed_cmds, "retransmission pool never drained"
     while outstanding:
         now += 1e-6
-        controller.complete(outstanding.pop(), now)
+        controller.complete(outstanding.pop())
 
     # Conservation: every arrival admitted or shed, nothing in flight.
     assert controller.admitted + controller.shed == arrivals
@@ -171,10 +171,10 @@ def test_completing_a_token_twice_is_idempotent(script):
                 tokens.append(token)
         elif tokens:
             token = tokens.pop(pick % len(tokens))
-            controller.complete(token, now)
-            controller.complete(token, now)  # crash-unwind double call
+            controller.complete(token)
+            controller.complete(token)  # crash-unwind double call
     for token in tokens:
-        controller.complete(token, now)
+        controller.complete(token)
     assert controller.inflight("unordered") == 0
 
 

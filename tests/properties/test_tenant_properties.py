@@ -96,7 +96,7 @@ def test_paced_tenant_admits_at_most_rate_window_plus_burst(
         token, reason = controller.admit(_unordered(tenant=7), now)
         if token is not None:
             admitted += 1
-            controller.complete(token, now)
+            controller.complete(token)
         else:
             assert reason == "pace"
     window = now  # the bucket starts full at t=0
@@ -148,7 +148,7 @@ def test_sole_active_class_is_never_wfq_shed(n_ops, quantum, drain):
             f"{controller.admitted} admits"
         )
         if drain:
-            controller.complete(token, now)
+            controller.complete(token)
         else:
             tokens.append(token)
     assert "wfq" not in controller.shed_by_reason
@@ -189,7 +189,7 @@ def test_idle_class_cannot_bank_credit_against_a_backlog(head, quantum):
     bronze_v = controller.qos_virtual_work("bronze")
     assert gold_v <= bronze_v + 1.0 / 8.0 + 1e-9
     for token in backlog + [gold_token, bronze_token]:
-        controller.complete(token, now)
+        controller.complete(token)
     assert controller.qos_inflight("gold") == 0
     assert controller.qos_inflight("bronze") == 0
 
@@ -325,8 +325,7 @@ def test_ordered_density_survives_pace_and_wfq_sheds(
             offer(shed_cmds.pop(pick % len(shed_cmds)))
         elif op == "complete" and outstanding:
             now += 1e-6
-            controller.complete(outstanding.pop(pick % len(outstanding)),
-                                now)
+            controller.complete(outstanding.pop(pick % len(outstanding)))
 
     # Drain: complete everything (wfq has no active competitor left),
     # jump time forward (buckets refill), re-post sheds in position
@@ -336,7 +335,7 @@ def test_ordered_density_survives_pace_and_wfq_sheds(
             break
         while outstanding:
             now += 1e-6
-            controller.complete(outstanding.pop(), now)
+            controller.complete(outstanding.pop())
         now += 1.0  # >> burst / rate: every bucket refills to the brim
         batch = sorted(
             shed_cmds, key=lambda c: (c.context.attr.stream_id,
@@ -348,7 +347,7 @@ def test_ordered_density_survives_pace_and_wfq_sheds(
     assert not shed_cmds, "retransmission pool never drained"
     while outstanding:
         now += 1e-6
-        controller.complete(outstanding.pop(), now)
+        controller.complete(outstanding.pop())
 
     assert controller.admitted + controller.shed == arrivals
     assert controller.inflight("ordered") == 0

@@ -1,13 +1,12 @@
 """Driver + target robustness plane end to end on a one-target cluster:
-QFULL shed -> paced requeue, deadline fast-fail, circuit-breaker
-brownouts, and the gray-failure degrade fault."""
+QFULL shed -> paced requeue, circuit-breaker brownouts, and the
+gray-failure degrade fault."""
 
 from repro.block.request import Bio, BlockRequest
 from repro.cluster import Cluster
 from repro.hw.ssd import OPTANE_905P
 from repro.nvmeof.command import (
     STATUS_BROWNOUT,
-    STATUS_DEADLINE,
     STATUS_OK,
 )
 from repro.nvmeof.initiator import DriverHardening
@@ -31,12 +30,11 @@ def make_cluster(hardening=None, admission=None):
     return env, cluster
 
 
-def submit_one(env, cluster, lba=0, deadline=None):
+def submit_one(env, cluster, lba=0):
     core = cluster.initiator.cpus.pick(0)
     ns = cluster.namespaces[0]
     request = BlockRequest(op="write", lba=lba, nblocks=1,
-                           bios=[Bio(op="write", lba=lba, nblocks=1)],
-                           deadline=deadline)
+                           bios=[Bio(op="write", lba=lba, nblocks=1)])
     request.qp_index = 0
     holder = {}
 
@@ -101,27 +99,6 @@ def test_sheds_are_free_of_admission_leaks():
     assert admission.inflight("unordered") == 0
     assert admission.admitted + admission.shed == \
         cluster.targets[0].commands_received
-
-
-def test_expired_deadline_fails_fast_without_touching_the_wire():
-    env, cluster = make_cluster(hardening=DriverHardening(
-        command_timeout=1e-3, deadline_margin=1.0,
-    ))
-    sent_before = cluster.driver.commands_sent
-    done, request = submit_one(env, cluster, deadline=env.now - 1e-9)
-    env.run_until_event(done, limit=1e-3)
-    assert request.status == STATUS_DEADLINE
-    assert cluster.driver.commands_sent == sent_before
-    cluster.driver.assert_no_leaks()
-
-
-def test_deadline_with_budget_completes_ok():
-    env, cluster = make_cluster(hardening=DriverHardening(
-        command_timeout=1e-3, deadline_margin=1.0,
-    ))
-    done, request = submit_one(env, cluster, deadline=env.now + 1e-3)
-    env.run_until_event(done, limit=2e-3)
-    assert request.status == STATUS_OK
 
 
 class _Attr:
