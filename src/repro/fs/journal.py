@@ -139,10 +139,6 @@ class Journal:
                 batch.append(extra)
             yield from self._commit(batch)
 
-    def _journal_blocks_needed(self, batch: List[Transaction]) -> int:
-        metadata = sum(len(t.metadata_blocks) for t in batch)
-        return 1 + metadata + 1  # JD + JM + JC
-
     def _alloc_journal(self, nblocks: int) -> int:
         lba = self.area_start + (self._used % (self.area_blocks - nblocks))
         self._used += nblocks

@@ -129,10 +129,6 @@ class CoreSteering:
         #: selections per core index — observability for the saturation
         #: harness and the property suite.
         self.selections: dict = {}
-        #: Core indices the health plane has quarantined (e.g. a core
-        #: whose IRQ affinity points at a degraded NIC path).  Never
-        #: selected while at least one non-quarantined core remains.
-        self._quarantined: set = set()
         #: Tenant-class isolation (multi-tenant plane): class name -> core
         #: sub-pool.  Flows steered with a class confined to a pool cannot
         #: land outside it, so an aggressor class's interrupt storm stays
@@ -151,28 +147,6 @@ class CoreSteering:
             )
         self._class_pools[class_name] = chosen
 
-    def class_pool(self, class_name: str) -> List[Core]:
-        """The cores ``class_name`` is confined to (full pool if none)."""
-        return list(self._class_pools.get(class_name, self.cores))
-
-    def quarantine(self, core_index: int) -> None:
-        """Exclude a core from selection (health-plane steering)."""
-        if any(c.index == core_index for c in self.cores):
-            self._quarantined.add(core_index)
-
-    def release(self, core_index: int) -> None:
-        """Return a quarantined core to the selection pool."""
-        self._quarantined.discard(core_index)
-
-    def _pool(self, tenant_class: Optional[str] = None) -> List[Core]:
-        base = self.cores
-        if tenant_class is not None:
-            base = self._class_pools.get(tenant_class, self.cores)
-        if not self._quarantined:
-            return base
-        healthy = [c for c in base if c.index not in self._quarantined]
-        return healthy if healthy else base
-
     def select(self, key: int, tenant_class: Optional[str] = None) -> Core:
         """The core that handles the message with flow key ``key``.
 
@@ -180,7 +154,9 @@ class CoreSteering:
         class's assigned sub-pool, if one was installed via
         :meth:`assign_class`; otherwise it is ignored.
         """
-        pool = self._pool(tenant_class)
+        pool = self.cores
+        if tenant_class is not None:
+            pool = self._class_pools.get(tenant_class, pool)
         n = len(pool)
         if self.policy == "pin":
             core = pool[key % n]

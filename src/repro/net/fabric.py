@@ -100,19 +100,21 @@ class QpEndpoint:
         message.sent_at = self.env.now
         self.qp.enqueue(self.side, message, self.epoch)
 
-    def rdma_read(self, nbytes: int):
-        """Generator: one-sided READ of ``nbytes`` from the peer's memory.
+    def rdma(self, nbytes: int):
+        """Generator: one-sided READ or WRITE of ``nbytes`` with the peer.
 
         Completes after a full round trip plus wire time; consumes *no* CPU
-        on the peer.  Raises nothing on peer crash — it simply never
-        completes (the caller's server is the one that crashed in our
-        experiments, so this is never the hanging edge).
+        on the peer.  Data moves through both NICs' pipes: the responder
+        (peer) transmits and this requester receives for a READ, and a
+        WRITE costs the same wire time.  Raises nothing on peer crash — it
+        simply never completes (the caller's server is the one that crashed
+        in our experiments, so this is never the hanging edge).
         """
-        yield from self.qp.one_sided_transfer(requester=self, nbytes=nbytes)
-
-    def rdma_write(self, nbytes: int):
-        """Generator: one-sided WRITE of ``nbytes`` into the peer's memory."""
-        yield from self.qp.one_sided_transfer(requester=self, nbytes=nbytes)
+        qp = self.qp
+        yield from qp.env.sleep(qp.rng.jitter(qp.propagation_delay, 0.15))
+        yield from self.peer.nic.occupy_tx(nbytes)
+        yield from qp.env.sleep(qp.rng.jitter(qp.propagation_delay, 0.15))
+        yield from self.nic.occupy_rx(nbytes)
 
     def crash(self) -> None:
         self.down = True
@@ -228,20 +230,6 @@ class QueuePair:
                 obs.metrics.inc("fabric.messages_delivered")
                 obs.metrics.inc("fabric.bytes_delivered", message.nbytes)
             receiver.deliver(message)
-
-    def one_sided_transfer(self, requester: QpEndpoint, nbytes: int):
-        """Generator: RDMA READ/WRITE timing — RTT plus wire time."""
-        responder = requester.peer
-        yield from self.env.sleep(
-            self.rng.jitter(self.propagation_delay, 0.15)
-        )
-        # Data moves through both NICs' pipes; charge the responder TX and
-        # requester RX for a READ (symmetric for WRITE — same wire time).
-        yield from responder.nic.occupy_tx(nbytes)
-        yield from self.env.sleep(
-            self.rng.jitter(self.propagation_delay, 0.15)
-        )
-        yield from requester.nic.occupy_rx(nbytes)
 
 
 class Fabric:

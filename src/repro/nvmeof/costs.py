@@ -13,8 +13,9 @@ them in one place.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
 
-__all__ = ["CpuCosts", "DEFAULT_COSTS"]
+__all__ = ["CpuCosts", "DEFAULT_COSTS", "irq_cost"]
 
 
 @dataclass(frozen=True)
@@ -67,3 +68,21 @@ class CpuCosts:
 
 
 DEFAULT_COSTS = CpuCosts()
+
+
+def irq_cost(
+    costs: CpuCosts, last_irq: Dict[int, float], core_index: int, now: float
+) -> float:
+    """Interrupt entry cost on core ``core_index`` at ``now``, amortized
+    under coalescing (Lesson 3).
+
+    ``last_irq`` is the driver's core index -> last interrupt time map;
+    this records ``now`` in it.  An interrupt within
+    ``costs.irq_coalesce_window`` of the previous one on the same core
+    rides along for free.
+    """
+    last = last_irq.get(core_index, -1.0)
+    last_irq[core_index] = now
+    if last >= 0 and now - last < costs.irq_coalesce_window:
+        return 0.0
+    return costs.irq_entry

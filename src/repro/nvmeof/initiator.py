@@ -14,6 +14,7 @@ per-byte CPU cost by k (Lesson 3, Figure 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import count
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -32,7 +33,7 @@ from repro.nvmeof.command import (
     NvmeResponse,
     RioFields,
 )
-from repro.nvmeof.costs import DEFAULT_COSTS, CpuCosts
+from repro.nvmeof.costs import DEFAULT_COSTS, CpuCosts, irq_cost
 from repro.sim.engine import Environment, Event
 from repro.sim.rng import DeterministicRNG
 
@@ -333,27 +334,14 @@ class InitiatorDriver:
             if id(endpoint) in self._registered_endpoints:
                 continue
             self._registered_endpoints.add(id(endpoint))
-            endpoint.set_receive_handler(self._make_handler(index))
+            endpoint.set_receive_handler(partial(self._handle_response, index))
             endpoint.qp.on_breakdown(self._on_qp_breakdown)
 
-    def _make_handler(self, flow: int):
-        def handler(message: Message):
-            irq_core = self.irq_steering.select(flow)
-            yield from self._handle_response(irq_core, message)
-
-        return handler
-
-    def _irq_cost(self, core: Core) -> float:
-        """Completion-interrupt entry cost, amortized under coalescing."""
-        now = self.env.now
-        last = self._last_irq.get(core.index, -1.0)
-        self._last_irq[core.index] = now
-        if last >= 0 and now - last < self.costs.irq_coalesce_window:
-            return 0.0
-        return self.costs.irq_entry
-
-    def _handle_response(self, core: Core, message: Message):
-        yield from core.run(self._irq_cost(core))
+    def _handle_response(self, flow: int, message: Message):
+        core = self.irq_steering.select(flow)
+        yield from core.run(
+            irq_cost(self.costs, self._last_irq, core.index, self.env.now)
+        )
         if message.kind == "nvme_resp":
             response, read_payload = message.payload
             entry = self._pending.get(response.cid)

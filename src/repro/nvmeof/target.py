@@ -13,13 +13,15 @@ Ordering behaviour is injected through :class:`TargetPolicy` hooks:
 * ``on_control``     — out-of-band messages (Horae's control path, recovery
   RPCs).
 
-The stock :class:`TargetPolicy` does nothing, which *is* the orderless
-Linux data path.
+The two data-path hooks may be ``None``, and the target then skips them.
+The stock :class:`TargetPolicy` leaves both ``None`` and its
+``on_control`` does nothing, which *is* the orderless Linux data path.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.hw.cpu import Core, CoreSteering, CpuSet
 from repro.hw.nic import Nic
@@ -34,7 +36,7 @@ from repro.nvmeof.command import (
     NvmeCommand,
     NvmeResponse,
 )
-from repro.nvmeof.costs import DEFAULT_COSTS, CpuCosts
+from repro.nvmeof.costs import DEFAULT_COSTS, CpuCosts, irq_cost
 from repro.sim.engine import Environment, Event
 
 __all__ = ["TargetPolicy", "TargetContext", "TargetServer"]
@@ -80,20 +82,20 @@ class TargetContext:
 
 
 class TargetPolicy:
-    """No-op ordering policy: the stock (orderless) NVMe-oF target."""
+    """No-op ordering policy: the stock (orderless) NVMe-oF target.
+
+    The data-path hooks ``before_submit`` and ``after_completion`` are
+    either ``None`` (the target skips them, as here) or a generator method
+    ``hook(ctx, cmd)`` that the target runs inline in the command's frame.
+    """
+
+    #: Hook before the command is submitted to the SSD.
+    before_submit: Optional[Callable[[TargetContext, NvmeCommand], Generator]] = None
+    #: Hook after SSD completion (and post-flush), before the response.
+    after_completion: Optional[Callable[[TargetContext, NvmeCommand], Generator]] = None
 
     def attach(self, target: "TargetServer") -> None:
         """Called when installed on a target."""
-
-    def before_submit(self, ctx: TargetContext, cmd: NvmeCommand):
-        """Hook before the command is submitted to the SSD."""
-        return
-        yield  # pragma: no cover
-
-    def after_completion(self, ctx: TargetContext, cmd: NvmeCommand):
-        """Hook after SSD completion (and post-flush), before the response."""
-        return
-        yield  # pragma: no cover
 
     def on_control(self, ctx: TargetContext, message: Message):
         """Hook for non-I/O (control/RPC) messages."""
@@ -164,6 +166,10 @@ class TargetServer:
         self._stall_until = 0.0
         self._stall_done = None
         self._last_irq: Dict[int, float] = {}
+        #: SSD completions that command handlers are parked on, in
+        #: submission order.  A crashed SSD never fires them, so
+        #: :meth:`crash` fails them to unwind those handlers.
+        self._ssd_waits: Dict[Event, None] = {}
 
     def install_policy(self, policy: TargetPolicy) -> None:
         self.policy = policy
@@ -229,7 +235,7 @@ class TargetServer:
         base = len(self.endpoints)
         for offset, endpoint in enumerate(endpoints):
             endpoint.set_receive_handler(
-                self._make_handler(endpoint, base + offset)
+                partial(self._handle_message, endpoint, base + offset)
             )
             self.endpoints.append(endpoint)
 
@@ -245,6 +251,13 @@ class TargetServer:
         for endpoint in self.endpoints:
             endpoint.crash()
         self.pmr.crash()
+        # The server's software dies with it: every handler parked on the
+        # SSD unwinds now through its CrashedError exit, which frees its
+        # admission slot and closes its span (no response is sent).
+        waits, self._ssd_waits = self._ssd_waits, {}
+        for done in waits:
+            if not done.triggered:
+                done.fail(CrashedError(f"{self.name} crashed"))
 
     def restart(self) -> None:
         if not self.crashed:
@@ -338,18 +351,9 @@ class TargetServer:
     # Message handling
     # ------------------------------------------------------------------
 
-    def _make_handler(self, endpoint: QpEndpoint, flow: int):
-        def handler(message: Message):
-            yield from self._handle_message(endpoint, flow, message)
-
-        return handler
-
-    def _handle_message(
-        self,
-        endpoint: QpEndpoint,
-        flow: int,
-        message: Message,
-    ):
+    def _handle_message(self, endpoint: QpEndpoint, flow: int, message: Message):
+        """Receive handler of one endpoint: the whole life of one message,
+        from the receive interrupt to the response SEND, in one frame."""
         if self.crashed:
             return
         # Steer per message: static policies (pin, flow-hash) resolve to
@@ -363,10 +367,13 @@ class TargetServer:
             if self.crashed:
                 return
         ctx = TargetContext(self, endpoint, core, completion_core)
-        yield from core.run(self._irq_cost(core))
+        costs = self.costs
+        yield from core.run(
+            irq_cost(costs, self._last_irq, core.index, self.env.now)
+        )
+        cmd = message.payload
         obs = self.env.obs
         if obs is not None and message.kind == "nvme_cmd":
-            cmd = message.payload
             req = cmd.context
             parent = None
             if req is not None and getattr(req, "obs", None):
@@ -375,18 +382,142 @@ class TargetServer:
                 "target.admit", parent=parent, host=self.name,
                 cid=cmd.cid, qp=endpoint.qp.index,
             )
+        token = None
         try:
-            if message.kind == "nvme_cmd":
-                yield from self._handle_command(ctx, message.payload)
-            else:
-                yield from core.run(self.costs.recv_process)
+            if message.kind != "nvme_cmd":
+                yield from core.run(costs.recv_process)
                 yield from self.policy.on_control(ctx, message)
+                return
+            self.commands_received += 1
+            yield from core.run(costs.recv_process)
+            if self.admission is not None:
+                # Admission decision *before* the policy hooks, the
+                # barrier-ticket reservation and the data fetch: a shed
+                # command costs one receive and one response, never an
+                # RDMA READ or an SSD slot.
+                token, reason = self.admission.admit(cmd, self.env.now)
+                if token is None:
+                    self.commands_shed += 1
+                    self.env.trace(
+                        "target", "shed", target=self.name, cid=cmd.cid,
+                        opcode=cmd.opcode, cause=reason,
+                    )
+                    yield from completion_core.run(costs.response_post)
+                    self._respond(endpoint, cmd, status=STATUS_QFULL)
+                    return
+            if self.crashed:
+                return
+
+            barrier_ticket = None
+            if cmd.opcode == OP_WRITE:
+                if cmd.barrier:
+                    # Reserve the device's barrier-order slot *now*, while
+                    # command handling is still serialized in QP delivery
+                    # order: the data fetch below takes size-dependent
+                    # time, so concurrently handled commands reach
+                    # ssd.submit() in scrambled order.
+                    barrier_ticket = self.ssds[cmd.nsid].reserve_barrier_ticket()
+                if endpoint.qp.transport == "tcp":
+                    # NVMe/TCP: the data arrived inline; pay the socket
+                    # stack and the copy out of the receive buffers.
+                    yield from core.run(
+                        costs.tcp_stack_per_message
+                        + costs.tcp_copy_per_block * cmd.nblocks
+                    )
+                else:
+                    # Fetch data blocks by one-sided RDMA READ (no target
+                    # CPU beyond posting the work request).
+                    yield from core.run(costs.rdma_read_post)
+                    yield from endpoint.rdma(cmd.nbytes)
+                if self.crashed:
+                    return
+
+            before_submit = self.policy.before_submit
+            if before_submit is not None:
+                yield from before_submit(ctx, cmd)
+            if self.crashed:
+                return
+            if ctx.duplicate:
+                # A retransmission of an already-admitted ordered write:
+                # never re-applied (idempotent retry).  Acknowledge
+                # immediately — the original execution owns persistence
+                # and ordering.
+                self.duplicates_suppressed += 1
+                if barrier_ticket is not None:
+                    self.ssds[cmd.nsid].release_barrier_ticket(barrier_ticket)
+                yield from completion_core.run(costs.response_post)
+                self._respond(endpoint, cmd)
+                return
+
+            ssd = self.ssds[cmd.nsid]
+            attr = getattr(cmd.context, "attr", None) if cmd.context is not None else None
+            if attr is not None and cmd.opcode == OP_WRITE:
+                self.audit_log.append(
+                    (attr.stream_id, attr.server_pos, self.restarts, self.env.now)
+                )
+            yield from core.run(costs.nvme_submit)
+            if cmd.opcode == OP_FLUSH:
+                io = DiskIO(op="flush")
+            elif cmd.opcode == OP_WRITE:
+                io = DiskIO(
+                    op="write",
+                    lba=cmd.slba,
+                    nblocks=cmd.nblocks,
+                    payload=cmd.payload,
+                    fua=cmd.fua,
+                    barrier=cmd.barrier,
+                )
+                if barrier_ticket is not None:
+                    io._barrier_ticket = barrier_ticket  # type: ignore[attr-defined]
+            else:
+                io = DiskIO(op="read", lba=cmd.slba, nblocks=cmd.nblocks)
+            io.obs_parent = ctx.obs_span
+            done = ssd.submit(io)
+            self._ssd_waits[done] = None
+            yield done
+            self._ssd_waits.pop(done, None)
+            yield from completion_core.run(costs.nvme_completion)
+
+            if cmd.flush_after:
+                done = ssd.submit(DiskIO(op="flush", obs_parent=ctx.obs_span))
+                self._ssd_waits[done] = None
+                yield done
+                self._ssd_waits.pop(done, None)
+                yield from completion_core.run(costs.nvme_completion)
+            if self.crashed:
+                return
+
+            after_completion = self.policy.after_completion
+            if after_completion is not None:
+                yield from after_completion(ctx, cmd)
+            if self.crashed:
+                return
+
+            data, inline = None, 0
+            if cmd.opcode == OP_READ:
+                data = io.payload
+                if endpoint.qp.transport == "tcp":
+                    # Read data rides inline in the response PDU.
+                    yield from completion_core.run(
+                        costs.tcp_stack_per_message
+                        + costs.tcp_copy_per_block * cmd.nblocks
+                    )
+                    inline = cmd.nbytes
+                else:
+                    # Ship the data back with a one-sided RDMA WRITE.
+                    yield from endpoint.rdma(cmd.nbytes)
+            yield from completion_core.run(costs.response_post)
+            self._respond(endpoint, cmd, data=data, inline=inline)
         except CrashedError:
             # The server lost power while this command was in flight: on
             # real hardware nothing more happens — no response is sent.
             return
         finally:
-            if ctx.obs_span is not None and obs is not None:
+            # Runs on every exit, the crash unwind included: an admitted
+            # command is completed exactly once, then its span closes.
+            if token is not None:
+                self.admission.complete(token)
+            if ctx.obs_span is not None:
                 extra = {}
                 if ctx.duplicate:
                     extra["duplicate"] = 1
@@ -394,154 +525,21 @@ class TargetServer:
                     extra["crashed"] = 1
                 obs.spans.close(ctx.obs_span, **extra)
 
-    def _irq_cost(self, core: Core) -> float:
-        """Interrupt entry cost, amortized under coalescing (Lesson 3)."""
-        now = self.env.now
-        last = self._last_irq.get(core.index, -1.0)
-        self._last_irq[core.index] = now
-        if last >= 0 and now - last < self.costs.irq_coalesce_window:
-            return 0.0
-        return self.costs.irq_entry
-
-    def _handle_command(self, ctx: TargetContext, cmd: NvmeCommand):
-        core = ctx.core
-        self.commands_received += 1
-        yield from core.run(self.costs.recv_process)
-        if self.admission is None:
-            yield from self._execute_command(ctx, cmd)
-            return
-        # Admission decision *before* the policy hooks, the barrier-ticket
-        # reservation and the data fetch: a shed command costs one receive
-        # and one response, never an RDMA READ or an SSD slot.
-        token, reason = self.admission.admit(cmd, self.env.now)
-        if token is None:
-            self.commands_shed += 1
-            self.env.trace(
-                "target", "shed", target=self.name, cid=cmd.cid,
-                opcode=cmd.opcode, cause=reason,
-            )
-            yield from ctx.completion_core.run(self.costs.response_post)
-            ctx.endpoint.post_send(
-                Message(
-                    kind="nvme_resp",
-                    payload=(NvmeResponse(cid=cmd.cid, status=STATUS_QFULL), None),
-                    nbytes=NvmeResponse.WIRE_SIZE,
-                )
-            )
-            return
-        try:
-            yield from self._execute_command(ctx, cmd)
-        finally:
-            # Runs on the normal exit *and* while unwinding a CrashedError:
-            # every admitted command is completed exactly once.
-            self.admission.complete(token)
-
-    def _execute_command(self, ctx: TargetContext, cmd: NvmeCommand):
-        core, endpoint = ctx.core, ctx.endpoint
-        if self.crashed:
-            return
-
-        barrier_ticket = None
-        if cmd.opcode == OP_WRITE:
-            if cmd.barrier:
-                # Reserve the device's barrier-order slot *now*, while
-                # command handling is still serialized in QP delivery
-                # order: the data fetch below takes size-dependent time,
-                # so concurrently handled commands reach ssd.submit() in
-                # scrambled order.
-                barrier_ticket = self.ssds[cmd.nsid].reserve_barrier_ticket()
-            if endpoint.qp.transport == "tcp":
-                # NVMe/TCP: the data arrived inline; pay the socket stack
-                # and the copy out of the receive buffers.
-                yield from core.run(
-                    self.costs.tcp_stack_per_message
-                    + self.costs.tcp_copy_per_block * cmd.nblocks
-                )
-            else:
-                # Fetch data blocks by one-sided RDMA READ (no target CPU
-                # beyond posting the work request).
-                yield from core.run(self.costs.rdma_read_post)
-                yield from endpoint.rdma_read(cmd.nbytes)
-            if self.crashed:
-                return
-
-        yield from self.policy.before_submit(ctx, cmd)
-        if self.crashed:
-            return
-        if ctx.duplicate:
-            # A retransmission of an already-admitted ordered write: never
-            # re-applied (idempotent retry).  Acknowledge immediately — the
-            # original execution owns persistence and ordering.
-            self.duplicates_suppressed += 1
-            if barrier_ticket is not None:
-                self.ssds[cmd.nsid].release_barrier_ticket(barrier_ticket)
-            yield from ctx.completion_core.run(self.costs.response_post)
-            endpoint.post_send(
-                Message(
-                    kind="nvme_resp",
-                    payload=(NvmeResponse(cid=cmd.cid), None),
-                    nbytes=NvmeResponse.WIRE_SIZE,
-                )
-            )
-            return
-
-        ssd = self.ssds[cmd.nsid]
-        attr = getattr(cmd.context, "attr", None) if cmd.context is not None else None
-        if attr is not None and cmd.opcode == OP_WRITE:
-            self.audit_log.append(
-                (attr.stream_id, attr.server_pos, self.restarts, self.env.now)
-            )
-        yield from core.run(self.costs.nvme_submit)
-        if cmd.opcode == OP_FLUSH:
-            io = DiskIO(op="flush")
-        elif cmd.opcode == OP_WRITE:
-            io = DiskIO(
-                op="write",
-                lba=cmd.slba,
-                nblocks=cmd.nblocks,
-                payload=cmd.payload,
-                fua=cmd.fua,
-                barrier=cmd.barrier,
-            )
-            if barrier_ticket is not None:
-                io._barrier_ticket = barrier_ticket  # type: ignore[attr-defined]
-        else:
-            io = DiskIO(op="read", lba=cmd.slba, nblocks=cmd.nblocks)
-        io.obs_parent = ctx.obs_span
-        yield ssd.submit(io)
-        yield from ctx.completion_core.run(self.costs.nvme_completion)
-
-        if cmd.flush_after:
-            yield ssd.submit(DiskIO(op="flush", obs_parent=ctx.obs_span))
-            yield from ctx.completion_core.run(self.costs.nvme_completion)
-        if self.crashed:
-            return
-
-        yield from self.policy.after_completion(ctx, cmd)
-        if self.crashed:
-            return
-
-        response_nbytes = NvmeResponse.WIRE_SIZE
-        if cmd.opcode == OP_READ:
-            if endpoint.qp.transport == "tcp":
-                # Read data rides inline in the response PDU.
-                yield from ctx.completion_core.run(
-                    self.costs.tcp_stack_per_message
-                    + self.costs.tcp_copy_per_block * cmd.nblocks
-                )
-                response_nbytes += cmd.nbytes
-            else:
-                # Ship the data back with a one-sided RDMA WRITE.
-                yield from endpoint.rdma_write(cmd.nbytes)
-            response_payload: Any = (NvmeResponse(cid=cmd.cid), io.payload)
-        else:
-            response_payload = (NvmeResponse(cid=cmd.cid), None)
-        yield from ctx.completion_core.run(self.costs.response_post)
+    @staticmethod
+    def _respond(
+        endpoint: QpEndpoint,
+        cmd: NvmeCommand,
+        status: int = 0,
+        data: Any = None,
+        inline: int = 0,
+    ) -> None:
+        """Post the ``nvme_resp`` SEND for ``cmd``: ``data`` is the read
+        payload, of which ``inline`` bytes ride in the PDU (NVMe/TCP)."""
         endpoint.post_send(
             Message(
                 kind="nvme_resp",
-                payload=response_payload,
-                nbytes=response_nbytes,
+                payload=(NvmeResponse(cid=cmd.cid, status=status), data),
+                nbytes=NvmeResponse.WIRE_SIZE + inline,
             )
         )
 

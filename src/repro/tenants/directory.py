@@ -198,8 +198,6 @@ class TenantDirectory:
         # the hottest tenants are scattered over streams and classes.
         self._ra = self._coprime(rng, num_tenants)
         self._rb = rng.randint(0, num_tenants - 1)
-        self._by_name: Dict[str, TenantClass] = {
-            c.name: c for c in self.classes}
         self._class_cdf: List[float] = []
         running = 0.0
         for c in self.classes:
@@ -257,9 +255,6 @@ class TenantDirectory:
             if u < cum:
                 return cls
         return self.classes[-1]
-
-    def class_named(self, name: str) -> TenantClass:
-        return self._by_name[name]
 
     def class_name_of(self, tenant: int) -> str:
         return self.class_of(tenant).name

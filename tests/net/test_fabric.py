@@ -74,7 +74,7 @@ def test_rdma_read_costs_a_round_trip_without_peer_handler():
     finished = []
 
     def proc(env):
-        yield from qp.endpoints[1].rdma_read(4096)
+        yield from qp.endpoints[1].rdma(4096)
         finished.append(env.now)
 
     env.process(proc(env))
@@ -89,7 +89,7 @@ def test_bandwidth_serializes_large_transfers():
     finished = []
 
     def proc(env):
-        yield from qp.endpoints[0].rdma_write(25_000_000)  # 1 ms of wire
+        yield from qp.endpoints[0].rdma(25_000_000)  # 1 ms of wire
         finished.append(env.now)
 
     env.process(proc(env))
