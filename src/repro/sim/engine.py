@@ -50,11 +50,12 @@ In-place waits
 
 Three waits finish without creating an event when that event would be the
 very next one dispatched.  All apply only while the process is driven by
-:meth:`Environment.run`'s inline loop: ``run()`` stores its ``until`` in
-``_inline_limit`` and :meth:`Process._step` masks it to ``-inf`` while it
-drives a generator, because its caller (:meth:`~Environment.step`,
-:meth:`~Environment.run_until_event`, an event with several callbacks, an
-interrupt) may have more to run at the current time.
+the inline loop of ``run()`` and ``run_until_event()``, within their time
+limit ``_inline_limit``.  :meth:`Process._step` masks it to ``-inf`` while
+it drives a generator, because its caller (:meth:`~Environment.step`, an
+event with several callbacks, an interrupt) may have more to run at the
+current time.  ``run_until_event()`` lowers it to ``now`` once its event
+is processed, so the loop ends with that instant.
 
 * **Synchronous grant** (the generator :meth:`repro.sim.resources.
   Resource.acquire`): a free slot is taken with no grant event and no
@@ -110,7 +111,7 @@ uniformity for speed:
   :class:`~repro.sim.resources.Store` get or put) build their
   already-triggered events in one frame;
 * **inline resume**: when an event's only callback resumes a process,
-  :meth:`Environment.run` calls the generator's ``send``/``throw`` itself,
+  the run loop (:meth:`Environment._run`) calls ``send``/``throw`` itself,
   without the ``_resume``/``_step`` frames, and re-parks the process with
   the same bound method;
 * **direct handoff**: when the resumed process yields an event with no
@@ -263,26 +264,10 @@ class Timeout(Event):
     """An event that fires after a fixed virtual-time delay.
 
     Timeouts are born triggered.  :meth:`Environment.timeout` builds them
-    in one frame; this constructor is the equivalent generic path.
+    in one frame, as does :meth:`repro.sim.resources.Resource.hold`.
     """
 
     __slots__ = ("delay",)
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        self.env = env
-        self.callbacks = []
-        self._state = _TRIGGERED
-        self._ok = True
-        self._value = value
-        self.delay = delay
-        now = env._now
-        when = now + delay
-        if when == now:
-            env._ready.append(self)
-        else:
-            heappush(env._heap, (when, next(env._eid), self))
 
     def cancel(self) -> None:
         """Disarm a timeout that lost a race (e.g. the other arm of an
@@ -318,7 +303,7 @@ class Condition(Event):
     """Fires when ``evaluate`` says enough of the watched events fired.
 
     Used for :meth:`Environment.all_of` and :meth:`Environment.any_of`.
-    The condition value is a dict mapping each fired event to its value.
+    The condition value is a dict mapping each processed member to its value.
     Once it fires it unhooks itself from the members that have not fired
     yet, so a long-lived member does not collect dead callbacks (one per
     ``any_of`` it ever took part in).  A member therefore must not rely on
@@ -364,7 +349,7 @@ class Condition(Event):
             if not self._evaluate(self._fired, len(self._events)):
                 return
             self.succeed(
-                {ev: ev._value for ev in self._events if ev._state != _PENDING}
+                {e: e._value for e in self._events if e._state == _PROCESSED}
             )
         self._detach()
 
@@ -570,9 +555,9 @@ class Environment:
         #: them in bulk.
         self._cancelled = 0
         self._eid = count()
-        #: ``until`` of the running :meth:`run` while its inline loop drives
-        #: a generator, else -inf: the bound for in-place waits (module
-        #: docstring).
+        #: Time limit of the running inline loop (:meth:`_run`) while it
+        #: drives a generator, else -inf: the bound for in-place waits
+        #: (module docstring).
         self._inline_limit = _NEG_INF
         self._active_process: Optional[Process] = None
         #: Liveness registry: token -> (event, description).  Checked when
@@ -609,7 +594,7 @@ class Environment:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Build and schedule a timeout in one frame (the most executed
-        call in the simulator; field writes match ``Timeout.__init__``)."""
+        call in the simulator)."""
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
         timeout = Timeout.__new__(Timeout)
@@ -796,7 +781,7 @@ class Environment:
             limit = until
         self._inline_limit = limit
         try:
-            self._run(limit)
+            self._run()
         finally:
             self._inline_limit = _NEG_INF
         if until is None:
@@ -808,13 +793,14 @@ class Environment:
             self._raise_if_deadlocked()
         self._now = until
 
-    def _run(self, limit: float) -> None:
-        """The dispatch loop of :meth:`run`."""
+    def _run(self) -> None:
+        """The dispatch loop of :meth:`run` and :meth:`run_until_event`, up
+        to ``_inline_limit``, which :meth:`_halt` may lower mid-run."""
         ready = self._ready
         popleft = ready.popleft
         advance = self._advance
         while True:
-            if not ready and not advance(limit):
+            if not ready and not advance(self._inline_limit):
                 break
             event = popleft()
             if event._state == _CANCELLED:
@@ -868,7 +854,7 @@ class Environment:
                 state = target._state
                 if state == _TRIGGERED:
                     if (not target.callbacks
-                            and (ready or advance(limit))
+                            and (ready or advance(self._inline_limit))
                             and ready[0] is target):
                         # Direct handoff: the target is the next event.
                         popleft()
@@ -889,18 +875,28 @@ class Environment:
                 break
 
     def run_until_event(self, event: Event, limit: float = float("inf")) -> Any:
-        """Run until ``event`` fires; returns its value. Raises on failure."""
-        while not event.triggered:
-            upcoming = self.peek()
-            if upcoming == float("inf"):
+        """Run until ``event`` is processed and to the end of that instant,
+        so its waiters observe it too; returns its value. Raises on failure."""
+        if event._state == _PROCESSED:
+            limit = self._now
+        else:
+            event.callbacks.append(self._halt)
+        self._inline_limit = limit
+        try:
+            self._run()
+        finally:
+            self._inline_limit = _NEG_INF
+            if event._state <= _TRIGGERED:  # not processed, not cancelled
+                event.callbacks.remove(self._halt)
+        if event._state != _PROCESSED:
+            if self._next_scheduled() == _INF:
                 self._raise_if_deadlocked()
                 raise SimulationError("event can never fire: heap is empty")
-            if upcoming > limit:
-                raise SimulationError(f"event did not fire before t={limit}")
-            self.step()
-        # Drain same-timestamp callbacks so waiters observe the value too.
-        while self.peek() <= self._now:
-            self.step()
-        if not event.ok:
-            raise event.value
-        return event.value
+            raise SimulationError(f"event did not fire before t={limit}")
+        if not event._ok:
+            raise event._value
+        return event._value
+
+    def _halt(self, event: Event) -> None:
+        """``run_until_event()``'s callback: end the loop at this instant."""
+        self._inline_limit = self._now

@@ -6,8 +6,10 @@ every trigger — ``succeed``/``fail``, zero-delay timeouts, process
 bootstraps, immediate resumes, resource grants — becomes an ordinary
 ``(time, eid)`` heap entry, and ``run()`` pops one entry at a time and
 calls its callbacks.  No ready queue, no inline resume, no direct handoff,
-and conditions keep their dead callbacks.  The engine shares its event
-classes with it, so what is checked is the dispatcher alone.
+and conditions keep their dead callbacks.  Its ``run_until_event`` steps
+one entry at a time until the event is processed, then steps out the rest
+of that instant.  The engine shares its event classes with it, so what is
+checked is the dispatcher alone.
 
 Hypothesis generates small programs of cooperating processes mixing
 zero-delay succeeds and fails, tied timestamps, ``Store`` and ``Resource``
@@ -24,10 +26,12 @@ one-frame ``Resource.hold``, plain, as the TX pipe of a real
 queues) and on a real :class:`~repro.hw.cpu.Core` (whose busy time is
 logged).  The plain holds and the NIC share the pipe that ``request()``
 holds contend for.  Their wake times tie with pending heap entries and
-with ``run(until=...)``, and processes are resumed by ``step()``,
-``run_until_event`` and events with several callbacks, where a wait must
-not complete in place.  The reference never takes the in-place path: its
-``run()`` leaves the engine's inline limit at ``-inf``.
+with ``run(until=...)`` and ``run_until_event``'s limit, and processes are
+resumed by ``step()`` and events with several callbacks, where a wait must
+not complete in place, and by the event that ends a ``run_until_event``,
+after which no wait may move the clock.  The reference never takes the
+in-place path: its ``run()`` and ``run_until_event`` leave the engine's
+inline limit at ``-inf``.
 """
 
 from collections import deque
@@ -117,6 +121,21 @@ class ReferenceEnvironment(Environment):
             self._raise_if_deadlocked()
         if until is not None:
             self._now = until
+
+    def run_until_event(self, event, limit=_INF):
+        while not event.processed:
+            when = self.peek()
+            if when == _INF:
+                self._raise_if_deadlocked()
+                raise SimulationError("event can never fire: heap is empty")
+            if when > limit:
+                raise SimulationError(f"event did not fire before t={limit}")
+            self.step()
+        while self.peek() <= self._now:
+            self.step()
+        if not event.ok:
+            raise event.value
+        return event.value
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +358,10 @@ _DRIVER = st.lists(
          segments=[("until", 3)])
 @example(scripts=[[("observe", 1), ("wait", 1), ("core", 3), ("nap", 2)],
                   [("charge", 2), ("fire_wait", 1), ("nap", 3)]],
+         segments=[("until_event", 0), ("step",)])
+# A process resumed by the event that ends run_until_event: its hold and
+# core charge must not complete in place past the halt time.
+@example(scripts=[[("sleep", 2)], [("join", 0), ("hold", 2), ("core", 3)]],
          segments=[("until_event", 0), ("step",)])
 # Resource.acquire and Resource.hold: a free slot is not granted in place
 # while a zero-delay timeout is due now; a hold whose release ties with a

@@ -185,6 +185,20 @@ def test_any_of_fires_on_first_event():
     assert seen == [1.0]
 
 
+def test_any_of_value_holds_only_fired_members():
+    env = Environment()
+    seen = []
+
+    def parent(env):
+        late = env.timeout(2e-3, value="late")
+        early = env.timeout(1e-3, value="early")
+        seen.append((yield env.any_of([late, early])) == {early: "early"})
+
+    env.process(parent(env))
+    env.run()
+    assert seen == [True]
+
+
 def test_all_of_empty_fires_immediately():
     env = Environment()
     seen = []
@@ -241,6 +255,30 @@ def test_run_until_event_returns_value():
     proc_event = env.process(proc(env))
     assert env.run_until_event(proc_event) == "value"
     assert env.now == 2.0
+
+
+def test_run_until_event_waits_for_a_pending_timeout():
+    env = Environment()
+    timeout = env.timeout(5e-3, "x")
+    assert env.run_until_event(timeout) == "x"
+    assert env.now == 5e-3
+    assert timeout.processed
+
+
+def test_run_until_event_gives_up_at_limit_and_unhooks():
+    env = Environment()
+    late = env.timeout(2.0, "late")
+    with pytest.raises(SimulationError, match="did not fire before t=1.0"):
+        env.run_until_event(late, limit=1.0)
+    assert late.callbacks == []
+    env.run()  # no leftover halt callback cuts this run short
+    assert env.now == 2.0 and late.processed
+
+
+def test_run_until_event_on_a_never_firing_event():
+    env = Environment()
+    with pytest.raises(SimulationError, match="can never fire"):
+        env.run_until_event(env.event())
 
 
 def test_interrupt_wakes_sleeping_process():
@@ -700,8 +738,6 @@ def test_immediate_resume_still_works_without_interrupt():
 
 # -- in-place waits -----------------------------------------------------------
 
-ENGINES = (Environment,)
-
 
 def _hold(env, resource, trace):
     yield from resource.acquire()
@@ -711,9 +747,8 @@ def _hold(env, resource, trace):
     resource.release()
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_free_grant_and_next_wake_complete_in_place_under_run(engine):
-    env = engine()
+def test_free_grant_and_next_wake_complete_in_place_under_run():
+    env = Environment()
     resource = Resource(env)
     trace = []
     env.process(_hold(env, resource, trace))
@@ -723,19 +758,28 @@ def test_free_grant_and_next_wake_complete_in_place_under_run(engine):
     assert resource.in_use == 0
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_waits_take_events_when_stepped(engine):
-    env = engine()
+def test_waits_take_events_when_stepped():
+    env = Environment()
     resource = Resource(env)
     trace = []
-    env.run_until_event(env.process(_hold(env, resource, trace)))
+    env.process(_hold(env, resource, trace))
+    while env.peek() != float("inf"):
+        env.step()
     assert trace == [(0.0, 1), 1e-6]
     assert next(env._eid) == 1  # the sleep scheduled its timeout
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_sleep_past_until_waits_for_the_next_run(engine):
-    env = engine()
+def test_run_until_event_completes_waits_in_place():
+    env = Environment()
+    resource = Resource(env)
+    trace = []
+    env.run_until_event(env.process(_hold(env, resource, trace)))
+    assert trace == [(0.0, 1), 1e-6]
+    assert next(env._eid) == 0  # no timeout was ever scheduled
+
+
+def test_sleep_past_until_waits_for_the_next_run():
+    env = Environment()
     resource = Resource(env)
     trace = []
     env.process(_hold(env, resource, trace))
@@ -746,9 +790,8 @@ def test_sleep_past_until_waits_for_the_next_run(engine):
     assert trace == [(0.0, 1), 1e-6]
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_busy_resource_and_pending_work_are_not_skipped(engine):
-    env = engine()
+def test_busy_resource_and_pending_work_are_not_skipped():
+    env = Environment()
     resource = Resource(env)
     trace = []
     env.process(_hold(env, resource, trace))
