@@ -3,9 +3,8 @@
 Drives an :class:`~repro.systems.base.OrderedStack` with the write patterns
 of the paper's block-level experiments:
 
-* ``pattern="rand" | "seq" | "mixed"`` with configurable write size
-  (Figures 10, 11; ``mixed`` is the qualification matrix's 50/50
-  seeded blend of sequential and random ops);
+* ``pattern="rand" | "seq"`` with configurable write size
+  (Figures 10, 11);
 * ``batch`` — groups of LBA-consecutive writes staged together so merging
   can fire (Figures 3 and 12);
 * ``journal_pattern=True`` — the motivation workload of §3.1: each
@@ -87,8 +86,8 @@ def run_block_workload(
     seed: int = 1234,
 ) -> BlockWorkloadResult:
     """Run the workload to completion of the measurement window."""
-    if pattern not in ("rand", "seq", "mixed"):
-        raise ValueError(f"pattern must be rand|seq|mixed, got {pattern!r}")
+    if pattern not in ("rand", "seq"):
+        raise ValueError(f"pattern must be rand|seq, got {pattern!r}")
     if threads < 1 or batch < 1 or queue_depth < 1:
         raise ValueError("threads, batch and queue_depth must be >= 1")
     env: Environment = cluster.env
@@ -105,11 +104,7 @@ def run_block_workload(
 
         def next_lba(size: int) -> int:
             nonlocal seq_cursor
-            # "mixed" picks seq/rand per op from the seeded RNG (50/50).
-            mode = pattern
-            if pattern == "mixed":
-                mode = "seq" if rng.randint(0, 1) else "rand"
-            if mode == "seq":
+            if pattern == "seq":
                 lba = base + seq_cursor
                 seq_cursor += size
                 if seq_cursor > THREAD_AREA_BLOCKS - size:

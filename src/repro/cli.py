@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "(default: 8)")
 
     qual = _verb(sub, "qualify", "SSD qualification matrix: block-size x "
-                 "queue-depth x pattern x system cells with per-cell "
+                 "queue-depth x system cells with per-cell "
                  "pass/fail floors, sustained-write GC passes and "
                  "ordering-oracle cells", True, _cmd_verb)
     qual.set_defaults(after=_qualify_artifacts)
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     qual.add_argument("--floor", dest="policies.floors", action=_Floors,
                       metavar="CELL:NAME=VALUE",
                       help="override one floor of one cell (repeatable), "
-                      "e.g. 'matrix/rio/4K/qd1/seq:min_kiops=100'")
+                      "e.g. 'matrix/rio/4K/qd1:min_kiops=100'")
 
     # Flags several verbs share; the help names each verb's default.
     for verb in (run, swp, sat, ovl, tnt, qual):

@@ -16,9 +16,11 @@ Implements §4.5 and Figures 7–8:
   LBA-consecutive; the merged request carries one compacted attribute and
   recovers atomically.  Split fragments are never merged and vice versa.
 
-Stream stealing (Figure 7(b)) works by construction: any core may enqueue
-into any stream, but dispatch order and QP selection follow the *stream*,
-not the submitting core.
+Stream stealing (Figure 7(b)) is not correct yet.  Dispatch order and QP
+selection follow the *stream*, not the submitting core, but two
+submitters on different cores can append to one stream's ORDER queue out
+of seq order, and the target then rejects the broken ``prev`` chain
+(``tests/core/test_scheduler.py``, a strict xfail; ROADMAP open item 3).
 """
 
 from __future__ import annotations

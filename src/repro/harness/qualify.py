@@ -1,13 +1,15 @@
 """`repro qualify`: the SSD qualification matrix with per-cell floors.
 
 Modeled on real NVMe qualification suites (block-size sweeps 4K–1MB,
-queue depths 1–256, sequential/random/mixed patterns, sustained-write
-preconditioning, SMART health checks), driven against the reproduced
-stacks instead of a physical drive.  Three kinds of cells:
+queue depths 1–256, sustained-write preconditioning, SMART health
+checks), driven against the reproduced stacks instead of a physical
+drive.  Three kinds of cells:
 
-* **matrix** — one ``run_block_workload`` per (system, block size, queue
-  depth, pattern) on the qualification layout, recording throughput,
-  tail latency and the device's SMART health counters;
+* **matrix** — one random-write ``run_block_workload`` per (system,
+  block size, queue depth) on the qualification layout, recording
+  throughput, tail latency and the device's SMART health counters.
+  There is no access-pattern axis: the SSD model's service time does not
+  depend on the LBA, so sequential and random cells always agree;
 * **sustained** — a sustained sequential-write pass at QD 256 on a
   prefilled device, so the cell runs inside write-cache eviction
   pressure *and* steady-state GC (write amplification > 1);
@@ -51,13 +53,13 @@ from typing import Dict, List, Sequence
 from repro.harness.experiment import LAYOUTS, build_cluster, build_stack
 from repro.harness.report import Report, Verdict
 from repro.harness.sweep import RunSpec, Sweep
+from repro.spec.scenario import SpecError
 
 __all__ = [
     "QUALIFY_SYSTEMS",
     "ORACLE_SYSTEMS",
     "FULL_BLOCKS_KIB",
     "FULL_QUEUE_DEPTHS",
-    "FULL_PATTERNS",
     "PROFILES",
     "QualifyProfile",
     "QualifyCell",
@@ -83,7 +85,6 @@ ORACLE_SYSTEMS = ("rio", "horae", "barrier")
 
 FULL_BLOCKS_KIB = (4, 16, 64, 256, 1024)
 FULL_QUEUE_DEPTHS = (1, 8, 64, 256)
-FULL_PATTERNS = ("seq", "rand", "mixed")
 
 
 @dataclass(frozen=True)
@@ -93,48 +94,36 @@ class QualifyProfile:
     systems: Sequence[str]
     blocks_kib: Sequence[int]
     queue_depths: Sequence[int]
-    patterns: Sequence[str]
     #: Measurement window / warmup of one matrix cell (virtual seconds).
     duration: float
     warmup: float
-    #: Sustained-write pass: window and device prefill fraction.
+    #: Window of the sustained-write pass (virtual seconds).
     sustained_duration: float
-    sustained_prefill: float
-    #: Ordering-oracle cells: systems, in-flight depth, crash-point cap.
-    oracle_systems: Sequence[str]
-    oracle_depth: int
+    #: Crash-point cap of each ordering-oracle cell.
     oracle_max_points: int
 
 
 PROFILES: Dict[str, QualifyProfile] = {
-    # CI-sized: 2 systems x 2 blocks x 2 depths x 2 patterns, one
-    # sustained pass per system, the full oracle trio.
+    # CI-sized: 2 systems x 2 blocks x 2 depths, one sustained pass per
+    # system, the full oracle trio.
     "smoke": QualifyProfile(
         systems=("rio", "linux"),
         blocks_kib=(4, 64),
         queue_depths=(1, 256),
-        patterns=("seq", "rand"),
         duration=8e-4,
         warmup=2e-4,
         sustained_duration=1.2e-3,
-        sustained_prefill=0.92,
-        oracle_systems=ORACLE_SYSTEMS,
-        oracle_depth=256,
         oracle_max_points=5,
     ),
-    # The paper-scale matrix: 4K-1MB x QD 1/8/64/256 x seq/rand/mixed
-    # x all five systems, plus sustained passes and the oracle trio.
+    # The paper-scale matrix: 4K-1MB x QD 1/8/64/256 x all five systems,
+    # plus sustained passes and the oracle trio.
     "full": QualifyProfile(
         systems=QUALIFY_SYSTEMS,
         blocks_kib=FULL_BLOCKS_KIB,
         queue_depths=FULL_QUEUE_DEPTHS,
-        patterns=FULL_PATTERNS,
         duration=1.5e-3,
         warmup=3e-4,
         sustained_duration=2.5e-3,
-        sustained_prefill=0.92,
-        oracle_systems=ORACLE_SYSTEMS,
-        oracle_depth=256,
         oracle_max_points=8,
     ),
 }
@@ -144,6 +133,11 @@ PROFILES: Dict[str, QualifyProfile] = {
 #: pressure on the qualification layout).
 SUSTAINED_BLOCK_KIB = 64
 SUSTAINED_QD = 256
+#: Device fill before the sustained and oracle cells: deep enough that
+#: steady-state GC is active from the first write.
+SUSTAINED_PREFILL = 0.92
+#: In-flight depth of the ordering-oracle cells.
+ORACLE_DEPTH = 256
 
 #: Systems whose per-group synchronous FLUSH keeps the cache drained:
 #: the ``min_cache_stalls`` realism floor does not apply to them.
@@ -362,7 +356,6 @@ class QualifyCell:
     system: str
     block_kib: int
     queue_depth: int
-    pattern: str
     metrics: Dict[str, float] = field(default_factory=dict)
     floors: Dict[str, float] = field(default_factory=dict)
     #: floor name -> its verdict (see :func:`grade_floors`).
@@ -385,7 +378,6 @@ class QualifyCell:
             "system": self.system,
             "block_kib": self.block_kib,
             "queue_depth": self.queue_depth,
-            "pattern": self.pattern,
             "metrics": self.metrics,
             "floors": self.floors,
             "failures": list(self.failures),
@@ -486,23 +478,21 @@ def qualify_sweep(spec) -> Sweep:
     for system in workload["systems"]:
         for block_kib in workload["blocks_kib"]:
             for qd in workload["queue_depths"]:
-                for pattern in workload["patterns"]:
-                    key = f"matrix/{system}/{block_kib}K/qd{qd}/{pattern}"
-                    add(
-                        QualifyCell(
-                            key=key, phase="matrix", system=system,
-                            block_kib=block_kib, queue_depth=qd,
-                            pattern=pattern,
-                            floors=default_floors("matrix", duration),
-                        ),
-                        RunSpec.make(
-                            probe_qualify_cell, label=f"qualify/{key}",
-                            system=system, layout=layout,
-                            block_kib=block_kib, queue_depth=qd,
-                            pattern=pattern, duration=duration,
-                            warmup=shape.warmup, prefill=0.0, seed=seed,
-                        ),
-                    )
+                key = f"matrix/{system}/{block_kib}K/qd{qd}"
+                add(
+                    QualifyCell(
+                        key=key, phase="matrix", system=system,
+                        block_kib=block_kib, queue_depth=qd,
+                        floors=default_floors("matrix", duration),
+                    ),
+                    RunSpec.make(
+                        probe_qualify_cell, label=f"qualify/{key}",
+                        system=system, layout=layout,
+                        block_kib=block_kib, queue_depth=qd,
+                        pattern="rand", duration=duration,
+                        warmup=shape.warmup, prefill=0.0, seed=seed,
+                    ),
+                )
     if workload["sustained"]:
         for system in workload["systems"]:
             key = (f"sustained/{system}/{SUSTAINED_BLOCK_KIB}K/"
@@ -519,7 +509,7 @@ def qualify_sweep(spec) -> Sweep:
                 QualifyCell(
                     key=key, phase="sustained", system=system,
                     block_kib=SUSTAINED_BLOCK_KIB, queue_depth=SUSTAINED_QD,
-                    pattern="seq", floors=floors,
+                    floors=floors,
                 ),
                 RunSpec.make(
                     probe_qualify_cell, label=f"qualify/{key}",
@@ -528,24 +518,22 @@ def qualify_sweep(spec) -> Sweep:
                     queue_depth=SUSTAINED_QD, pattern="seq",
                     duration=shape.sustained_duration,
                     warmup=shape.warmup,
-                    prefill=shape.sustained_prefill, seed=seed,
+                    prefill=SUSTAINED_PREFILL, seed=seed,
                 ),
             )
     if spec.oracle["enabled"]:
-        for system in shape.oracle_systems:
-            key = f"oracle/{system}/qd{shape.oracle_depth}"
+        for system in ORACLE_SYSTEMS:
+            key = f"oracle/{system}/qd{ORACLE_DEPTH}"
             add(
                 QualifyCell(
                     key=key, phase="oracle", system=system,
-                    block_kib=0, queue_depth=shape.oracle_depth,
-                    pattern="ordered",
+                    block_kib=0, queue_depth=ORACLE_DEPTH,
                     floors=default_floors("oracle", duration),
                 ),
                 RunSpec.make(
                     probe_qualify_oracle, label=f"qualify/{key}",
                     system=system, layout=layout,
-                    depth=shape.oracle_depth,
-                    prefill=shape.sustained_prefill,
+                    depth=ORACLE_DEPTH, prefill=SUSTAINED_PREFILL,
                     max_points=shape.oracle_max_points, seed=seed,
                 ),
             )
@@ -556,7 +544,7 @@ def qualify_sweep(spec) -> Sweep:
             cell.floors = {**cell.floors, **overrides[cell.key]}
     unknown = set(overrides) - {cell.key for cell in cells}
     if unknown:
-        raise ValueError(f"floor overrides for unknown cells: {sorted(unknown)}")
+        raise SpecError(f"policies.floors: unknown cell(s) {sorted(unknown)}")
 
     def reduce(results: List[Dict]) -> QualifyReport:
         report = QualifyReport(profile=profile, layout=layout, seed=seed)

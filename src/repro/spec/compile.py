@@ -152,26 +152,33 @@ _SWEEPS = {
 def _qualify_reproducers(spec: ScenarioSpec, report) -> List[ScenarioSpec]:
     """One narrowed spec per failing qualification cell."""
     workload = spec.workload
+    overrides = spec.policies["floors"] or {}
     reproducers = []
     for cell in report.failures:
+        # Only the overrides of cells the narrowed spec still runs: a
+        # floor on any other cell would make the reproducer invalid.
+        floors = {key: value for key, value in overrides.items()
+                  if key == cell.key
+                  or (cell.phase == "oracle" and key.startswith("oracle/"))}
         narrowed = dict(workload)
         narrowed["sustained"] = False
         if cell.phase == "matrix":
             narrowed.update(
                 systems=[cell.system], blocks_kib=[cell.block_kib],
-                queue_depths=[cell.queue_depth], patterns=[cell.pattern],
+                queue_depths=[cell.queue_depth],
             )
             oracle = {**spec.oracle, "enabled": False}
         elif cell.phase == "sustained":
             narrowed.update(systems=[cell.system], blocks_kib=[],
                             sustained=True)
             oracle = {**spec.oracle, "enabled": False}
-        else:  # oracle cells: the trio is profile-shaped, keep it whole
+        else:  # oracle cells: the trio is fixed, keep it whole
             narrowed["blocks_kib"] = []
             oracle = {**spec.oracle, "enabled": True}
         reproducers.append(spec.with_(
             name=f"failing qualify cell {cell.key}",
             workload=narrowed, oracle=oracle,
+            policies={**spec.policies, "floors": floors or None},
         ))
     return reproducers
 

@@ -374,7 +374,6 @@ _WORKLOADS: Dict[str, Dict[str, _Field]] = {
         "systems": _Field("list:str", default=None, nullable=True),
         "blocks_kib": _Field("list:int", default=None, nullable=True),
         "queue_depths": _Field("list:int", default=None, nullable=True),
-        "patterns": _Field("list:str", default=None, nullable=True),
         "duration": _Field("float", default=None, nullable=True,
                            minimum=0.0),
         "seed": _Field("int", default=7),
@@ -853,7 +852,6 @@ def _resolve_scenario_defaults(spec: ScenarioSpec) -> ScenarioSpec:
             "systems": list(shape.systems),
             "blocks_kib": list(shape.blocks_kib),
             "queue_depths": list(shape.queue_depths),
-            "patterns": list(shape.patterns),
             "duration": shape.duration,
         }
         for key, value in resolved.items():

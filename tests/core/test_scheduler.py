@@ -187,3 +187,33 @@ def test_num_streams_validation():
     env, cluster, layer, _sched = make_scheduler()
     with pytest.raises(ValueError):
         RioIoScheduler(env, layer, cluster.initiator.cpus, num_streams=0)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=ValueError,
+    reason="stream stealing is broken: writers on different cores append "
+    "to one ORDER queue out of seq order (ROADMAP open item 3)")
+def test_writers_on_different_cores_share_one_stream():
+    """Fig. 7(b) stream stealing: four writers, each on its own core,
+    submit ordered writes to stream 0 with 8 in flight each."""
+    from repro.core.api import RioDevice
+
+    env = Environment()
+    cluster = Cluster(env, target_ssds=((OPTANE_905P,),))
+    rio = RioDevice(cluster, num_streams=1)
+
+    def writer(w):
+        core = cluster.initiator.cpus.pick(w)
+        inflight = []
+        for i in range(64):
+            done = yield from rio.write(core, 0, w * 1_000_000 + i, 1,
+                                        end_of_group=True)
+            inflight.append(done)
+            if len(inflight) == 8:
+                yield inflight.pop(0)
+        for done in inflight:
+            yield done
+
+    writers = [env.process(writer(w)) for w in range(4)]
+    env.run_until_event(env.all_of(writers), limit=1e-2)
+    assert all(w.processed for w in writers)

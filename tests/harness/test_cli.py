@@ -99,8 +99,10 @@ def _exit_code(argv):
     ["overload", "--protection", "bogus"],
     ["qualify", "--floor", "no-assignment"],
     ["qualify", "--profile", "smoke", "--systems", "rio", "--no-cache",
-     "--floor", "matrix/rio/4K/qd1/seq:min_kiopz=1"],
+     "--floor", "matrix/rio/4K/qd1:min_kiopz=1"],
     ["saturate", "--layout", "nope"],
+    ["qualify", "--profile", "smoke", "--systems", "rio", "--no-cache",
+     "--floor", "matrix/rio/4K/qd1/bogus:min_kiops=1"],
 ])
 def test_malformed_verb_flags_exit_2_with_one_message(argv, capsys):
     assert _exit_code(argv) == 2
@@ -156,9 +158,9 @@ VERB_SPECS = [
      {"scenario": "tenants",
       "workload": {"mode": "storm", "systems": ["rio"]}}),
     (["qualify", "--systems", "rio",
-      "--floor", "matrix/rio/4K/qd1/seq:min_kiops=1"],
+      "--floor", "matrix/rio/4K/qd1:min_kiops=1"],
      {"scenario": "qualify", "workload": {"systems": ["rio"]},
-      "policies": {"floors": {"matrix/rio/4K/qd1/seq": {"min_kiops": 1.0}}}}),
+      "policies": {"floors": {"matrix/rio/4K/qd1": {"min_kiops": 1.0}}}}),
     (["check", "--systems", "linux", "--layouts", "optane", "--seeds", "0",
       "--streams", "1", "--groups", "2", "--writes", "1", "--depth", "1"],
      {"scenario": "check", "oracle": {"max_points": 20},

@@ -16,6 +16,7 @@ import pytest
 
 from repro.harness.qualify import (
     PROFILES,
+    SUSTAINED_PREFILL,
     QualifyReport,
     bench_artifact,
     default_floors,
@@ -39,7 +40,6 @@ GOLDEN = {
         "systems": ["rio", "linux"],
         "blocks_kib": [4, 64],
         "queue_depths": [1],
-        "patterns": ["seq"],
         "seed": 7,
         "sustained": False,
     },
@@ -100,9 +100,13 @@ def test_check_floors_flags_missing_metric():
 
 
 def test_unknown_floor_override_cell_raises():
-    with pytest.raises(ValueError, match="unknown cells"):
+    with pytest.raises(SpecError, match="unknown cell.*matrix/zfs/4K/qd1"):
         _sweep({"scenario": "qualify"},
-               floors={"matrix/zfs/4K/qd1/seq": {"min_kiops": 1.0}})
+               floors={"matrix/zfs/4K/qd1": {"min_kiops": 1.0}})
+    # A key with the access-pattern suffix names no cell either.
+    with pytest.raises(SpecError, match="unknown cell.*matrix/rio/4K/qd1/seq"):
+        _sweep({"scenario": "qualify"},
+               floors={"matrix/rio/4K/qd1/seq": {"min_kiops": 1.0}})
 
 
 def test_linux_sustained_cell_waives_cache_stall_floor():
@@ -123,6 +127,54 @@ def _sweep_cells(sweep):
     return report.cells
 
 
+#: The smoke profile's cell digests (first 16 hex digits): the result
+#: cache's keys, so a change here invalidates every cached cell.
+SMOKE_DIGESTS = {
+    "matrix/rio/4K/qd1": "78aed28705607850",
+    "matrix/rio/4K/qd256": "4c79265e9947d2a7",
+    "matrix/rio/64K/qd1": "bfa6d34ccd175172",
+    "matrix/rio/64K/qd256": "e9230acc0c113a94",
+    "matrix/linux/4K/qd1": "f1c0ffb92995c29f",
+    "matrix/linux/4K/qd256": "44b83f9e0af2f301",
+    "matrix/linux/64K/qd1": "d30166f442ff7b4d",
+    "matrix/linux/64K/qd256": "afb1c337e693d3c3",
+    "sustained/rio/64K/qd256/seq": "d3bc0ab5f7b0f083",
+    "sustained/linux/64K/qd256/seq": "2ea8041c5c8cea2d",
+    "oracle/rio/qd256": "a75bac9cc5acf511",
+    "oracle/horae/qd256": "80386b2cee6a16db",
+    "oracle/barrier/qd256": "5244e5aeb3f61b78",
+}
+
+
+def test_smoke_cell_digests_are_pinned():
+    sweep = _sweep({"scenario": "qualify"})
+    keys = [cell.key for cell in _sweep_cells(sweep)]
+    assert {key: run.digest()[:16]
+            for key, run in zip(keys, sweep.specs)} == SMOKE_DIGESTS
+
+
+def test_every_matrix_axis_moves_an_output():
+    """For each matrix axis, some pair of smoke cells that differ only on
+    that axis measures different metrics: no axis re-runs a simulation
+    whose result another cell already holds."""
+    report = SweepRunner(jobs=1).run(_sweep(
+        {"scenario": "qualify", "workload": {"sustained": False},
+         "oracle": {"enabled": False}}))
+    axes = ("system", "block_kib", "queue_depth")
+    cells = report.cells
+    assert len(cells) == 8
+    for axis in axes:
+        others = [a for a in axes if a != axis]
+        pairs = [
+            (a, b) for a in cells for b in cells
+            if getattr(a, axis) != getattr(b, axis)
+            and all(getattr(a, o) == getattr(b, o) for o in others)
+        ]
+        assert pairs, axis
+        assert any(a.metrics != b.metrics for a, b in pairs), (
+            f"every {axis} pair measures identical metrics")
+
+
 # ----------------------------------------------------------------------
 # Cells
 # ----------------------------------------------------------------------
@@ -130,7 +182,7 @@ def _sweep_cells(sweep):
 
 def test_matrix_cell_measures_throughput_and_health():
     metrics = probe_qualify_cell(
-        system="rio", block_kib=4, queue_depth=8, pattern="seq",
+        system="rio", block_kib=4, queue_depth=8,
         duration=4e-4, warmup=1e-4,
     )
     assert metrics["kiops"] > 0
@@ -144,7 +196,7 @@ def test_sustained_cell_reaches_gc_and_eviction_pressure():
     metrics = probe_qualify_cell(
         system="rio", block_kib=64, queue_depth=256, pattern="seq",
         duration=shape.sustained_duration, warmup=shape.warmup,
-        prefill=shape.sustained_prefill,
+        prefill=SUSTAINED_PREFILL,
     )
     assert metrics["gc_active"] == 1.0
     assert metrics["write_amp"] > 1.05
@@ -172,11 +224,11 @@ def test_unknown_layout_raises():
 
 def test_injected_regression_fails_loudly():
     report = SweepRunner(jobs=1).run(_sweep(
-        GOLDEN, floors={"matrix/rio/4K/qd1/seq": {"min_kiops": 10_000.0}},
+        GOLDEN, floors={"matrix/rio/4K/qd1": {"min_kiops": 10_000.0}},
     ))
     assert not report.ok
     assert report.failed == 1
-    cell = report.cell("matrix/rio/4K/qd1/seq")
+    cell = report.cell("matrix/rio/4K/qd1")
     assert not cell.ok
     assert any("min_kiops" in f for f in cell.failures)
     assert "FAIL" in report.render()
@@ -211,7 +263,7 @@ def test_bench_artifact_shape():
     assert artifact["report_digest"] == report.digest()
     assert artifact["cells_pass"] == len(report.cells)
     assert "host_perf" not in artifact
-    first = artifact["cells"]["matrix/rio/4K/qd1/seq"]
+    first = artifact["cells"]["matrix/rio/4K/qd1"]
     assert first["ok"] is True and first["kiops"] > 0
 
 

@@ -232,8 +232,7 @@ def test_saturation_specs_are_per_cell_and_steering_aware():
 SMALL_QUALIFY = {
     "scenario": "qualify",
     "workload": {"profile": "smoke", "systems": ["rio", "linux"],
-                 "blocks_kib": [4, 64], "queue_depths": [1],
-                 "patterns": ["seq"]},
+                 "blocks_kib": [4, 64], "queue_depths": [1]},
     "oracle": {"enabled": False},
 }
 
@@ -275,7 +274,7 @@ def test_qualify_specs_are_per_cell_and_floors_do_not_change_identity():
     # Floors live in the reduce: overriding them must not invalidate the
     # cached cells (same spec digests).
     floored = _qualification(
-        floors={"matrix/rio/4K/qd1/seq": {"min_kiops": 1e9}})
+        floors={"matrix/rio/4K/qd1": {"min_kiops": 1e9}})
     assert ({s.digest() for s in base.specs}
             == {s.digest() for s in floored.specs})
 

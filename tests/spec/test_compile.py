@@ -124,8 +124,7 @@ def _storm_cells(breach):
 GATES = {
     "qualify": ({"scenario": "qualify",
                  "workload": {"systems": ["rio"], "blocks_kib": [4],
-                              "queue_depths": [1], "patterns": ["seq"],
-                              "sustained": False},
+                              "queue_depths": [1], "sustained": False},
                  "oracle": {"enabled": False}},
                 lambda breach: [_qualify_cell(breach)]),
     "chaos": ({"scenario": "chaos",
@@ -266,3 +265,33 @@ def test_failing_chaos_trial_yields_a_narrowed_spec():
     assert repro_spec.workload["base_seed"] == 1001
     # The reproducer is itself a valid, canonical spec.
     assert ScenarioSpec.from_json(repro_spec.canonical_json()) == repro_spec
+
+
+def test_failing_qualify_cell_reproducer_keeps_only_its_floors():
+    """A reproducer narrowed to one cell must drop the floor overrides of
+    the cells it no longer runs, or replaying it is a spec error."""
+    from repro.harness.qualify import qualify_sweep
+    from repro.spec.compile import _reproducers, _run_sweep
+
+    metrics = {"kiops": 20.0, "mbps": 80.0, "p999_us": 30.0,
+               "samples": 20.0}
+
+    class FakeRunner:
+        def run(self, sweep):
+            return sweep.reduce([metrics for _ in sweep.specs])
+
+    spec = ScenarioSpec.from_dict({
+        "scenario": "qualify",
+        "workload": {"systems": ["rio"], "blocks_kib": [4, 64],
+                     "queue_depths": [1], "sustained": False},
+        "policies": {"floors": {"matrix/rio/4K/qd1": {"min_kiops": 1e9},
+                                "matrix/rio/64K/qd1": {"min_kiops": 1.0}}},
+        "oracle": {"enabled": False},
+    })
+    result = _run_sweep(spec, FakeRunner())
+    (repro_spec,) = _reproducers(spec, result)
+    assert repro_spec.policies["floors"] == {
+        "matrix/rio/4K/qd1": {"min_kiops": 1e9}}
+    # It replays: its one cell still fails the kept floor.
+    assert not _run_sweep(repro_spec, FakeRunner()).ok
+    assert len(qualify_sweep(repro_spec).specs) == 1

@@ -120,15 +120,18 @@ def test_number_fields_preserve_int_vs_float():
           "workload": {"offered_kiops": float("-inf")}},
          "offered_kiops: -inf is not a finite number"),
         ({"scenario": "qualify",
-          "policies": {"floors": {"matrix/rio/4K/qd1/seq":
+          "policies": {"floors": {"matrix/rio/4K/qd1":
                                   {"min_kiops": float("nan")}}}},
          "min_kiops: nan is not a finite number"),
         ({"scenario": "saturate", "workload": {"duration": 10 ** 400}},
          "duration: number out of range"),
         ({"scenario": "qualify",
-          "policies": {"floors": {"matrix/rio/4K/qd1/seq":
+          "policies": {"floors": {"matrix/rio/4K/qd1":
                                   {"min_kiopz": 1}}}},
          "unknown floor 'min_kiopz'"),
+        # The access-pattern axis is gone from qualify.
+        ({"scenario": "qualify", "workload": {"patterns": ["seq"]}},
+         "unknown field.*'patterns'"),
     ],
 )
 def test_invalid_documents_raise_spec_error(data, fragment):
