@@ -286,7 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
                           (sat, "linux,horae,rio,barrier"),
                           (ovl, "rio; metastable scenario only"),
                           (tnt, "linux,horae,rio"),
-                          (qual, "the profile's list")):
+                          (qual, "the profile's list; matrix and "
+                                 "sustained cells only, the oracle cells "
+                                 "always check rio, horae and barrier")):
         verb.add_argument("--systems", dest="workload.systems",
                           type=_csv(str),
                           help=f"comma-separated systems (default: {systems})")

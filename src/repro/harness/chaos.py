@@ -569,12 +569,6 @@ def build_scale_fault_plan(
 def run_tenant_chaos_trial(
     system: str = "rio",
     seed: int = 0,
-    layout: str = "optane",
-    gold_kiops: float = 20.0,
-    aggressor_kiops: float = 40.0,
-    aggressor_lanes: int = 30,
-    aggressor_blocks: int = 32,
-    pace_kiops: float = 0.1,
     qos: bool = True,
     quantum: float = 8.0,
     duration: float = 3e-3,
@@ -595,7 +589,11 @@ def run_tenant_chaos_trial(
     target-side audits (duplicate applies, submission order) apply
     unchanged.
     """
-    from repro.harness.tenants import _run_storm, _shed_by_reason
+    from repro.harness.tenants import (
+        STORM_AGGRESSOR_LANES,
+        _run_storm,
+        _shed_by_reason,
+    )
 
     plan: Optional[FaultPlan] = None
     if faults:
@@ -604,17 +602,15 @@ def run_tenant_chaos_trial(
         # and stall the target briefly, both inside the measured window.
         plan = FaultPlan(seed=seed * 7919 + 41)
         burst_at = warmup + 0.2 * duration
-        plan.qp_breakdown(at=burst_at, qp_index=1 + aggressor_lanes // 2)
+        plan.qp_breakdown(at=burst_at,
+                          qp_index=1 + STORM_AGGRESSOR_LANES // 2)
         plan.target_stall(at=burst_at + 0.1 * duration, target_index=0,
                           duration=150e-6)
-    cluster, _, plane = _run_storm(
-        system, layout, gold_kiops, aggressor_kiops, aggressor_lanes,
-        aggressor_blocks, pace_kiops, qos, quantum, duration, warmup,
-        steering="pin", seed=seed, plan=plan,
-    )
+    cluster, _, plane = _run_storm(system, qos, quantum, duration, warmup,
+                                   seed, plan=plan)
 
     result = ChaosResult(
-        system=system, seed=seed, threads=1 + aggressor_lanes,
+        system=system, seed=seed, threads=1 + STORM_AGGRESSOR_LANES,
         groups_per_thread=0,
     )
     result.elapsed = cluster.env.now

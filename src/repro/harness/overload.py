@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.harness.experiment import LAYOUTS, FigureResult
+from repro.harness.saturate import WARMUP
 from repro.harness.sweep import RunSpec, Sweep
 from repro.nvmeof.initiator import DriverHardening
 from repro.robust.admission import AdmissionConfig
@@ -269,10 +270,11 @@ def probe_overload(
     initiators: int = 2,
     tenants: int = 4,
     duration: float = 2e-3,
-    warmup: float = 0.5e-3,
     seed: int = 42,
 ) -> Dict[str, float]:
-    """One metastable-overload cell: fresh testbed, one status-aware run.
+    """One metastable-overload cell: fresh testbed, one status-aware run,
+    measured for ``duration`` after the saturation cells'
+    :data:`~repro.harness.saturate.WARMUP`.
 
     Top-level and scalar-valued so the sweep runner can execute it in a
     worker process and key it in the content-addressed result cache.
@@ -300,12 +302,12 @@ def probe_overload(
     marks: Dict[str, float] = {}
 
     def persist_window():
-        yield env.timeout(warmup)
+        yield env.timeout(WARMUP)
         marks["start"] = _persisted()
 
     env.process(persist_window())
     run = _run_status_loop(
-        cluster, stack, offered_kiops * 1e3, tenants, duration, warmup, seed,
+        cluster, stack, offered_kiops * 1e3, tenants, duration, WARMUP, seed,
     )
     # Completed vs persisted separates real goodput from the completion
     # mirage: an unprotected driver's timeout retransmissions get
@@ -396,13 +398,13 @@ def overload_sweep(spec) -> Sweep:
                 continue
             top = max(loads)
             protected = _goodput_at(result, system, "full", top)
-            naked = _goodput_at(result, system, "off", top)
-            result.notes.append(
-                f"{system} @ {top:g}k offered: protected goodput "
-                f"{protected:g}k ({protected / knee:.0%} of the "
-                f"{knee:g}k knee), unprotected {naked:g}k "
-                f"({naked / knee:.0%})"
-            )
+            note = (f"{system} @ {top:g}k offered: protected goodput "
+                    f"{protected:g}k ({protected / knee:.0%} of the "
+                    f"{knee:g}k knee)")
+            if "off" in protections:
+                naked = _goodput_at(result, system, "off", top)
+                note += f", unprotected {naked:g}k ({naked / knee:.0%})"
+            result.notes.append(note)
             mirage = [
                 row for row in result.series(system=system, protection="off")
                 if row["goodput_kiops"]
@@ -441,19 +443,32 @@ def _goodput_at(result: FigureResult, system: str, protection: str,
 # Gray-target (fail-slow) scenario
 # ----------------------------------------------------------------------
 
+#: The gray cell's fixed testbed and timing: ``GRAY_TENANTS`` ordered
+#: tenants and ``GRAY_UNORDERED_TENANTS`` unordered flows of
+#: ``GRAY_SYSTEM`` on ``GRAY_LAYOUT`` (two single-SSD targets), with
+#: target 0 degraded ``GRAY_DEGRADE_AT`` into the window that opens after
+#: ``GRAY_WARMUP``.
+GRAY_SYSTEM = "rio"
+GRAY_LAYOUT = "2optane-2targets"
+GRAY_TENANTS = 4
+GRAY_UNORDERED_TENANTS = 2
+GRAY_WARMUP = 1e-3
+GRAY_DEGRADE_AT = 2e-3
+
+
 def probe_gray(
-    system: str = "rio",
-    layout: str = "2optane-2targets",
     offered_kiops: float = 120,
-    tenants: int = 4,
-    unordered_tenants: int = 2,
     duration: float = 4e-3,
-    warmup: float = 1e-3,
-    degrade_at: float = 2e-3,
     degrade_factor: float = 8.0,
     seed: int = 42,
 ) -> Dict[str, float]:
     """One gray-target cell: degrade target 0 mid-run, measure isolation.
+
+    The testbed is fixed (see :data:`GRAY_LAYOUT` and its neighbours):
+    ``offered_kiops`` of ordered writes over :data:`GRAY_TENANTS`
+    tenants, plus unordered flows offering a quarter of that rate, and
+    target 0's service times inflated by ``degrade_factor`` from
+    :data:`GRAY_DEGRADE_AT` into the ``duration``-long window.
 
     Ordered tenants are pinned to shards by LBA congruence (tenant ``t``
     writes LBAs ``≡ t mod width`` on the striped volume, so its 1-block
@@ -469,12 +484,9 @@ def probe_gray(
     from repro.sim.rng import DeterministicRNG
     from repro.sim.stats import LatencyRecorder
 
-    if layout not in LAYOUTS:
-        raise ValueError(f"unknown layout {layout!r} (have {sorted(LAYOUTS)})")
-    profiles = LAYOUTS[layout]
+    profiles = LAYOUTS[GRAY_LAYOUT]
     width = sum(len(t) for t in profiles)
-    if len(profiles) < 2:
-        raise ValueError("the gray scenario needs at least two targets")
+    tenants, warmup = GRAY_TENANTS, GRAY_WARMUP
     env = Environment()
     cluster = ScaleOutCluster(
         env, profiles, num_initiators=1, seed=seed,
@@ -482,9 +494,9 @@ def probe_gray(
     )
     cluster.install_admission(PROTECTED_ADMISSION)
     monitors = cluster.attach_health()
-    stack = ShardedStack(cluster, system, num_streams=max(tenants, 1))
+    stack = ShardedStack(cluster, GRAY_SYSTEM, num_streams=tenants)
     plan = FaultPlan(seed=seed).degrade(
-        at=warmup + degrade_at, target_index=0, factor=degrade_factor,
+        at=warmup + GRAY_DEGRADE_AT, target_index=0, factor=degrade_factor,
     )
     plan.install(cluster)
 
@@ -513,7 +525,7 @@ def probe_gray(
     def unordered_body(flow: int):
         rng = DeterministicRNG(seed).fork(f"gray-unordered{flow}")
         core = node.cpus.pick(tenants + flow)
-        rate = (offered_kiops * 1e3) / max(unordered_tenants, 1) / 4
+        rate = (offered_kiops * 1e3) / GRAY_UNORDERED_TENANTS / 4
         arrival = 0.0
         while True:
             arrival += rng.expovariate(rate)
@@ -539,7 +551,7 @@ def probe_gray(
                 else:
                     unordered_ops["failed"] += 1
 
-    for flow in range(unordered_tenants):
+    for flow in range(GRAY_UNORDERED_TENANTS):
         env.process(unordered_body(flow))
 
     run = _run_status_loop(

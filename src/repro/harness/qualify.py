@@ -15,7 +15,11 @@ drive.  Three kinds of cells:
   pressure *and* steady-state GC (write amplification > 1);
 * **oracle** — the crash-consistency checker (:mod:`repro.check`) at
   depth 256 on the same prefilled, GC-active device: enumerate crash
-  points, replay recovery, count ordering violations.
+  points, replay recovery, count ordering violations.  The oracle cells
+  always run :data:`ORACLE_SYSTEMS` (rio, horae and barrier), whatever
+  ``workload.systems`` (``--systems``) says: that list picks only the
+  matrix and sustained cells, so the smoke profile, whose matrix runs
+  rio and linux, still checks the ordering of all three.
 
 Every cell is an independent seeded simulation: cells fan out across
 ``--jobs`` worker processes and memoize in the content-addressed result

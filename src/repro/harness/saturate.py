@@ -42,6 +42,10 @@ __all__ = [
 #: the knee is the last such point.
 KNEE_THRESHOLD = 0.9
 
+#: Simulated seconds of open-loop traffic before each measured window
+#: (saturation, tenant and overload cells alike).
+WARMUP = 0.5e-3
+
 
 def probe_saturation(
     system: str,
@@ -50,13 +54,12 @@ def probe_saturation(
     initiators: int = 2,
     tenants: int = 4,
     duration: float = 2e-3,
-    warmup: float = 0.5e-3,
-    write_blocks: int = 1,
-    pattern: str = "rand",
     steering: str = "pin",
     seed: int = 42,
 ) -> Dict[str, float]:
-    """One saturation cell: fresh scale-out testbed, one open-loop run.
+    """One saturation cell: fresh scale-out testbed, one open-loop run
+    of 1-block random writes, measured for ``duration`` after a
+    :data:`WARMUP`.
 
     Top-level and scalar-valued so the sweep runner can execute it in a
     worker process and key it in the content-addressed result cache.
@@ -81,8 +84,7 @@ def probe_saturation(
         cluster, stack,
         OpenLoopConfig(
             offered_iops=offered_kiops * 1e3, tenants=tenants,
-            duration=duration, warmup=warmup, write_blocks=write_blocks,
-            pattern=pattern, seed=seed,
+            duration=duration, warmup=WARMUP, seed=seed,
         ),
     )
     return {

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 
 from repro.harness.experiment import LAYOUTS, FigureResult
 from repro.harness.report import Verdict
-from repro.harness.saturate import knee_point, saturation_sweep
+from repro.harness.saturate import WARMUP, knee_point, saturation_sweep
 from repro.harness.sweep import RunSpec, Sweep
 
 __all__ = [
@@ -93,13 +93,12 @@ def probe_tenants(
     qos: bool = False,
     quantum: float = 8.0,
     duration: float = 2e-3,
-    warmup: float = 0.5e-3,
-    write_blocks: int = 1,
-    pattern: str = "rand",
     steering: str = "pin",
     seed: int = 42,
 ) -> Dict[str, float]:
-    """One tenant-plane load point: fresh testbed, one open-loop run.
+    """One tenant-plane load point: fresh testbed, one open-loop run of
+    1-block random writes, measured for ``duration`` after the
+    saturation cells' :data:`~repro.harness.saturate.WARMUP`.
 
     Top-level and scalar-valued so the sweep runner can execute it in a
     worker process and key it in the content-addressed result cache.
@@ -142,8 +141,7 @@ def probe_tenants(
         cluster, stack,
         OpenLoopConfig(
             offered_iops=offered_kiops * 1e3, tenants=max(streams, 1),
-            duration=duration, warmup=warmup, write_blocks=write_blocks,
-            pattern=pattern, seed=seed,
+            duration=duration, warmup=WARMUP, seed=seed,
         ),
         plane=plane,
     )
@@ -272,6 +270,17 @@ def tenants_sweep(spec) -> Sweep:
 # ----------------------------------------------------------------------
 
 
+#: The storm's fixed testbed, shared by :func:`probe_noisy_neighbor`
+#: (which describes it) and :func:`repro.harness.chaos.run_tenant_chaos_trial`.
+STORM_LAYOUT = "optane"
+STORM_GOLD_KIOPS = 20.0
+STORM_AGGRESSOR_KIOPS = 40.0
+STORM_AGGRESSOR_LANES = 30
+STORM_AGGRESSOR_BLOCKS = 32
+STORM_PACE_KIOPS = 0.1
+STORM_GOLD_SLO_P999_US = 2_000.0
+
+
 def _storm_class(tenant: int) -> str:
     """Storm tenancy: tenant 0 is the quiet gold tenant, everyone else
     is bronze (the aggressor)."""
@@ -302,22 +311,8 @@ class _StormPlane:
         return self.accountant.summary()
 
 
-def _run_storm(
-    system: str,
-    layout: str,
-    gold_kiops: float,
-    aggressor_kiops: float,
-    aggressor_lanes: int,
-    aggressor_blocks: int,
-    pace_kiops: float,
-    qos: bool,
-    quantum: float,
-    duration: float,
-    warmup: float,
-    steering: str,
-    seed: int,
-    plan=None,
-):
+def _run_storm(system: str, qos: bool, quantum: float, duration: float,
+               warmup: float, seed: int, plan=None):
     """Build the storm testbed and run it; returns ``(cluster, run, plane)``.
 
     ``plan`` (a :class:`~repro.sim.faults.FaultPlan`) is installed once
@@ -337,20 +332,15 @@ def _run_storm(
     )
     from repro.sim.engine import Environment
 
-    if layout not in LAYOUTS:
-        raise ValueError(f"unknown layout {layout!r} (have {sorted(LAYOUTS)})")
-    if aggressor_lanes < 1:
-        raise ValueError("need at least one aggressor lane")
     env = Environment()
     cluster = ScaleOutCluster(
-        env, LAYOUTS[layout], num_initiators=1, seed=seed,
-        steering=steering,
+        env, LAYOUTS[STORM_LAYOUT], num_initiators=1, seed=seed,
         # QFULL requeue/backoff turns target sheds into initiator-side
         # pacing; the unprotected run has no sheds to pace (and no
         # timeouts to mask the queueing it is meant to expose).
         hardening=PROTECTED_HARDENING if qos else None,
     )
-    lanes = 1 + aggressor_lanes
+    lanes = 1 + STORM_AGGRESSOR_LANES
     stack = ShardedStack(cluster, system, num_streams=lanes)
     if qos:
         tenant_qos = TenantQos(
@@ -359,7 +349,7 @@ def _run_storm(
                 # burst=1: a big-write token banked per lane is ~60 us of
                 # media occupancy, so idle credit must stay shallow.
                 QosClass("bronze", weight=1.0,
-                         rate_iops=pace_kiops * 1e3, burst=1.0),
+                         rate_iops=STORM_PACE_KIOPS * 1e3, burst=1.0),
             ),
             classifier=_storm_class,
             quantum=quantum,
@@ -375,12 +365,13 @@ def _run_storm(
     run = run_open_loop(
         cluster, stack,
         OpenLoopConfig(
-            offered_iops=(gold_kiops + aggressor_kiops) * 1e3,
+            offered_iops=(STORM_GOLD_KIOPS + STORM_AGGRESSOR_KIOPS) * 1e3,
             tenants=lanes, duration=duration, warmup=warmup,
             seed=seed,
-            weights=(gold_kiops,) + (
-                aggressor_kiops / aggressor_lanes,) * aggressor_lanes,
-            blocks=(1,) + (aggressor_blocks,) * aggressor_lanes,
+            weights=(STORM_GOLD_KIOPS,) + (
+                STORM_AGGRESSOR_KIOPS / STORM_AGGRESSOR_LANES,
+            ) * STORM_AGGRESSOR_LANES,
+            blocks=(1,) + (STORM_AGGRESSOR_BLOCKS,) * STORM_AGGRESSOR_LANES,
         ),
         plane=plane,
     )
@@ -389,65 +380,57 @@ def _run_storm(
 
 def probe_noisy_neighbor(
     system: str,
-    layout: str = "optane",
-    gold_kiops: float = 20.0,
-    aggressor_kiops: float = 40.0,
-    aggressor_lanes: int = 30,
-    aggressor_blocks: int = 32,
-    gold_slo_p999_us: float = 2_000.0,
-    pace_kiops: float = 0.1,
     qos: bool = True,
     quantum: float = 8.0,
     duration: float = 3e-3,
     warmup: float = 2e-3,
-    steering: str = "pin",
     seed: int = 42,
 ) -> Dict[str, float]:
     """The seeded storm: a quiet gold tenant vs. a bronze aggressor.
 
-    The aggressor fans ``aggressor_kiops`` of *large* writes
-    (``aggressor_blocks`` blocks — 128 KB at the default) over
-    ``aggressor_lanes`` ordered streams, about twice what the device's
-    serialized media pipe can program; the gold tenant offers
-    ``gold_kiops`` of small writes on its own stream.  Large writes are
-    the channel that hurts *every* compared system: the SSD programs
-    media serially, so even linux's one-op-per-stream dispatch keeps the
-    pipe backlogged by ``aggressor_lanes`` big writes and the gold
-    tenant's 4 KB op waits milliseconds behind them (many lanes, because
-    the compared systems serialize dispatch per stream — a single-stream
-    aggressor could never flood the device).  With ``qos=True`` the
-    target's admission pacing (a token bucket capped at ``pace_kiops``
-    per aggressor tenant, plus the weighted-fair deficit) sheds the
+    The aggressor fans :data:`STORM_AGGRESSOR_KIOPS` (40) kIOPS of
+    *large* writes (:data:`STORM_AGGRESSOR_BLOCKS` blocks, 128 KB) over
+    :data:`STORM_AGGRESSOR_LANES` (30) ordered streams, about twice what
+    the device's serialized media pipe can program; the gold tenant
+    offers :data:`STORM_GOLD_KIOPS` (20) kIOPS of small writes on its own
+    stream.  Large writes are the channel that hurts *every* compared
+    system: the SSD programs media serially, so even linux's
+    one-op-per-stream dispatch keeps the pipe backlogged by the
+    aggressor's many big writes and the gold tenant's 4 KB op waits
+    milliseconds behind them (many lanes, because the compared systems
+    serialize dispatch per stream — a single-stream aggressor could never
+    flood the device).  With ``qos=True`` the target's admission pacing
+    (a token bucket capped at :data:`STORM_PACE_KIOPS` per aggressor
+    tenant, plus the weighted-fair deficit with ``quantum``) sheds the
     aggressor at the door — before any data is fetched or media touched —
     the driver's QFULL backoff paces it, and tenant-class core steering
     keeps gold's receive/completion processing on a private core slice;
-    the gold tenant's p999 stays within ``gold_slo_p999_us``.  With
-    ``qos=False`` the same seed drives the same storm through an
-    unprotected target and demonstrably violates the SLO.
+    the gold tenant's p999 stays within :data:`STORM_GOLD_SLO_P999_US`.
+    With ``qos=False`` the same seed drives the same storm through an
+    unprotected target and demonstrably violates the SLO.  The testbed
+    is :data:`STORM_LAYOUT` with one initiator and pinned completion
+    steering; ops are measured for ``duration`` after ``warmup``.
     """
-    cluster, run, plane = _run_storm(
-        system, layout, gold_kiops, aggressor_kiops, aggressor_lanes,
-        aggressor_blocks, pace_kiops, qos, quantum, duration, warmup,
-        steering, seed,
-    )
+    cluster, run, plane = _run_storm(system, qos, quantum, duration, warmup,
+                                     seed)
     summary = plane.class_summary()
     gold = summary.get("gold", {})
     bronze = summary.get("bronze", {})
     row: Dict[str, float] = {
-        "offered_kiops": gold_kiops + aggressor_kiops,
+        "offered_kiops": STORM_GOLD_KIOPS + STORM_AGGRESSOR_KIOPS,
         "achieved_kiops": run.achieved_iops / 1e3,
-        "gold_kiops": gold_kiops,
-        "aggressor_kiops": aggressor_kiops,
+        "gold_kiops": STORM_GOLD_KIOPS,
+        "aggressor_kiops": STORM_AGGRESSOR_KIOPS,
         "gold_count": gold.get("count", 0.0),
         "gold_p50_us": gold.get("p50_us", 0.0),
         "gold_p99_us": gold.get("p99_us", 0.0),
         "gold_p999_us": gold.get("p999_us", 0.0),
         "bronze_count": bronze.get("count", 0.0),
         "bronze_p999_us": bronze.get("p999_us", 0.0),
-        "gold_slo_p999_us": gold_slo_p999_us,
+        "gold_slo_p999_us": STORM_GOLD_SLO_P999_US,
         "qos": 1.0 if qos else 0.0,
     }
-    expected = gold_kiops * 1e3 * duration
+    expected = STORM_GOLD_KIOPS * 1e3 * duration
     row["gold_expected"] = expected
     row["gold_complete_ratio"] = (
         gold.get("count", 0.0) / expected if expected else 0.0)

@@ -7,10 +7,9 @@ and tail latency explodes — exactly the throughput-latency hockey stick
 ``repro saturate`` plots.  Fixed-depth closed loops, the paper's FIO
 jobs, are :func:`repro.apps.fio.run_block_workload`.
 
-Tenants reuse the :mod:`repro.apps` workload shapes (``rand``/``seq``
-write patterns and the §3.1 ``journal`` 2-block + 1-block commit shape),
-each on a private LBA area and a private stream — one tenant, one
-ordered stream, as the paper's per-thread streams.  The generator
+Each tenant issues random, never LBA-consecutive ordered writes (fio's
+``rand`` idiom) on a private LBA area and a private stream — one tenant,
+one ordered stream, as the paper's per-thread streams.  The generator
 drives any :class:`~repro.systems.base.OrderedStack`, including the
 sharded multi-initiator facade
 (:class:`repro.scale.cluster.ShardedStack`), which routes each tenant's
@@ -46,25 +45,22 @@ OPEN_LOOP_INFLIGHT_CAP = 256
 class OpenLoopConfig:
     """Fixed-rate Poisson arrivals, split across tenants.
 
-    With ``weights=None`` (the default) the rate splits *evenly* — the
-    historical behaviour, bit-identical to before the knob existed.
-    ``weights`` (one positive weight per tenant) splits the total in
-    proportion: tenant ``i`` offers ``offered_iops * w_i / sum(w)``.
+    Every op is one non-durable ordered write that ends its group, at a
+    random LBA of the tenant's private area.  With ``weights=None`` (the
+    default) the rate splits *evenly*; ``weights`` (one positive weight
+    per tenant) splits the total in proportion: tenant ``i`` offers
+    ``offered_iops * w_i / sum(w)``.
 
-    ``blocks`` (one positive size per tenant) likewise overrides
-    ``write_blocks`` per tenant, so asymmetric mixes — a small-write
-    latency tenant next to a bandwidth hog — run in one open loop;
-    ``blocks=None`` keeps every tenant at ``write_blocks``, bit-identical
-    to before the knob existed.
+    ``blocks`` (one positive size per tenant) sets each tenant's write
+    size, so asymmetric mixes — a small-write latency tenant next to a
+    bandwidth hog — run in one open loop; ``blocks=None`` writes one
+    block per op on every tenant.
     """
 
     offered_iops: float
     tenants: int = 4
     duration: float = 2e-3
     warmup: float = 0.5e-3
-    write_blocks: int = 1
-    pattern: str = "rand"  # rand | seq | journal
-    durable: bool = False
     seed: int = 1234
     weights: Optional[Tuple[float, ...]] = None
     blocks: Optional[Tuple[int, ...]] = None
@@ -95,55 +91,19 @@ class LoadgenResult:
         return self.achieved_iops / self.initiator_busy_cores
 
 
-def _make_lba_chooser(rng: DeterministicRNG, pattern: str, base: int,
-                      op_blocks: int):
-    """Address generator for one tenant (fio's rand/seq idiom)."""
-    cursor = [0]
+def _make_lba_chooser(rng: DeterministicRNG, base: int, op_blocks: int):
+    """Random address generator for one tenant (fio's rand idiom)."""
 
     def next_lba() -> int:
-        if pattern == "seq":
-            lba = base + cursor[0]
-            cursor[0] += op_blocks
-            if cursor[0] > TENANT_AREA_BLOCKS - op_blocks:
-                cursor[0] = 0
-            return lba
         slot = rng.randint(0, TENANT_AREA_BLOCKS // (op_blocks + 2) - 1)
         return base + slot * (op_blocks + 2)  # +2: never LBA-consecutive
 
     return next_lba
 
 
-def _issue_op(stack, core, stream, next_lba, config, tenant, nblocks):
-    """Generator: issue one workload op; returns (events, nops).
-
-    ``tenant`` (multi-tenant plane) tags the bios with the issuing tenant
-    id; None issues anonymously, exactly as before the plane existed.
-    ``nblocks`` is the op size of a non-journal op.
-    """
-    extra = {} if tenant is None else {"tenant": tenant}
-    if config.pattern == "journal":
-        lba = next_lba()
-        e1 = yield from stack.write_ordered(
-            core, stream, lba=lba, nblocks=2, end_of_group=True, kick=False,
-            **extra,
-        )
-        e2 = yield from stack.write_ordered(
-            core, stream, lba=lba + 2, nblocks=1, end_of_group=True,
-            flush=config.durable, kick=True, **extra,
-        )
-        return [e1, e2], 2
-    done = yield from stack.write_ordered(
-        core, stream, lba=next_lba(),
-        nblocks=nblocks, end_of_group=True, flush=config.durable, **extra,
-    )
-    return [done], 1
-
-
 def _tenant_rates(config: OpenLoopConfig) -> List[float]:
     """Per-tenant offered rates: even split, or weight-proportional."""
     if config.weights is None:
-        # The historical even split, kept textually identical so legacy
-        # results (and their cache digests) are bit-exact.
         return [config.offered_iops / config.tenants] * config.tenants
     if len(config.weights) != config.tenants:
         raise ValueError(
@@ -156,9 +116,9 @@ def _tenant_rates(config: OpenLoopConfig) -> List[float]:
 
 
 def _tenant_blocks(config: OpenLoopConfig) -> List[int]:
-    """Per-tenant write sizes: uniform ``write_blocks``, or the mix."""
+    """Per-tenant write sizes: one block each, or the mix."""
     if config.blocks is None:
-        return [config.write_blocks] * config.tenants
+        return [1] * config.tenants
     if len(config.blocks) != config.tenants:
         raise ValueError(
             f"blocks length {len(config.blocks)} != tenants {config.tenants}"
@@ -178,12 +138,16 @@ def run_open_loop(cluster, stack, config: OpenLoopConfig,
     by ``plane.keep`` (an exact Poisson modulation), each op is issued as
     a Zipf-picked member tenant of its stream (``plane.pick``) and its
     latency is recorded per class (``plane.record``).  ``plane=None`` is
-    the stock anonymous generator, bit-identical to before the plane
-    existed — the tenant RNG is only ever forked when a plane is given.
+    the anonymous generator: its ops carry no tenant tag, and the tenant
+    RNG is only ever forked when a plane is given.
+
+    Each op is one ordered write of ``config.blocks[tenant]`` blocks (one
+    block when ``blocks`` is None) with ``end_of_group=True`` and no
+    flush, at a random LBA of the tenant's private
+    :data:`TENANT_AREA_BLOCKS` area.  An op counts toward ``ops`` when it
+    completes inside the measured window, and its latency is recorded
+    when it also arrived inside it.
     """
-    if config.pattern not in ("rand", "seq", "journal"):
-        raise ValueError(
-            f"pattern must be rand|seq|journal, got {config.pattern!r}")
     if config.tenants < 1:
         raise ValueError("need at least one tenant")
     if config.offered_iops <= 0:
@@ -196,9 +160,9 @@ def run_open_loop(cluster, stack, config: OpenLoopConfig,
     blocks = _tenant_blocks(config)
     peak = plane.peak_factor() if plane is not None else 1.0
 
-    def complete(arrival, nops, who):
+    def complete(arrival, who):
         if config.warmup <= env.now <= end_time:
-            result.ops += nops
+            result.ops += 1
             if arrival >= config.warmup:
                 result.latency.record(env.now - arrival)
                 if plane is not None and who is not None:
@@ -208,11 +172,9 @@ def run_open_loop(cluster, stack, config: OpenLoopConfig,
         rng = DeterministicRNG(config.seed).fork(f"loadgen-open{tenant}")
         plane_rng = rng.fork("tenant-plane") if plane is not None else None
         core = cluster.initiator.cpus.pick(tenant)
-        op_blocks = 3 if config.pattern == "journal" else blocks[tenant]
+        nblocks = blocks[tenant]
         next_lba = _make_lba_chooser(
-            rng.fork("lba"), config.pattern,
-            tenant * TENANT_AREA_BLOCKS, op_blocks,
-        )
+            rng.fork("lba"), tenant * TENANT_AREA_BLOCKS, nblocks)
         arrival = 0.0
         window = IssueWindow(env, OPEN_LOOP_INFLIGHT_CAP, complete)
         while True:
@@ -226,11 +188,12 @@ def run_open_loop(cluster, stack, config: OpenLoopConfig,
             # (if arrival <= now we are backlogged: issue immediately,
             # charging the queueing delay to this op's latency)
             who = plane.pick(tenant, plane_rng) if plane is not None else None
-            events, nops = yield from _issue_op(
-                stack, core, tenant, next_lba, config, tenant=who,
-                nblocks=blocks[tenant],
+            tag = {} if who is None else {"tenant": who}
+            done = yield from stack.write_ordered(
+                core, tenant, lba=next_lba(), nblocks=nblocks,
+                end_of_group=True, **tag,
             )
-            yield from window.issue(events, arrival, nops, who)
+            yield from window.issue([done], arrival, who)
 
     def measurement():
         yield env.timeout(config.warmup)

@@ -738,6 +738,13 @@ def _validate_scenario(spec: ScenarioSpec) -> None:
                     "topology: the gray scenario runs on its own fixed "
                     "2-target layout; leave the topology section out"
                 )
+        else:
+            for key in ("offered_kiops", "degrade_factor"):
+                if workload[key] != _workload_default("overload", key):
+                    raise SpecError(
+                        f"workload.{key}: applies to the gray scenario "
+                        "only; the metastable grid offers loads_kiops"
+                    )
         if spec.policies["floors"] is not None:
             raise SpecError("policies.floors: only the qualify scenario "
                             "takes floor overrides")

@@ -34,14 +34,10 @@ class TenantTrafficPlane:
         self,
         directory: TenantDirectory,
         diurnal: Optional[DiurnalProfile] = None,
-        accountant: Optional[ClassAccountant] = None,
     ):
         self.directory = directory
         self.diurnal = diurnal if diurnal is not None else DiurnalProfile()
-        self.accountant = (
-            accountant if accountant is not None
-            else ClassAccountant(directory.classes)
-        )
+        self.accountant = ClassAccountant(directory.classes)
 
     # -- generator hooks ---------------------------------------------------
 

@@ -103,6 +103,8 @@ def _exit_code(argv):
     ["saturate", "--layout", "nope"],
     ["qualify", "--profile", "smoke", "--systems", "rio", "--no-cache",
      "--floor", "matrix/rio/4K/qd1/bogus:min_kiops=1"],
+    ["overload", "--degrade-factor", "12", "--loads", "400",
+     "--protection", "full"],
 ])
 def test_malformed_verb_flags_exit_2_with_one_message(argv, capsys):
     assert _exit_code(argv) == 2

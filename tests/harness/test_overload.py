@@ -162,3 +162,11 @@ def test_sweep_reads_mode_and_protections_from_the_spec():
         dict(GRID, policies={"protections": ["full"]})))
     assert [dict(c.kwargs)["protection"] for c in full_only.specs] == \
         ["full"] * len(LOADS)
+    # The note names only the cells that ran: no "unprotected 0k".
+    row = {"goodput_kiops": 100.0, "persisted_kiops": 100.0,
+           "shed_rate": 0.0, "timeout_rate": 0.0, "dead_streams": 0.0,
+           "p999_us": 50.0}
+    notes = full_only.reduce(
+        [dict(row, offered_kiops=load) for load in LOADS]).notes
+    assert notes == [f"rio @ {max(LOADS):g}k offered: protected goodput "
+                     "100k (100% of the 100k knee)"]

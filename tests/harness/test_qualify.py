@@ -153,6 +153,15 @@ def test_smoke_cell_digests_are_pinned():
             for key, run in zip(keys, sweep.specs)} == SMOKE_DIGESTS
 
 
+def test_oracle_cells_ignore_the_systems_list():
+    sweep = _sweep({"scenario": "qualify", "workload": {"systems": ["rio"]}})
+    keys = [cell.key for cell in _sweep_cells(sweep)]
+    assert [key for key in keys if key.startswith("oracle/")] == [
+        "oracle/rio/qd256", "oracle/horae/qd256", "oracle/barrier/qd256"]
+    assert not any(key.startswith(("matrix/linux", "sustained/linux"))
+                   for key in keys)
+
+
 def test_every_matrix_axis_moves_an_output():
     """For each matrix axis, some pair of smoke cells that differ only on
     that axis measures different metrics: no axis re-runs a simulation

@@ -77,6 +77,41 @@ def test_lambdas_and_methods_are_rejected():
         RunSpec.make(lambda x: x, x=1)
 
 
+#: (cell count, first 16 hex digits of the SHA-256 over the concatenated
+#: cell digests) of each default scenario spec: the result cache's keys,
+#: so a change here invalidates every cached cell of that scenario.
+DEFAULT_SPEC_DIGESTS = {
+    "saturate": (24, "c8e8cac5694d5f47"),
+    "overload/metastable": (6, "0ec96a81f3c425b9"),
+    "overload/gray": (1, "95f2bcc0687908b0"),
+    "tenants/curves": (18, "2be5ab7fd3f5e6d1"),
+    "tenants/storm": (6, "82a4e63c4d5d566d"),
+    "chaos": (90, "6fc20d7734a9d134"),
+}
+
+
+def test_default_scenario_cell_digests_are_pinned():
+    import hashlib
+
+    from repro.harness.overload import overload_sweep
+    from repro.harness.saturate import saturation_sweep
+    from repro.harness.tenants import tenants_sweep
+
+    builders = {"saturate": saturation_sweep, "overload": overload_sweep,
+                "tenants": tenants_sweep, "chaos": chaos_sweep}
+    pinned = {}
+    for name in DEFAULT_SPEC_DIGESTS:
+        scenario, _, mode = name.partition("/")
+        doc = {"scenario": scenario}
+        if mode:
+            doc["workload"] = {"mode": mode}
+        specs = builders[scenario](ScenarioSpec.from_dict(doc)).specs
+        joined = "".join(spec.digest() for spec in specs)
+        pinned[name] = (len(specs),
+                        hashlib.sha256(joined.encode()).hexdigest()[:16])
+    assert pinned == DEFAULT_SPEC_DIGESTS
+
+
 def test_spec_executes_by_reimport():
     spec = RunSpec.make(double, x=21)
     assert spec.execute() == {"x": 21, "doubled": 42}

@@ -118,8 +118,7 @@ def test_storm_notes_record_both_directions(storm):
 
 
 def test_storm_probe_is_seeded_deterministic():
-    fast = dict(aggressor_lanes=6, aggressor_kiops=8.0, gold_kiops=5.0,
-                duration=1e-3, warmup=5e-4)
+    fast = dict(duration=1e-3, warmup=5e-4)
     row = probe_noisy_neighbor("rio", **fast)
     assert probe_noisy_neighbor("rio", **fast) == row
 
@@ -267,9 +266,8 @@ def test_uniform_weights_are_bit_identical_to_the_legacy_even_split():
     assert _mini_run() == _mini_run(weights=(1.0, 1.0))
 
 
-def test_uniform_blocks_are_bit_identical_to_write_blocks():
-    assert _mini_run(write_blocks=2) == _mini_run(write_blocks=2,
-                                                  blocks=(2, 2))
+def test_uniform_blocks_are_bit_identical_to_the_default_size():
+    assert _mini_run() == _mini_run(blocks=(1, 1))
 
 
 def test_skewed_weights_shift_the_split():

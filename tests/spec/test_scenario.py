@@ -132,6 +132,11 @@ def test_number_fields_preserve_int_vs_float():
         # The access-pattern axis is gone from qualify.
         ({"scenario": "qualify", "workload": {"patterns": ["seq"]}},
          "unknown field.*'patterns'"),
+        # The gray-only fields are rejected by the metastable grid.
+        ({"scenario": "overload", "workload": {"offered_kiops": 200}},
+         "workload.offered_kiops: applies to the gray scenario only"),
+        ({"scenario": "overload", "workload": {"degrade_factor": 12}},
+         "workload.degrade_factor: applies to the gray scenario only"),
     ],
 )
 def test_invalid_documents_raise_spec_error(data, fragment):
