@@ -9,7 +9,7 @@
 """
 
 from repro.apps.fio import BlockWorkloadResult, run_block_workload
-from repro.apps.kvstore import KVStore, run_fillsync, run_readwhilewriting
+from repro.apps.kvstore import KVStore, run_fillsync
 from repro.apps.oltp import OltpDatabase, run_oltp
 from repro.apps.varmail import run_fileserver, run_varmail
 
@@ -18,7 +18,6 @@ __all__ = [
     "run_block_workload",
     "KVStore",
     "run_fillsync",
-    "run_readwhilewriting",
     "OltpDatabase",
     "run_oltp",
     "run_varmail",

@@ -25,7 +25,7 @@ from repro.cluster import Cluster
 from repro.sim.engine import Environment
 from repro.sim.resources import IssueWindow
 from repro.sim.rng import DeterministicRNG
-from repro.sim.stats import LatencyRecorder
+from repro.sim.stats import LatencyRecorder, MeasurementWindow
 from repro.systems.base import OrderedStack
 
 __all__ = ["BlockWorkloadResult", "run_block_workload"]
@@ -92,15 +92,15 @@ def run_block_workload(
         raise ValueError("threads, batch and queue_depth must be >= 1")
     env: Environment = cluster.env
     result = BlockWorkloadResult(system=stack.name, threads=threads)
-    end_time = warmup + duration
-    commands_at_start = [0]
+    measured = MeasurementWindow(env, warmup, duration)
 
     def thread_body(thread_id: int):
         rng = DeterministicRNG(seed).fork(f"fio{thread_id}")
         core = cluster.initiator.cpus.pick(thread_id)
         base = thread_id * THREAD_AREA_BLOCKS
         seq_cursor = 0
-        window = IssueWindow(env, max(1, queue_depth // batch), complete)
+        window = IssueWindow(env, max(1, queue_depth // batch),
+                             measured.complete)
 
         def next_lba(size: int) -> int:
             nonlocal seq_cursor
@@ -113,7 +113,7 @@ def run_block_workload(
             slot = rng.randint(0, THREAD_AREA_BLOCKS // (size + 2) - 1)
             return base + slot * (size + 2)  # +2: never LBA-consecutive
 
-        while env.now < end_time:
+        while env.now < measured.end:
             issued_at = env.now
             events = []
             if journal_pattern:
@@ -151,29 +151,20 @@ def run_block_workload(
                 events = [done]
                 op_blocks = write_blocks
 
-            yield from window.issue(events, issued_at, len(events), op_blocks)
+            yield from window.issue(events, issued_at, len(events),
+                                    op_blocks * 4096)
 
-    def complete(issued_at, nops, op_blocks):
-        if warmup <= env.now <= end_time:
-            result.ops += nops
-            result.bytes_written += op_blocks * 4096
-            if issued_at >= warmup:
-                result.latency.record(env.now - issued_at)
-
-    def measurement(env):
-        yield env.timeout(warmup)
-        cluster.start_cpu_window()
-        commands_at_start[0] = cluster.driver.commands_sent
-        yield env.timeout(duration)
-        cluster.stop_cpu_window()
-
-    env.process(measurement(env))
+    measured.watch_cpu(cluster)
     for thread_id in range(threads):
         env.process(thread_body(thread_id))
-    env.run(until=end_time)
+    env.run(until=measured.end)
 
+    result.ops = measured.ops
+    result.bytes_written = measured.bytes
+    result.latency = measured.latency
     result.elapsed = duration
     result.initiator_busy_cores = cluster.initiator_busy_cores(duration)
     result.target_busy_cores = cluster.target_busy_cores(duration)
-    result.commands_sent = cluster.driver.commands_sent - commands_at_start[0]
+    result.commands_sent = (cluster.driver.commands_sent
+                            - measured.commands_at_start)
     return result

@@ -27,6 +27,7 @@ from repro.fs.filesystem import File, SimFileSystem
 from repro.hw.cpu import Core
 from repro.sim.engine import Environment, Event
 from repro.sim.rng import DeterministicRNG
+from repro.sim.stats import MeasurementWindow
 
 __all__ = ["KVStore", "FillsyncResult", "run_fillsync"]
 
@@ -173,69 +174,6 @@ class FillsyncResult:
         return self.puts / self.elapsed if self.elapsed else 0.0
 
 
-def run_readwhilewriting(
-    cluster: Cluster,
-    fs: SimFileSystem,
-    read_threads: int = 4,
-    write_threads: int = 2,
-    duration: float = 10e-3,
-    warmup: float = 1e-3,
-    populate: int = 200,
-    seed: int = 7,
-) -> "FillsyncResult":
-    """db_bench readwhilewriting: readers race concurrent fillsync writers.
-
-    Returns a FillsyncResult whose ``puts`` counts *all* completed
-    operations (gets + puts) — the metric db_bench reports.
-    """
-    env: Environment = cluster.env
-    result = FillsyncResult(threads=read_threads + write_threads)
-    end_time = warmup + duration
-    holder: Dict[str, KVStore] = {}
-
-    def setup(env):
-        core = cluster.initiator.cpus.pick(0)
-        db = KVStore(cluster, fs)
-        yield from db.open(core)
-        rng = DeterministicRNG(seed).fork("populate")
-        for i in range(populate):
-            yield from db.put(core, ("seed", i), "v")
-        holder["db"] = db
-
-    env.run_until_event(env.process(setup(env)))
-    db = holder["db"]
-
-    def reader(thread_id):
-        rng = DeterministicRNG(seed).fork(f"reader{thread_id}")
-        core = cluster.initiator.cpus.pick(thread_id)
-        while env.now < end_time:
-            key = ("seed", rng.randint(0, populate - 1))
-            started = env.now
-            yield from db.get(core, key)
-            if started >= warmup and env.now <= end_time:
-                result.puts += 1
-
-    def writer(thread_id):
-        rng = DeterministicRNG(seed).fork(f"writer{thread_id}")
-        core = cluster.initiator.cpus.pick(read_threads + thread_id)
-        while env.now < end_time:
-            key = (thread_id, rng.randint(0, 1 << 30))
-            started = env.now
-            yield from db.put(core, key, "v", thread_id=thread_id)
-            if started >= warmup and env.now <= end_time:
-                result.puts += 1
-
-    for t in range(read_threads):
-        env.process(reader(t))
-    for t in range(write_threads):
-        env.process(writer(t))
-    env.run(until=end_time)
-    result.elapsed = duration
-    result.wal_fsyncs = db.wal_fsyncs
-    result.flushes = db.flushes
-    return result
-
-
 def run_fillsync(
     cluster: Cluster,
     fs: SimFileSystem,
@@ -247,7 +185,6 @@ def run_fillsync(
     """db_bench fillsync: every put is followed by a synchronous WAL write."""
     env: Environment = cluster.env
     result = FillsyncResult(threads=threads)
-    end_time = warmup + duration
     db_holder: Dict[str, KVStore] = {}
 
     def opener(env):
@@ -258,22 +195,23 @@ def run_fillsync(
 
     env.run_until_event(env.process(opener(env)))
     db = db_holder["db"]
+    # The window opens once the database is open, as in run_oltp.
+    measured = MeasurementWindow(env, warmup, duration)
+    measured.watch_cpu(cluster)
 
     def writer(thread_id: int):
         rng = DeterministicRNG(seed).fork(f"fillsync{thread_id}")
         core = cluster.initiator.cpus.pick(thread_id)
-        while env.now < end_time:
+        while env.now < measured.end:
             key = (thread_id, rng.randint(0, 1 << 30))
             started = env.now
             yield from db.put(core, key, b"v" * 0, thread_id=thread_id)
-            if warmup <= env.now <= end_time and started >= warmup:
-                result.puts += 1
+            measured.complete(started)
 
-    cluster.start_cpu_window()
     for thread_id in range(threads):
         env.process(writer(thread_id))
-    env.run(until=end_time)
-    cluster.stop_cpu_window()
+    env.run(until=measured.end)
+    result.puts = measured.samples
     result.elapsed = duration
     result.wal_fsyncs = db.wal_fsyncs
     result.flushes = db.flushes

@@ -25,6 +25,7 @@ from repro.fs.filesystem import File, SimFileSystem
 from repro.hw.cpu import Core
 from repro.sim.engine import Environment, Event
 from repro.sim.rng import DeterministicRNG
+from repro.sim.stats import MeasurementWindow
 
 __all__ = ["OltpDatabase", "OltpResult", "run_oltp"]
 
@@ -154,21 +155,20 @@ def run_oltp(
     db = holder["db"]
     # Warm-up and window open once the database is set up, so the whole
     # window measures transactions however long setup took.
-    measure_from = env.now + warmup
-    end_time = measure_from + duration
+    measured = MeasurementWindow(env, warmup, duration)
 
     def worker(thread_id):
         rng = DeterministicRNG(seed).fork(f"oltp{thread_id}")
         core = cluster.initiator.cpus.pick(thread_id)
-        while env.now < end_time:
+        while env.now < measured.end:
             started = env.now
             yield from db.transaction(core, rng, thread_id=thread_id)
-            if started >= measure_from and env.now <= end_time:
-                result.commits += 1
+            measured.complete(started)
 
     for thread_id in range(threads):
         env.process(worker(thread_id))
-    env.run(until=end_time)
+    env.run(until=measured.end)
+    result.commits = measured.samples
     result.elapsed = duration
     result.cleaner_runs = db.cleaner_runs
     return result

@@ -22,6 +22,7 @@ from repro.cluster import Cluster
 from repro.fs.filesystem import SimFileSystem
 from repro.sim.engine import Environment
 from repro.sim.rng import DeterministicRNG
+from repro.sim.stats import MeasurementWindow
 
 __all__ = ["VarmailResult", "run_varmail", "run_fileserver"]
 
@@ -60,11 +61,8 @@ def run_fileserver(
     """
     env: Environment = cluster.env
     result = VarmailResult(threads=threads)
-    end_time = warmup + duration
-
-    def count(n: int) -> None:
-        if warmup <= env.now <= end_time:
-            result.ops += n
+    measured = MeasurementWindow(env, warmup, duration)
+    count = measured.count
 
     def thread_body(thread_id: int):
         rng = DeterministicRNG(seed).fork(f"fileserver{thread_id}")
@@ -80,7 +78,7 @@ def run_fileserver(
         # One initial sync so the dataset exists on the device.
         yield from fs.fsync(core, pool[-1], thread_id=thread_id)
 
-        while env.now < end_time:
+        while env.now < measured.end:
             # create + whole-file write (buffered).
             name = f"fs{thread_id}-{serial}"
             serial += 1
@@ -105,7 +103,8 @@ def run_fileserver(
 
     for thread_id in range(threads):
         env.process(thread_body(thread_id))
-    env.run(until=end_time)
+    env.run(until=measured.end)
+    result.ops = measured.ops
     result.elapsed = duration
     result.fsyncs = fs.fsyncs
     return result
@@ -123,11 +122,8 @@ def run_varmail(
     """Run the Varmail loop on ``fs`` and report steady-state ops/s."""
     env: Environment = cluster.env
     result = VarmailResult(threads=threads)
-    end_time = warmup + duration
-
-    def count(n: int) -> None:
-        if warmup <= env.now <= end_time:
-            result.ops += n
+    measured = MeasurementWindow(env, warmup, duration)
+    count = measured.count
 
     def thread_body(thread_id: int):
         rng = DeterministicRNG(seed).fork(f"varmail{thread_id}")
@@ -144,7 +140,7 @@ def run_varmail(
             mailbox.append(file)
         yield from fs.fsync(core, mailbox[-1], thread_id=thread_id)
 
-        while env.now < end_time:
+        while env.now < measured.end:
             # 1. delete an old mail.
             victim = mailbox.pop(rng.randint(0, len(mailbox) - 1))
             yield from fs.unlink(core, victim.name)
@@ -177,7 +173,8 @@ def run_varmail(
 
     for thread_id in range(threads):
         env.process(thread_body(thread_id))
-    env.run(until=end_time)
+    env.run(until=measured.end)
+    result.ops = measured.ops
     result.elapsed = duration
     result.fsyncs = fs.fsyncs
     return result

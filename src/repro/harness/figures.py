@@ -47,6 +47,7 @@ from repro.harness.experiment import (
 )
 from repro.harness.sweep import RunSpec, Sweep, run_sweep
 from repro.sim.resources import IssueWindow
+from repro.sim.stats import MeasurementWindow
 
 __all__ = [
     "fig02_motivation",
@@ -102,24 +103,22 @@ def probe_fs_fsync(kind: str, threads: int, duration: float, warmup: float,
     fs = make_filesystem(kind, cluster,
                          num_journals=(1 if kind == "ext4" else 24))
     env = cluster.env
-    end_time = warmup + duration
-    completed = [0]
+    measured = MeasurementWindow(env, warmup, duration)
 
     def worker(thread_id):
         core = cluster.initiator.cpus.pick(thread_id)
         file = yield from fs.create(core, f"f{thread_id}")
-        while env.now < end_time:
+        while env.now < measured.end:
             yield from fs.append(core, file, nblocks=1)
             started = env.now
             yield from fs.fsync(core, file, thread_id=thread_id)
-            if started >= warmup:
-                completed[0] += 1
+            measured.complete(started)
 
     for thread_id in range(threads):
         env.process(worker(thread_id))
-    env.run(until=end_time)
+    env.run(until=measured.end)
     return {
-        "kops": completed[0] / duration / 1e3,
+        "kops": measured.samples / duration / 1e3,
         "avg_latency_us": fs.fsync_latency.mean * 1e6,
         "p99_latency_us": fs.fsync_latency.p99 * 1e6,
     }

@@ -158,6 +158,8 @@ def _run_status_loop(
     ``next_lba_for(tenant)`` optionally overrides the address generator
     (the gray scenario pins tenants to shards by LBA congruence);
     ``per_tenant`` optionally receives one LatencyRecorder per tenant.
+    Goodput and failures count in two measurement windows; neither opens
+    the cluster's CPU window, since no overload output reads busy cores.
     """
     from repro.scale.loadgen import (
         OPEN_LOOP_INFLIGHT_CAP,
@@ -166,36 +168,33 @@ def _run_status_loop(
     from repro.sim.engine import Environment
     from repro.sim.resources import IssueWindow
     from repro.sim.rng import DeterministicRNG
-    from repro.sim.stats import LatencyRecorder
+    from repro.sim.stats import LatencyRecorder, MeasurementWindow
 
     env: Environment = cluster.env
-    end_time = warmup + duration
+    good = MeasurementWindow(env, warmup, duration)
+    failed = MeasurementWindow(env, warmup, duration)
     per_tenant_rate = offered_iops / tenants
     run = OverloadRun(offered_iops=offered_iops, elapsed=duration,
                       failures_by_cause={})
-    latency = LatencyRecorder()
     recorders = per_tenant if per_tenant is not None else []
     while len(recorders) < tenants:
         recorders.append(LatencyRecorder())
 
     def complete(tenant, arrival, events):
-        if not (warmup <= env.now <= end_time):
-            return
         statuses = [
             e.bio.status for e in events if getattr(e, "bio", None) is not None
         ]
         bad = next((s for s in statuses if s), 0)
         if bad:
-            run.failed_ops += 1
-            cause = _cause_of(bad)
-            run.failures_by_cause[cause] = (
-                run.failures_by_cause.get(cause, 0) + 1
-            )
+            if failed.count():
+                cause = _cause_of(bad)
+                run.failures_by_cause[cause] = (
+                    run.failures_by_cause.get(cause, 0) + 1
+                )
             return
-        run.good_ops += 1
-        if arrival >= warmup:
-            latency.record(env.now - arrival)
-            recorders[tenant].record(env.now - arrival)
+        latency = good.complete(arrival)
+        if latency is not None:
+            recorders[tenant].record(latency)
 
     def tenant_body(tenant: int):
         rng = DeterministicRNG(seed).fork(f"overload{tenant}")
@@ -214,7 +213,7 @@ def _run_status_loop(
         window = IssueWindow(env, OPEN_LOOP_INFLIGHT_CAP, complete)
         while True:
             arrival += rng.expovariate(per_tenant_rate)
-            if arrival >= end_time:
+            if arrival >= good.end:
                 return
             if arrival > env.now:
                 yield env.timeout(arrival - env.now)
@@ -224,19 +223,14 @@ def _run_status_loop(
             events = [done]
             yield from window.issue(events, tenant, arrival, events)
 
-    def measurement():
-        yield env.timeout(warmup)
-        cluster.start_cpu_window()
-        yield env.timeout(duration)
-        cluster.stop_cpu_window()
-
-    env.process(measurement())
     for tenant in range(tenants):
         env.process(tenant_body(tenant))
-    env.run(until=end_time)
-    run.p50_us = latency.p50 * 1e6
-    run.p99_us = latency.p99 * 1e6
-    run.p999_us = latency.p999 * 1e6
+    env.run(until=good.end)
+    run.good_ops = good.ops
+    run.failed_ops = failed.ops
+    run.p50_us = good.latency.p50 * 1e6
+    run.p99_us = good.latency.p99 * 1e6
+    run.p999_us = good.latency.p999 * 1e6
     return run
 
 
@@ -482,7 +476,7 @@ def probe_gray(
     from repro.sim.engine import Environment
     from repro.sim.faults import FaultPlan
     from repro.sim.rng import DeterministicRNG
-    from repro.sim.stats import LatencyRecorder
+    from repro.sim.stats import LatencyRecorder, MeasurementWindow
 
     profiles = LAYOUTS[GRAY_LAYOUT]
     width = sum(len(t) for t in profiles)
@@ -519,8 +513,9 @@ def probe_gray(
 
     # ---- unordered flows: health-steered driver-level writes ----
     node = cluster.nodes[0]
-    unordered_ops = {"good": 0, "failed": 0, "by_target": {}}
-    end_time = warmup + duration
+    unordered_good = MeasurementWindow(env, warmup, duration)
+    unordered_failed = MeasurementWindow(env, warmup, duration)
+    unordered_by_target: Dict[str, int] = {}
 
     def unordered_body(flow: int):
         rng = DeterministicRNG(seed).fork(f"gray-unordered{flow}")
@@ -529,7 +524,7 @@ def probe_gray(
         arrival = 0.0
         while True:
             arrival += rng.expovariate(rate)
-            if arrival >= end_time:
+            if arrival >= unordered_good.end:
                 return
             if arrival > env.now:
                 yield env.timeout(arrival - env.now)
@@ -541,15 +536,12 @@ def probe_gray(
             )
             done = yield from node.driver.submit(core, ns, request)
             yield done
-            if warmup <= env.now <= end_time:
+            measured = unordered_failed if request.status else unordered_good
+            if measured.count():
                 name = ns.target.name
-                unordered_ops["by_target"][name] = (
-                    unordered_ops["by_target"].get(name, 0) + 1
+                unordered_by_target[name] = (
+                    unordered_by_target.get(name, 0) + 1
                 )
-                if request.status == 0:
-                    unordered_ops["good"] += 1
-                else:
-                    unordered_ops["failed"] += 1
 
     for flow in range(GRAY_UNORDERED_TENANTS):
         env.process(unordered_body(flow))
@@ -594,13 +586,11 @@ def probe_gray(
             for name in healthy
         )),
         "failovers": float(monitor.failovers),
-        "unordered_good": float(unordered_ops["good"]),
-        "unordered_failed": float(unordered_ops["failed"]),
-        "unordered_on_sick": float(
-            unordered_ops["by_target"].get(sick_name, 0)
-        ),
+        "unordered_good": float(unordered_good.ops),
+        "unordered_failed": float(unordered_failed.ops),
+        "unordered_on_sick": float(unordered_by_target.get(sick_name, 0)),
         "unordered_on_healthy": float(sum(
-            n for name, n in unordered_ops["by_target"].items()
+            n for name, n in unordered_by_target.items()
             if name != sick_name
         )),
     }

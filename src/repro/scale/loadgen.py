@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 from repro.sim.engine import Environment
 from repro.sim.resources import IssueWindow
 from repro.sim.rng import DeterministicRNG
-from repro.sim.stats import LatencyRecorder
+from repro.sim.stats import LatencyRecorder, MeasurementWindow
 
 __all__ = [
     "OpenLoopConfig",
@@ -144,9 +144,10 @@ def run_open_loop(cluster, stack, config: OpenLoopConfig,
     Each op is one ordered write of ``config.blocks[tenant]`` blocks (one
     block when ``blocks`` is None) with ``end_of_group=True`` and no
     flush, at a random LBA of the tenant's private
-    :data:`TENANT_AREA_BLOCKS` area.  An op counts toward ``ops`` when it
-    completes inside the measured window, and its latency is recorded
-    when it also arrived inside it.
+    :data:`TENANT_AREA_BLOCKS` area.  The run's
+    :class:`~repro.sim.stats.MeasurementWindow` counts an op toward
+    ``ops`` when it completes inside the window, and records its latency
+    when it also arrived inside it, whatever its status.
     """
     if config.tenants < 1:
         raise ValueError("need at least one tenant")
@@ -155,18 +156,15 @@ def run_open_loop(cluster, stack, config: OpenLoopConfig,
     env: Environment = cluster.env
     result = LoadgenResult(system=stack.name, tenants=config.tenants,
                            offered_iops=config.offered_iops)
-    end_time = config.warmup + config.duration
+    measured = MeasurementWindow(env, config.warmup, config.duration)
     rates = _tenant_rates(config)
     blocks = _tenant_blocks(config)
     peak = plane.peak_factor() if plane is not None else 1.0
 
     def complete(arrival, who):
-        if config.warmup <= env.now <= end_time:
-            result.ops += 1
-            if arrival >= config.warmup:
-                result.latency.record(env.now - arrival)
-                if plane is not None and who is not None:
-                    plane.record(who, env.now - arrival)
+        latency = measured.complete(arrival)
+        if latency is not None and who is not None:
+            plane.record(who, latency)
 
     def tenant_body(tenant: int):
         rng = DeterministicRNG(config.seed).fork(f"loadgen-open{tenant}")
@@ -179,7 +177,7 @@ def run_open_loop(cluster, stack, config: OpenLoopConfig,
         window = IssueWindow(env, OPEN_LOOP_INFLIGHT_CAP, complete)
         while True:
             arrival += rng.expovariate(rates[tenant] * peak)
-            if arrival >= end_time:
+            if arrival >= measured.end:
                 return
             if plane is not None and not plane.keep(plane_rng, arrival):
                 continue  # diurnal trough: thin the peak-rate arrival
@@ -195,16 +193,12 @@ def run_open_loop(cluster, stack, config: OpenLoopConfig,
             )
             yield from window.issue([done], arrival, who)
 
-    def measurement():
-        yield env.timeout(config.warmup)
-        cluster.start_cpu_window()
-        yield env.timeout(config.duration)
-        cluster.stop_cpu_window()
-
-    env.process(measurement())
+    measured.watch_cpu(cluster)
     for tenant in range(config.tenants):
         env.process(tenant_body(tenant))
-    env.run(until=end_time)
+    env.run(until=measured.end)
+    result.ops = measured.ops
+    result.latency = measured.latency
     result.elapsed = config.duration
     result.initiator_busy_cores = cluster.initiator_busy_cores(config.duration)
     result.target_busy_cores = cluster.target_busy_cores(config.duration)

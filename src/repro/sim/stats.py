@@ -1,10 +1,22 @@
-"""Measurement helpers: latency distributions and CPU busy time.
+"""Measurement helpers: the measurement window, latency distributions
+and CPU busy time.
 
 The paper reports throughput (IOPS / MB/s / ops/s), average and 99th
 percentile latency, and "CPU efficiency" defined in §6.1 as throughput
 divided by CPU utilization where utilization is sampled the way ``top``
-reports it.  :class:`BusyTracker` reproduces that definition by integrating
-busy virtual time per core.
+reports it, all over one steady-state window.  :class:`MeasurementWindow`
+is that window for every workload driver: it opens ``warmup`` after it is
+made, closes ``duration`` later, and applies the one inclusion rule.  It
+keeps two counts:
+
+* ``ops`` — ops *completed* inside the window (with their weight and
+  bytes);
+* ``samples`` — the latencies of ops also *issued* inside it, in a
+  :class:`LatencyRecorder`.
+
+:class:`BusyTracker` reproduces the utilization definition by integrating
+busy virtual time per core; :meth:`MeasurementWindow.watch_cpu` opens and
+closes a cluster's tracker windows at the window's instants.
 """
 
 from __future__ import annotations
@@ -14,7 +26,7 @@ from typing import List, Optional
 
 from repro.sim.engine import Environment
 
-__all__ = ["LatencyRecorder", "BusyTracker"]
+__all__ = ["MeasurementWindow", "LatencyRecorder", "BusyTracker"]
 
 
 class LatencyRecorder:
@@ -132,3 +144,74 @@ class BusyTracker:
         if elapsed <= 0:
             return 0.0
         return self.busy_time / elapsed
+
+
+class MeasurementWindow:
+    """The steady-state window of one workload run: its interval, op
+    count, latency samples and CPU window.
+
+    The window opens ``warmup`` after it is made and closes ``duration``
+    later (``start`` and ``end``); both instants are inside.  An op counts
+    in ``ops`` when it completes inside the window, and its latency is a
+    sample when it was also issued inside.  Drivers report one of the two
+    counts:
+
+    * completed ops (``ops``): fio, the open loop, the overload status
+      loop and the Filebench personalities (Varmail, fileserver);
+    * issued-and-completed ops (``samples``): the fillsync and OLTP
+      databases and the Fig. 13 fsync probe.
+
+    :func:`repro.scale.loadgen.run_open_loop` counts and samples every
+    completion, error completions included; the overload status loop
+    keeps its failures in a second window.  One count for every driver,
+    and what an error completion counts as, are ROADMAP open item 4.
+    """
+
+    def __init__(self, env: Environment, warmup: float, duration: float):
+        self.env = env
+        self.warmup = warmup
+        self.duration = duration
+        self.start = env.now + warmup
+        self.end = self.start + duration
+        self.ops = 0
+        self.bytes = 0
+        self.latency = LatencyRecorder()
+        #: The initiator driver's ``commands_sent`` when the CPU window
+        #: opened (see :meth:`watch_cpu`).
+        self.commands_at_start = 0
+
+    @property
+    def samples(self) -> int:
+        return self.latency.count
+
+    def count(self, weight: int = 1, nbytes: int = 0) -> bool:
+        """Count ``weight`` ops of ``nbytes`` completing now; True when
+        now is inside the window."""
+        if not self.start <= self.env.now <= self.end:
+            return False
+        self.ops += weight
+        self.bytes += nbytes
+        return True
+
+    def complete(self, issued_at: float, weight: int = 1,
+                 nbytes: int = 0) -> Optional[float]:
+        """:meth:`count` an op issued at ``issued_at`` completing now, and
+        sample its latency when it was issued inside the window.  Returns
+        the sampled latency, or None."""
+        if not self.count(weight, nbytes) or issued_at < self.start:
+            return None
+        latency = self.env.now - issued_at
+        self.latency.record(latency)
+        return latency
+
+    def watch_cpu(self, cluster) -> None:
+        """Open and close ``cluster``'s CPU window at the window's
+        instants; call it where the window is made."""
+        self.env.process(self._watch_cpu(cluster))
+
+    def _watch_cpu(self, cluster):
+        yield self.env.timeout(self.warmup)
+        cluster.start_cpu_window()
+        self.commands_at_start = cluster.driver.commands_sent
+        yield self.env.timeout(self.duration)
+        cluster.stop_cpu_window()

@@ -118,3 +118,33 @@ def test_fillsync_scales_with_threads():
     eight = run_fillsync(cluster, fs, threads=8, duration=2e-3,
                          warmup=0.2e-3)
     assert eight.puts > 2 * one.puts
+
+
+def _initiator_busy_seconds(cluster):
+    return sum(core.tracker._busy_now()
+               for core in cluster.initiator.cpus.cores)
+
+
+def test_fillsync_cpu_window_opens_at_warmup_after_open():
+    """Busy cores cover the window that opens ``warmup`` after the
+    database is open and lasts ``duration``, not the warm-up too."""
+    warmup, duration = 0.2e-3, 1e-3
+    env, cluster, fs = build()
+    open_db(env, cluster, fs)
+    opened = env.now
+    assert opened > 0
+
+    env, cluster, fs = build()
+    busy = {}
+
+    def probe(env):
+        yield env.timeout(opened + warmup)
+        busy["start"] = _initiator_busy_seconds(cluster)
+
+    env.process(probe(env))
+    result = run_fillsync(cluster, fs, threads=4, duration=duration,
+                          warmup=warmup)
+    busy["end"] = _initiator_busy_seconds(cluster)
+    assert result.initiator_busy_cores == pytest.approx(
+        (busy["end"] - busy["start"]) / duration, rel=1e-9)
+    assert env.now == pytest.approx(opened + warmup + duration)

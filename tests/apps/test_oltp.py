@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.apps.kvstore import run_readwhilewriting
 from repro.apps.oltp import OltpDatabase, run_oltp
 from repro.cluster import Cluster
 from repro.fs import make_filesystem
@@ -79,11 +78,3 @@ def test_oltp_faster_on_riofs_than_ext4():
 
     assert tps("riofs") > tps("ext4")
 
-
-def test_readwhilewriting_mixes_reads_and_writes():
-    env, cluster, fs = build()
-    result = run_readwhilewriting(cluster, fs, read_threads=2,
-                                  write_threads=2, duration=3e-3,
-                                  warmup=0.3e-3, populate=50)
-    assert result.puts > 0
-    assert result.wal_fsyncs > 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Environment
-from repro.sim.stats import BusyTracker, LatencyRecorder
+from repro.sim.stats import BusyTracker, LatencyRecorder, MeasurementWindow
 
 
 def test_latency_recorder_statistics():
@@ -71,3 +71,84 @@ def test_busy_tracker_utilization_window():
     env.process(work(env))
     env.run()
     assert tracker.utilization() == pytest.approx(0.5)
+
+
+def _complete_at(env, window, issued_at, completes_at):
+    """A process that completes an op issued at ``issued_at`` at
+    ``completes_at``."""
+
+    def op(env):
+        yield env.timeout(completes_at - env.now)
+        window.complete(issued_at)
+
+    env.process(op(env))
+
+
+def test_window_counts_completions_exactly_at_open_and_close():
+    env = Environment()
+    window = MeasurementWindow(env, warmup=1.0, duration=2.0)
+    assert (window.start, window.end) == (1.0, 3.0)
+    _complete_at(env, window, issued_at=1.0, completes_at=1.0)
+    _complete_at(env, window, issued_at=2.0, completes_at=3.0)
+    env.run(until=window.end)
+    assert window.ops == 2
+    assert window.samples == 2
+    assert window.latency.maximum == 1.0
+
+
+def test_window_counts_ops_issued_before_open_but_does_not_sample_them():
+    env = Environment()
+    window = MeasurementWindow(env, warmup=1.0, duration=2.0)
+    _complete_at(env, window, issued_at=0.5, completes_at=2.0)
+    env.run(until=window.end)
+    assert window.ops == 1
+    assert window.samples == 0
+
+
+def test_window_ignores_completions_before_open_and_after_close():
+    env = Environment()
+    window = MeasurementWindow(env, warmup=1.0, duration=2.0)
+    _complete_at(env, window, issued_at=0.0, completes_at=0.5)
+    _complete_at(env, window, issued_at=2.5, completes_at=3.5)
+    env.run(until=4.0)
+    assert window.ops == 0
+    assert window.samples == 0
+
+
+def test_empty_window_has_no_ops_and_no_samples():
+    env = Environment()
+    window = MeasurementWindow(env, warmup=1.0, duration=2.0)
+    env.run(until=window.end)
+    assert (window.ops, window.bytes, window.samples) == (0, 0, 0)
+
+
+def test_window_weights_ops_and_bytes_and_opens_after_it_is_made():
+    env = Environment()
+    env.run(until=5.0)
+    window = MeasurementWindow(env, warmup=1.0, duration=2.0)
+    assert (window.start, window.end) == (6.0, 8.0)
+    assert not window.count(weight=4, nbytes=4096)
+    env.run(until=7.0)
+    assert window.complete(6.5, weight=4, nbytes=4096) == 0.5
+    assert (window.ops, window.bytes, window.samples) == (4, 4096, 1)
+
+
+def test_window_opens_and_closes_the_cpu_window_at_its_instants():
+    env = Environment()
+    calls = []
+
+    class Cluster:
+        class driver:
+            commands_sent = 7
+
+        def start_cpu_window(self):
+            calls.append(("start", env.now))
+
+        def stop_cpu_window(self):
+            calls.append(("stop", env.now))
+
+    window = MeasurementWindow(env, warmup=1.0, duration=2.0)
+    window.watch_cpu(Cluster())
+    env.run(until=4.0)
+    assert calls == [("start", 1.0), ("stop", 3.0)]
+    assert window.commands_at_start == 7
