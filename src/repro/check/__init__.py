@@ -17,8 +17,9 @@ and validates the recovered state against the declared storage order:
   before the crash must survive recovery intact).
 
 The differential driver cross-checks all systems on the same workload and
-shrinks failing specs to a minimal JSON reproducer that replays
-deterministically.  ``repro check`` wires it into the sweep runner and CI.
+shrinks failing specs to a minimal one; ``repro check`` runs the matrix on
+the sweep runner and reports each shrunk cell as a single-cell
+ScenarioSpec that ``repro run`` replays deterministically.
 """
 
 from repro.check.crashpoints import (
@@ -35,8 +36,6 @@ from repro.check.differential import (
     check_cell,
     check_workload,
     differential_check,
-    dump_reproducer,
-    replay_reproducer,
     shrink_spec,
 )
 from repro.check.runner import (
@@ -73,8 +72,6 @@ __all__ = [
     "check_cell",
     "check_workload",
     "differential_check",
-    "dump_reproducer",
-    "replay_reproducer",
     "shrink_spec",
     "DEFAULT_MATRIX",
     "DEFAULT_SEEDS",

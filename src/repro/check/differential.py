@@ -4,9 +4,10 @@
 crash points, replay recovery at each, run the oracle.  The differential
 driver runs several systems over the same workload shape so a contract
 violated by only one implementation stands out immediately.  Failing specs
-are shrunk greedily along every shape dimension to a minimal reproducer
-and dumped as JSON; ``replay_reproducer`` re-runs a dump byte-for-byte
-(the spec is the only input — see :mod:`repro.check.workload`).
+are shrunk greedily along every shape dimension to a minimal reproducer;
+the spec is its only input (see :mod:`repro.check.workload`), so
+``repro run`` replays it byte-for-byte from the single-cell ScenarioSpec
+that :mod:`repro.spec.compile` makes of it.
 
 ``check_cell`` is the sweep-runner entry point: a top-level function (the
 runner encodes cells as ``"module:function"``) returning a plain dict so
@@ -15,7 +16,6 @@ results are picklable and cacheable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -41,8 +41,6 @@ __all__ = [
     "check_workload",
     "differential_check",
     "shrink_spec",
-    "dump_reproducer",
-    "replay_reproducer",
     "check_cell",
 ]
 
@@ -139,7 +137,7 @@ def differential_check(base: WorkloadSpec,
 
 
 # ----------------------------------------------------------------------
-# Shrinking + reproducers
+# Shrinking
 # ----------------------------------------------------------------------
 
 #: Shape dimensions the shrinker may reduce, with their floors.
@@ -180,37 +178,6 @@ def shrink_spec(spec: WorkloadSpec,
             if attempts >= max_attempts:
                 break
     return spec
-
-
-def dump_reproducer(path, report: CheckReport) -> None:
-    """Write a replayable JSON reproducer for a failing check.
-
-    The payload embeds both the legacy ``spec`` (a
-    :class:`WorkloadSpec` dict — what :func:`replay_reproducer` reads)
-    and its ScenarioSpec v1 upgrade under ``scenario_spec``, so the same
-    file replays via ``repro run <file>`` too.
-    """
-    from repro.spec import upgrade_workload_spec  # lazy: spec sits above check
-
-    payload = {
-        "kind": "repro-check-reproducer",
-        "spec": report.spec.to_dict(),
-        "scenario_spec": upgrade_workload_spec(report.spec.to_dict()).to_dict(),
-        "crash_points": report.crash_points,
-        "failures": [f.as_dict() for f in report.failures],
-    }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def replay_reproducer(path) -> CheckReport:
-    """Re-run a dumped reproducer from its spec alone."""
-    with open(path) as handle:
-        payload = json.load(handle)
-    if payload.get("kind") != "repro-check-reproducer":
-        raise ValueError(f"{path} is not a repro-check reproducer")
-    return check_workload(WorkloadSpec.from_dict(payload["spec"]))
 
 
 # ----------------------------------------------------------------------

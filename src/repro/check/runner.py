@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.check.differential import check_cell, shrink_spec, dump_reproducer
+from repro.check.differential import check_cell, shrink_spec
 from repro.check.workload import WorkloadSpec
 from repro.harness.report import Report, Verdict
 from repro.harness.sweep import RunSpec, SweepRunner
@@ -58,6 +58,12 @@ SCALE_MATRIX: Dict[str, Tuple[Tuple[str, int], ...]] = {
 }
 
 
+def _cell_label(spec: WorkloadSpec) -> str:
+    """``check:<system>/<layout>[/x<initiators>]``: a cell's sweep label."""
+    return (f"check:{spec.system}/{spec.layout}"
+            + (f"/x{spec.initiators}" if spec.initiators > 1 else ""))
+
+
 def _cell_verdict(report: dict) -> Verdict:
     """A check cell passes when no crash point it replayed failed."""
     return Verdict("failing_points", "<=", 0, len(report["failures"]),
@@ -72,8 +78,6 @@ class MatrixResult(Report):
     cells: List[Tuple[WorkloadSpec, dict]] = field(default_factory=list)
     #: Minimal reproducers of the failing cells (shrunk when requested).
     reproducers: List[WorkloadSpec] = field(default_factory=list)
-    #: Paths of dumped reproducer files.
-    dumped: List[str] = field(default_factory=list)
 
     headers = ()
 
@@ -100,7 +104,8 @@ class MatrixResult(Report):
                         f"       {violation['kind']}: stream "
                         f"{violation['stream']} group {violation['group']}"
                     )
-            rows.append(([f"  FAIL {spec.to_json()}"], details))
+            rows.append(([f"  FAIL {_cell_label(spec)} seed {spec.seed}"],
+                         details))
         return rows
 
     def _footer(self) -> List[str]:
@@ -150,37 +155,16 @@ def run_check_matrix(
     specs: Sequence[WorkloadSpec],
     runner: Optional[SweepRunner] = None,
     shrink: bool = True,
-    reproducer_dir: Optional[str] = None,
 ) -> MatrixResult:
-    """Check every spec (parallel + cached via ``runner``), then shrink
-    and dump a reproducer for each failing cell."""
-    import os
-
+    """Check every spec (parallel + cached via ``runner``), then record a
+    minimal reproducer (shrunk when ``shrink``) for each failing cell."""
     runner = runner or SweepRunner(jobs=1)
     run_specs = [
-        RunSpec.make(
-            check_cell,
-            label=(f"check:{spec.system}/{spec.layout}"
-                   + (f"/x{spec.initiators}" if spec.initiators > 1 else "")),
-            **spec.to_dict(),
-        )
+        RunSpec.make(check_cell, label=_cell_label(spec), **spec.to_dict())
         for spec in specs
     ]
     reports = runner.map(run_specs)
     result = MatrixResult(cells=list(zip(specs, reports)))
-
-    for index, (spec, report) in enumerate(result.failures):
-        minimal = shrink_spec(spec) if shrink else spec
-        result.reproducers.append(minimal)
-        if reproducer_dir is not None:
-            os.makedirs(reproducer_dir, exist_ok=True)
-            path = os.path.join(
-                reproducer_dir,
-                f"repro-{minimal.system}-{minimal.layout}-"
-                f"{minimal.seed}-{index}.json",
-            )
-            from repro.check.differential import check_workload
-
-            dump_reproducer(path, check_workload(minimal))
-            result.dumped.append(path)
+    result.reproducers = [shrink_spec(spec) if shrink else spec
+                          for spec, _report in result.failures]
     return result

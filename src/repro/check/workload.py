@@ -9,7 +9,6 @@ deterministically from the spec, so a failing spec *is* a reproducer.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -36,7 +35,7 @@ STREAM_AREA = 1 << 20
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """One fully-deterministic checker workload (JSON round-trippable)."""
+    """One fully-deterministic checker workload."""
 
     system: str = "rio"
     layout: str = "optane"
@@ -68,18 +67,6 @@ class WorkloadSpec:
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "WorkloadSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in data.items() if k in known})
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "WorkloadSpec":
-        return cls.from_dict(json.loads(text))
 
     def with_(self, **changes) -> "WorkloadSpec":
         return replace(self, **changes)

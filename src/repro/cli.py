@@ -26,11 +26,11 @@ spec: ...`` (exit 2), and every run ends in one status line: ``[<verb>:
 ...]``, ``[<verb> <figure>: ...]`` or ``[run <scenario> <digest12>: ...]``.
 
 ``run`` takes a figure name, ``all`` or a ScenarioSpec JSON path (one with
-a path separator or a ``.json`` suffix; legacy ``WorkloadSpec``/fault-plan/
-reproducer JSON is upgraded on load).  ``sweep`` is ``run`` with the cache
-on by default, plus ``--clear-cache``.  ``--duration`` is *virtual* seconds
-of measured window per configuration.  ``spec`` validates, canonicalizes,
-digests and diffs spec files without running anything; ``trace`` exports
+a path separator or a ``.json`` suffix; a dumped reproducer is one).
+``sweep`` is ``run`` with the cache on by default, plus ``--clear-cache``.
+``--duration`` is *virtual* seconds of measured window per configuration.
+``spec`` validates, canonicalizes, digests and diffs spec files without
+running anything; ``trace`` exports
 the instrumented fsync probe's request lifecycle spans as a Chrome
 ``chrome://tracing`` / Perfetto JSON file and ``metrics`` its metrics
 registry as CSV or JSON.  See ``docs/running_experiments.md`` and
@@ -142,8 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "JSON file", False, _cmd_figures)
     run.add_argument("figure",
                      help="figure name from 'list', 'all', or a path to a "
-                     "ScenarioSpec JSON file (legacy WorkloadSpec/fault-plan"
-                     "/reproducer JSON is upgraded on load)")
+                     "ScenarioSpec JSON file (a dumped reproducer is one)")
     swp = _verb(sub, "sweep", "run figures on the parallel sweep runner "
                 "(workers + cache)", True, _cmd_figures)
     swp.add_argument("figure", help="figure name from 'list', 'all', or a "
@@ -168,8 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "the canonical JSON; digest: print the stable cache "
                      "digest; diff: field-level differences of two specs")
     spc.add_argument("files", nargs="+", metavar="FILE",
-                     help="spec JSON file(s); legacy WorkloadSpec/"
-                     "fault-plan/reproducer JSON is upgraded on load")
+                     help="ScenarioSpec JSON file(s)")
 
     clm = _verb(sub, "claims", "grade every headline claim (reproduction "
                 "scorecard)", False, _cmd_verb)
@@ -279,9 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
                           default="table", help="output format")
     for verb in (run, chk):
         verb.add_argument("--reproducers", default=None, metavar="DIR",
-                          help="dump a minimal replayable JSON reproducer "
-                          "per failure into DIR (otherwise failures print "
-                          "their reproducer specs inline)")
+                          help="dump one replayable reproducer spec, "
+                          "<scenario>-<digest12>.json, per failure into DIR "
+                          "(otherwise failures print their reproducer specs "
+                          "inline)")
     for verb, systems in ((chk, "all four"),
                           (sat, "linux,horae,rio,barrier"),
                           (ovl, "rio; metastable scenario only"),
@@ -365,10 +364,7 @@ def _execute(spec: ScenarioSpec, args, label: str) -> int:
     cache = ResultCache(root=args.cache_dir) if args.cache else None
     dump_dir = getattr(args, "reproducers", None)
     started = time.time()
-    outcome = run_scenario(
-        spec, jobs=args.jobs, cache=cache,
-        reproducer_dir=dump_dir if spec.scenario == "check" else None,
-    )
+    outcome = run_scenario(spec, jobs=args.jobs, cache=cache)
     result = outcome.result
     if getattr(args, "format", "table") == "markdown":
         print(result.render_markdown())
@@ -378,11 +374,9 @@ def _execute(spec: ScenarioSpec, args, label: str) -> int:
         if dump_dir is None:
             for repro_spec in outcome.reproducers:
                 print(f"reproducer spec: {repro_spec.canonical_json()}")
-        elif spec.scenario != "check":
+        else:
             for path in outcome.dump_reproducers(dump_dir):
                 print(f"reproducer spec -> {path}")
-    for path in getattr(result, "dumped", []):
-        print(f"reproducer -> {path}")
     if getattr(args, "after", None) is not None:
         args.after(result, args)
     ran = "scenario cache hit" if outcome.cached else outcome.stats.summary()

@@ -25,8 +25,8 @@ Every result is a :class:`~repro.harness.report.Report`, so
 ``outcome.ok`` is the result's own verdict for every scenario: all of
 its :class:`~repro.harness.report.Verdict` records pass.  Every failing
 scenario yields minimal replayable specs in ``outcome.reproducers`` —
-the same idea as ``repro check``'s shrunk reproducers, generalized to
-all eight verbs.
+for ``check`` one single-cell spec per shrunk failing cell — and
+:meth:`ScenarioOutcome.dump_reproducers` is the one writer of them.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ import importlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, List
 
-from repro.spec.scenario import ScenarioSpec, upgrade_workload_spec
+from repro.spec.scenario import ScenarioSpec
 
 __all__ = ["ScenarioOutcome", "run_scenario"]
 
@@ -102,9 +102,10 @@ def _run_claims(spec: ScenarioSpec):
     return evaluate_claims(duration=spec.workload["duration"])
 
 
-def _run_check(spec: ScenarioSpec, reproducer_dir: Optional[str]):
-    from repro.check.runner import build_matrix_specs, run_check_matrix
-    from repro.harness.sweep import get_runner
+def _check_cells(spec: ScenarioSpec):
+    """The :class:`~repro.check.workload.WorkloadSpec` cells a ``check``
+    spec names, in matrix order."""
+    from repro.check.runner import build_matrix_specs
 
     workload = spec.workload
     shape = {
@@ -124,18 +125,47 @@ def _run_check(spec: ScenarioSpec, reproducer_dir: Optional[str]):
         shape["prefill"] = spec.devices["prefill"]
     if spec.faults is not None:
         shape["faults"] = spec.faults
-    cells = build_matrix_specs(
+    return build_matrix_specs(
         systems=workload["systems"],
         layouts=workload["layouts"],
         seeds=workload["seeds"],
         **shape,
     )
-    return run_check_matrix(
-        cells,
-        runner=get_runner(),
-        shrink=spec.oracle["shrink"],
-        reproducer_dir=reproducer_dir,
-    )
+
+
+def _run_check(spec: ScenarioSpec):
+    from repro.check.runner import run_check_matrix
+    from repro.harness.sweep import get_runner
+
+    return run_check_matrix(_check_cells(spec), runner=get_runner(),
+                            shrink=spec.oracle["shrink"])
+
+
+def _check_cell_spec(cell) -> ScenarioSpec:
+    """One check cell (a :class:`~repro.check.workload.WorkloadSpec`) as
+    the single-cell ``check`` spec whose :func:`_check_cells` is
+    ``[cell]``."""
+    return ScenarioSpec.from_dict({
+        "scenario": "check",
+        # The name predates this helper; it stays so that reproducer
+        # files keep their exact bytes.
+        "name": f"upgraded legacy WorkloadSpec ({cell.system}/"
+                f"{cell.layout}/seed{cell.seed})",
+        "topology": {"initiators": cell.initiators},
+        "devices": {"prefill": cell.prefill},
+        "workload": {
+            "systems": [cell.system],
+            "layouts": [cell.layout],
+            "seeds": [cell.seed],
+            "streams": cell.streams,
+            "groups_per_stream": cell.groups_per_stream,
+            "writes_per_group": cell.writes_per_group,
+            "depth": cell.depth,
+            "flush_every": cell.flush_every,
+        },
+        "faults": cell.faults,
+        "oracle": {"max_points": cell.max_points},
+    })
 
 
 #: Scenario -> (module, builder) of its sweep; each builder takes the
@@ -201,8 +231,7 @@ def _reproducers(spec: ScenarioSpec, result) -> List[ScenarioSpec]:
     if spec.scenario == "qualify":
         return _qualify_reproducers(spec, result)
     if spec.scenario == "check":
-        return [upgrade_workload_spec(minimal.to_dict())
-                for minimal in result.reproducers]
+        return [_check_cell_spec(minimal) for minimal in result.reproducers]
     return [spec]
 
 
@@ -223,15 +252,13 @@ def run_scenario(
     spec: ScenarioSpec,
     jobs: int = 1,
     cache=None,
-    reproducer_dir: Optional[str] = None,
 ) -> ScenarioOutcome:
     """Build and run one spec; returns its :class:`ScenarioOutcome`.
 
     ``cache`` (a :class:`~repro.harness.cache.ResultCache`) memoizes at
     both the cell and the scenario level; a warm scenario-level hit
     skips building and running entirely and returns the stored outcome with
-    ``cached=True``.  ``reproducer_dir`` is forwarded to the check
-    matrix's shrink-and-dump pass.
+    ``cached=True``, reproducers included.
     """
     from repro.harness.sweep import configured
 
@@ -247,7 +274,7 @@ def run_scenario(
         elif spec.scenario == "claims":
             result = _run_claims(spec)
         elif spec.scenario == "check":
-            result = _run_check(spec, reproducer_dir)
+            result = _run_check(spec)
         else:
             result = _run_sweep(spec, runner)
         outcome = ScenarioOutcome(spec=spec, result=result,

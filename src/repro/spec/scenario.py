@@ -27,11 +27,10 @@ same scenario normalize to the same canonical JSON and therefore the same
 :meth:`ScenarioSpec.digest` — the one content-address used by the result
 cache.  The display-only ``name`` field is excluded from the digest.
 
-**Legacy upgrade.**  :func:`load_spec` also accepts the pre-spec JSON
-shapes — a bare :class:`~repro.check.workload.WorkloadSpec` dict, a
-``repro check`` reproducer payload, or a bare fault-plan dict — and
-upgrades each to an equivalent v1 spec, so every reproducer ever dumped
-stays replayable via ``repro run``.
+**One format.**  This module reads v1 documents only: a document of any
+other shape fails with a :class:`SpecError` naming what is wrong.  Every
+reproducer a failing scenario writes (``repro check`` included) is itself
+a v1 spec, so ``repro run <reproducer>`` replays it.
 """
 
 from __future__ import annotations
@@ -48,11 +47,8 @@ __all__ = [
     "SCENARIOS",
     "SpecError",
     "ScenarioSpec",
-    "load_spec",
     "load_spec_file",
     "diff_specs",
-    "upgrade_workload_spec",
-    "upgrade_fault_plan",
 ]
 
 #: The spec version this module reads and writes.
@@ -478,7 +474,7 @@ def _workload_default(scenario: str, key: str) -> Any:
 @dataclass(frozen=True, eq=False)
 class ScenarioSpec:
     """One fully-normalized v1 scenario (always build via
-    :meth:`from_dict` / :func:`load_spec`, never the constructor)."""
+    :meth:`from_dict` / :func:`load_spec_file`, never the constructor)."""
 
     scenario: str
     name: str = ""
@@ -880,95 +876,19 @@ def _resolve_scenario_defaults(spec: ScenarioSpec) -> ScenarioSpec:
 
 
 # ----------------------------------------------------------------------
-# Loaders (v1 + legacy upgrade)
+# Loader
 # ----------------------------------------------------------------------
-
-_WORKLOAD_SPEC_KEYS = {
-    "system", "layout", "seed", "streams", "groups_per_stream",
-    "writes_per_group", "depth", "flush_every", "max_points", "initiators",
-    "prefill", "faults",
-}
-
-_FAULT_PLAN_KEYS = set(_FAULT_FIELDS)
-
-
-def upgrade_workload_spec(data: Dict[str, Any]) -> ScenarioSpec:
-    """A legacy :class:`~repro.check.workload.WorkloadSpec` dict as an
-    equivalent single-cell v1 check spec (replays bit-identically)."""
-    from repro.check.workload import WorkloadSpec
-
-    legacy = WorkloadSpec.from_dict(data)
-    return ScenarioSpec.from_dict({
-        "version": SPEC_VERSION,
-        "scenario": "check",
-        "name": f"upgraded legacy WorkloadSpec ({legacy.system}/"
-                f"{legacy.layout}/seed{legacy.seed})",
-        "topology": {"initiators": legacy.initiators},
-        "devices": {"prefill": legacy.prefill},
-        "workload": {
-            "systems": [legacy.system],
-            "layouts": [legacy.layout],
-            "seeds": [legacy.seed],
-            "streams": legacy.streams,
-            "groups_per_stream": legacy.groups_per_stream,
-            "writes_per_group": legacy.writes_per_group,
-            "depth": legacy.depth,
-            "flush_every": legacy.flush_every,
-        },
-        "faults": legacy.faults,
-        "oracle": {"max_points": legacy.max_points},
-    })
-
-
-def upgrade_fault_plan(data: Dict[str, Any]) -> ScenarioSpec:
-    """A bare fault-plan dict as a v1 chaos spec carrying that plan."""
-    return ScenarioSpec.from_dict({
-        "version": SPEC_VERSION,
-        "scenario": "chaos",
-        "name": "upgraded legacy FaultPlan",
-        "workload": {"trials": 1},
-        "faults": data,
-    })
-
-
-def load_spec(data: Dict[str, Any]) -> ScenarioSpec:
-    """Load any supported document shape as a v1 spec.
-
-    Accepts, in order of detection:
-
-    1. a v1 :class:`ScenarioSpec` document (has ``scenario``);
-    2. a ``repro check`` reproducer payload
-       (``kind == "repro-check-reproducer"``), via its embedded spec;
-    3. a bare legacy :class:`~repro.check.workload.WorkloadSpec` dict;
-    4. a bare legacy fault-plan dict.
-    """
-    if not isinstance(data, dict):
-        raise SpecError(f"spec: expected an object, got {_type_name(data)}")
-    if "scenario" in data or "version" in data:
-        return ScenarioSpec.from_dict(data)
-    if data.get("kind") == "repro-check-reproducer":
-        if not isinstance(data.get("spec"), dict):
-            raise SpecError("reproducer: expected a \"spec\" object")
-        return upgrade_workload_spec(data["spec"])
-    if "system" in data and set(data) <= _WORKLOAD_SPEC_KEYS:
-        return upgrade_workload_spec(data)
-    if data and set(data) <= _FAULT_PLAN_KEYS:
-        return upgrade_fault_plan(data)
-    raise SpecError(
-        "unrecognized document: not a v1 ScenarioSpec, a check "
-        "reproducer, a legacy WorkloadSpec, or a fault plan"
-    )
 
 
 def load_spec_file(path) -> ScenarioSpec:
-    """:func:`load_spec` on a JSON file."""
+    """:meth:`ScenarioSpec.from_dict` on a JSON file."""
     with open(path) as handle:
         try:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise SpecError(f"{path}: not valid JSON ({exc})") from exc
     try:
-        return load_spec(data)
+        return ScenarioSpec.from_dict(data)
     except SpecError as exc:
         raise SpecError(f"{path}: {exc}") from exc
 

@@ -8,11 +8,11 @@ from repro.check.differential import (
     check_cell,
     check_workload,
     differential_check,
-    dump_reproducer,
-    replay_reproducer,
     shrink_spec,
 )
 from repro.check.workload import WorkloadSpec
+from repro.spec import SpecError, load_spec_file, run_scenario
+from repro.spec.compile import _check_cell_spec
 
 TINY = WorkloadSpec(seed=0, streams=1, groups_per_stream=3,
                     writes_per_group=2, depth=2, flush_every=2, max_points=8)
@@ -63,23 +63,19 @@ def test_shrink_is_bounded():
     assert len(calls) <= 10
 
 
-def test_reproducer_roundtrip_is_deterministic(tmp_path):
-    report = check_workload(TINY)
-    path = tmp_path / "repro.json"
-    dump_reproducer(path, report)
-    payload = json.loads(path.read_text())
-    assert payload["kind"] == "repro-check-reproducer"
-    replayed = replay_reproducer(path)
-    assert replayed.spec == report.spec
-    assert replayed.crash_points == report.crash_points
-    assert replayed.as_dict() == report.as_dict()
+def test_reproducer_roundtrip_is_deterministic():
+    spec = _check_cell_spec(TINY)
+    first = run_scenario(spec).result
+    again = run_scenario(spec).result
+    assert first.cells[0][0] == TINY
+    assert first.to_json() == again.to_json()
 
 
 def test_replay_rejects_foreign_json(tmp_path):
     path = tmp_path / "other.json"
     path.write_text(json.dumps({"kind": "something-else"}))
-    with pytest.raises(ValueError):
-        replay_reproducer(path)
+    with pytest.raises(SpecError, match="unknown top-level key"):
+        load_spec_file(path)
 
 
 def test_check_cell_returns_cacheable_dict():

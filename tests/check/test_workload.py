@@ -8,6 +8,8 @@ from repro.check.workload import (
     build_plan,
     build_testbed,
 )
+from repro.spec import ScenarioSpec
+from repro.spec.compile import _check_cell_spec, _check_cells
 
 
 def test_plan_is_deterministic():
@@ -49,15 +51,12 @@ def test_flush_cadence():
 
 
 def test_spec_json_roundtrip():
+    """A cell survives the trip through its check spec's JSON."""
     spec = WorkloadSpec(system="horae", layout="flash", seed=3, streams=2,
                         groups_per_stream=9, writes_per_group=1, depth=4,
                         flush_every=1, max_points=12)
-    assert WorkloadSpec.from_json(spec.to_json()) == spec
-
-
-def test_spec_from_dict_ignores_unknown_keys():
-    spec = WorkloadSpec.from_dict({"system": "linux", "bogus": 1})
-    assert spec.system == "linux"
+    text = _check_cell_spec(spec).canonical_json()
+    assert _check_cells(ScenarioSpec.from_json(text)) == [spec]
 
 
 def test_with_replaces_only_named_fields():

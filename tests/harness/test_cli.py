@@ -53,14 +53,66 @@ def test_check_unknown_system_raises(capsys):
 
 
 def test_check_replay_roundtrip(tmp_path, capsys):
-    from repro.check import WorkloadSpec, check_workload, dump_reproducer
-
-    spec = WorkloadSpec(system="linux", streams=1, groups_per_stream=2,
-                        writes_per_group=1, depth=1, max_points=6)
+    """The pre-spec ``repro-check-reproducer`` payload is not a spec:
+    ``run`` and ``spec validate`` reject it with one clear line."""
     path = tmp_path / "r.json"
-    dump_reproducer(path, check_workload(spec))
-    assert main(["run", str(path)]) == 0
-    assert "ordering invariants hold" in capsys.readouterr().out
+    path.write_text(json.dumps({
+        "kind": "repro-check-reproducer",
+        "spec": {"system": "linux", "streams": 1},
+        "crash_points": 6, "failures": [],
+    }))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    (line,) = err.strip().splitlines()
+    assert line.startswith("invalid spec: ")
+    assert "unknown top-level key(s) ['crash_points', 'failures', " \
+        "'kind', 'spec']" in line
+    assert main(["spec", "validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "INVALID" in err and "Traceback" not in err
+
+
+def _fail_linux_cells(monkeypatch):
+    """Make every linux check cell report one failing crash point."""
+    import repro.check.differential as differential
+
+    real = differential.check_workload
+
+    def check_workload(spec, run=None):
+        report = real(spec, run)
+        if spec.system == "linux":
+            report.failures.append(differential.CrashFailure(0.0, []))
+        return report
+
+    monkeypatch.setattr(differential, "check_workload", check_workload)
+
+
+def test_check_reproducers_reach_every_dir_on_a_warm_cache(
+    tmp_path, capsys, monkeypatch,
+):
+    """A scenario-cache hit still dumps the failing cell's spec."""
+    from repro.spec import load_spec_file
+
+    _fail_linux_cells(monkeypatch)
+    argv = ["check", "--systems", "linux", "--layouts", "optane",
+            "--seeds", "0", "--streams", "1", "--groups", "2",
+            "--writes", "1", "--depth", "1", "--max-points", "4",
+            "--cache", "--cache-dir", str(tmp_path / "cache")]
+    for name in ("a", "b"):
+        out_dir = tmp_path / name
+        assert main([*argv, "--reproducers", str(out_dir)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL check:linux/optane seed 0" in out
+        assert ("scenario cache hit" in out) is (name == "b")
+        (path,) = out_dir.iterdir()
+        spec = load_spec_file(path)
+        assert path.name == f"check-{spec.digest()[:12]}.json"
+        assert spec.scenario == "check"
+        assert spec.workload["systems"] == ["linux"]
+        assert spec.workload["layouts"] == ["optane"]
+        assert spec.workload["seeds"] == [0]
+        assert main(["run", str(path)]) == 1
+        capsys.readouterr()
 
 
 def test_tenants_curves_cli_prints_table(capsys, tmp_path):

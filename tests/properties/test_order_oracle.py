@@ -14,6 +14,8 @@ from repro.check.oracle import (
     group_status,
 )
 from repro.check.workload import Completion, GroupPlan, WorkloadSpec, WritePlan
+from repro.spec import ScenarioSpec
+from repro.spec.compile import _check_cell_spec, _check_cells
 
 STATUSES = st.sampled_from(["full", "partial", "none"])
 _FLAGS = {"full": [True, True], "partial": [True, False],
@@ -138,7 +140,8 @@ def test_acked_groups_monotone_in_crash_time(raw, crash_time):
     max_points=st.integers(0, 64),
 ))
 def test_spec_json_roundtrip_any_shape(spec):
-    assert WorkloadSpec.from_json(spec.to_json()) == spec
+    text = _check_cell_spec(spec).canonical_json()
+    assert _check_cells(ScenarioSpec.from_json(text)) == [spec]
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,12 +11,12 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
+from repro.check import WorkloadSpec
 from repro.spec import (
     SCENARIOS,
     ScenarioSpec,
     SpecError,
     diff_specs,
-    load_spec,
 )
 from repro.spec import scenario as scenario_mod
 
@@ -160,7 +160,7 @@ def test_diff_of_equal_specs_is_empty(doc):
 @settings(max_examples=50, deadline=None)
 def test_load_spec_accepts_its_own_canonical_output(doc):
     spec = ScenarioSpec.from_dict(doc)
-    assert load_spec(json.loads(spec.canonical_json())) == spec
+    assert ScenarioSpec.from_dict(json.loads(spec.canonical_json())) == spec
 
 
 @given(loads=st.lists(st.integers(1, 1000), min_size=1, max_size=4))
@@ -177,15 +177,16 @@ def test_integer_loads_stay_integers(loads):
 # Robustness: arbitrary JSON never escapes as anything but SpecError
 # ----------------------------------------------------------------------
 
-#: Every name the loader knows: top-level keys, section fields, legacy
-#: keys, and values that steer it (scenarios, modes, kinds, names).
+#: Every name the loader knows (top-level keys, section fields, values
+#: that steer it: scenarios, modes, kinds, names), plus the keys of the
+#: pre-spec documents it rejects.
 _FIELD_NAMES = sorted(
     {"version", "scenario", "name", "topology", "devices", "workload",
      "faults", "policies", "oracle", "kind", "spec", "timed"}
     | {key for table in scenario_mod._WORKLOADS.values() for key in table}
     | set(scenario_mod._TOPOLOGY) | set(scenario_mod._DEVICES)
     | set(scenario_mod._POLICIES) | set(scenario_mod._ORACLE)
-    | set(scenario_mod._FAULT_FIELDS) | set(scenario_mod._WORKLOAD_SPEC_KEYS)
+    | set(scenario_mod._FAULT_FIELDS) | set(WorkloadSpec.__dataclass_fields__)
     | {key for table in scenario_mod._TIMED_KINDS.values() for key in table}
 )
 _MEANINGFUL = [
@@ -227,7 +228,7 @@ reproducer_shaped = st.fixed_dictionaries(
 @settings(max_examples=400, deadline=None)
 def test_load_spec_yields_a_spec_or_a_spec_error(doc):
     try:
-        spec = load_spec(doc)
+        spec = ScenarioSpec.from_dict(doc)
     except SpecError:
         return
     assert isinstance(spec, ScenarioSpec)

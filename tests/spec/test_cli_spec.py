@@ -59,13 +59,23 @@ def test_run_spec_scenario_cache_warm_hit(figure_spec, tmp_path, capsys):
 
 
 def test_run_legacy_workload_spec_file(tmp_path, capsys):
+    """A bare pre-spec ``WorkloadSpec`` dict is not a spec: ``run`` exits
+    2 with one line naming its unknown top-level keys, and ``spec
+    validate`` flags it INVALID."""
     path = _write(tmp_path, "legacy.json", {
         "system": "linux", "layout": "optane", "seed": 0, "streams": 1,
         "groups_per_stream": 2, "writes_per_group": 1, "depth": 1,
         "max_points": 4,
     })
-    assert main(["run", path]) == 0
-    assert "ordering invariants hold" in capsys.readouterr().out
+    assert main(["run", path]) == 2
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith("invalid spec: ")
+    assert ("unknown top-level key(s) ['depth', 'groups_per_stream', "
+            "'layout', 'max_points', 'seed', 'streams', 'system', "
+            "'writes_per_group']") in line
+    assert main(["spec", "validate", path]) == 1
+    err = capsys.readouterr().err
+    assert "INVALID" in err and "Traceback" not in err
 
 
 def test_spec_validate_reports_digest(figure_spec, capsys):

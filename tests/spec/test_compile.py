@@ -36,6 +36,24 @@ def test_chaos_spec_matches_kwargs():
     assert outcome.ok
 
 
+def test_faulted_chaos_spec_matches_kwargs():
+    from repro.harness.chaos import run_chaos_trial
+    from repro.sim.faults import FaultPlan
+
+    plan = FaultPlan(seed=7, delay_probability=0.02)
+    plan.target_stall(at=1e-4, target_index=0, duration=5e-5)
+    spec = ScenarioSpec.from_dict(
+        {"scenario": "chaos",
+         "workload": {"systems": ["linux"], "trials": 1, "threads": 2,
+                      "groups_per_thread": 4},
+         "faults": plan.to_dict()}
+    )
+    (trial,) = run_scenario(spec).result.results
+    legacy = run_chaos_trial(system="linux", seed=1000, threads=2,
+                             groups_per_thread=4, plan_spec=spec.faults)
+    assert trial.summary() == legacy.summary()
+
+
 def test_check_spec_matches_kwargs():
     from repro.check.runner import build_matrix_specs, run_check_matrix
 

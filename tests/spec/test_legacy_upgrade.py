@@ -1,27 +1,23 @@
-"""Legacy JSON shapes upgrade to spec v1 and replay bit-identically."""
+"""A check cell as a single-cell check spec replays bit-identically.
 
-import json
+``repro check`` reports each shrunk failing cell (a ``WorkloadSpec``) as
+the ScenarioSpec that :func:`repro.spec.compile._check_cell_spec` makes
+of it; ``repro run`` on that spec must re-run exactly that cell.
+"""
 
-from repro.check import WorkloadSpec, check_workload, dump_reproducer
+from repro.check import WorkloadSpec, check_workload
 from repro.check.runner import build_matrix_specs, run_check_matrix
 from repro.sim.faults import FaultPlan
-from repro.spec import (
-    load_spec_file,
-    run_scenario,
-    upgrade_fault_plan,
-    upgrade_workload_spec,
-)
+from repro.spec import ScenarioOutcome, load_spec_file, run_scenario
+from repro.spec.compile import _check_cell_spec, _check_cells
 
-_LEGACY = {
-    "system": "linux", "layout": "optane", "seed": 0, "streams": 1,
-    "groups_per_stream": 2, "writes_per_group": 1, "depth": 1,
-    "flush_every": 2, "max_points": 4, "initiators": 1, "prefill": 0.0,
-}
+_CELL = WorkloadSpec(system="linux", layout="optane", seed=0, streams=1,
+                     groups_per_stream=2, writes_per_group=1, depth=1,
+                     flush_every=2, max_points=4)
 
 
 def test_upgraded_workload_spec_replays_bit_identically():
-    upgraded = upgrade_workload_spec(_LEGACY)
-    outcome = run_scenario(upgraded)
+    outcome = run_scenario(_check_cell_spec(_CELL))
     legacy = run_check_matrix(build_matrix_specs(
         systems=["linux"], layouts=["optane"], seeds=[0], streams=1,
         groups_per_stream=2, writes_per_group=1, depth=1, flush_every=2,
@@ -32,64 +28,26 @@ def test_upgraded_workload_spec_replays_bit_identically():
 
 
 def test_upgrade_preserves_every_workload_field():
-    upgraded = upgrade_workload_spec(
-        {**_LEGACY, "system": "rio", "layout": "2optane-2targets",
-         "initiators": 2, "prefill": 0.5, "seed": 9}
-    )
-    assert upgraded.topology["initiators"] == 2
-    assert upgraded.devices["prefill"] == 0.5
-    assert upgraded.workload["layouts"] == ["2optane-2targets"]
-    assert upgraded.workload["seeds"] == [9]
-    # Round trip back through WorkloadSpec: one cell, same content.
-    cell = WorkloadSpec(
-        system=upgraded.workload["systems"][0],
-        layout=upgraded.workload["layouts"][0],
-        seed=upgraded.workload["seeds"][0],
-        streams=upgraded.workload["streams"],
-        groups_per_stream=upgraded.workload["groups_per_stream"],
-        writes_per_group=upgraded.workload["writes_per_group"],
-        depth=upgraded.workload["depth"],
-        flush_every=upgraded.workload["flush_every"],
-        max_points=upgraded.oracle["max_points"],
-        initiators=upgraded.topology["initiators"],
-        prefill=upgraded.devices["prefill"],
-    )
-    assert cell.system == "rio"
-    assert cell.prefill == 0.5
+    cell = _CELL.with_(system="rio", layout="2optane-2targets",
+                       initiators=2, prefill=0.5, seed=9)
+    spec = _check_cell_spec(cell)
+    assert spec.topology["initiators"] == 2
+    assert spec.devices["prefill"] == 0.5
+    assert spec.workload["layouts"] == ["2optane-2targets"]
+    assert spec.workload["seeds"] == [9]
+    # Compiling the spec gives back exactly the one cell.
+    assert _check_cells(spec) == [cell]
 
 
 def test_dumped_reproducer_runs_via_the_spec_path(tmp_path):
-    wspec = WorkloadSpec.from_dict(_LEGACY)
-    report = check_workload(wspec)
-    path = tmp_path / "reproducer.json"
-    dump_reproducer(path, report)
-    payload = json.loads(path.read_text())
-    # The dump embeds both shapes and both load to the same spec.
-    assert payload["kind"] == "repro-check-reproducer"
-    spec = load_spec_file(path)
-    assert spec.to_dict() == payload["scenario_spec"]
-    outcome = run_scenario(spec)
-    assert outcome.ok == report.ok
-
-
-def test_upgraded_fault_plan_replays_bit_identically():
-    plan = FaultPlan(seed=7, delay_probability=0.02)
-    plan.target_stall(at=1e-4, target_index=0, duration=5e-5)
-    upgraded = upgrade_fault_plan(plan.to_dict())
-    # Narrow to one cheap trial for the differential.
-    narrowed = upgraded.with_(workload={
-        **upgraded.workload, "systems": ["linux"], "threads": 2,
-        "groups_per_thread": 4,
-    })
-    outcome = run_scenario(narrowed)
-
-    from repro.harness.chaos import run_chaos_trial
-
-    legacy = run_chaos_trial(system="linux", seed=1000, threads=2,
-                             groups_per_thread=4,
-                             plan_spec=narrowed.faults)
-    (trial,) = outcome.result.results
-    assert trial.summary() == legacy.summary()
+    spec = _check_cell_spec(_CELL)
+    outcome = ScenarioOutcome(spec=spec, result=None, reproducers=[spec])
+    (path,) = outcome.dump_reproducers(tmp_path)
+    assert load_spec_file(path) == spec
+    replayed = run_scenario(load_spec_file(path))
+    ((cell, report),) = replayed.result.cells
+    assert cell == _CELL
+    assert report == check_workload(_CELL).as_dict()
 
 
 def test_faultplan_serialization_round_trips():

@@ -1,5 +1,5 @@
 """Unit tests for the ScenarioSpec model: normalization, validation,
-canonical serialization, digests, loaders and diff."""
+canonical serialization, digests, the file loader and diff."""
 
 import json
 
@@ -11,10 +11,7 @@ from repro.spec import (
     ScenarioSpec,
     SpecError,
     diff_specs,
-    load_spec,
     load_spec_file,
-    upgrade_fault_plan,
-    upgrade_workload_spec,
 )
 
 
@@ -137,6 +134,17 @@ def test_number_fields_preserve_int_vs_float():
          "workload.offered_kiops: applies to the gray scenario only"),
         ({"scenario": "overload", "workload": {"degrade_factor": 12}},
          "workload.degrade_factor: applies to the gray scenario only"),
+        # Pre-spec documents are not specs: a bare WorkloadSpec, a check
+        # reproducer payload, a bare fault plan.
+        ({"system": "linux", "layout": "optane", "seed": 0, "streams": 1,
+          "max_points": 4},
+         "unknown top-level key.*'layout', 'max_points', 'seed', "
+         "'streams', 'system'"),
+        ({"kind": "repro-check-reproducer", "spec": {"system": "linux"},
+          "scenario_spec": {"scenario": "check"}},
+         "unknown top-level key.*'kind', 'scenario_spec', 'spec'"),
+        ({"seed": 11, "delay_probability": 0.03},
+         "unknown top-level key.*'delay_probability', 'seed'"),
     ],
 )
 def test_invalid_documents_raise_spec_error(data, fragment):
@@ -278,6 +286,16 @@ def test_canonical_json_round_trips_to_an_equal_spec():
     assert again.digest() == spec.digest()
 
 
+def test_faults_section_round_trips_through_faultplan():
+    from repro.sim.faults import FaultPlan
+
+    plan = FaultPlan(seed=5, delay_probability=0.02)
+    plan.target_stall(at=1e-4, target_index=0, duration=5e-5)
+    spec = ScenarioSpec.from_dict({"scenario": "chaos",
+                                   "faults": plan.to_dict()})
+    assert FaultPlan.from_dict(spec.faults).to_dict() == plan.to_dict()
+
+
 def test_digest_ignores_name_but_not_content():
     a = ScenarioSpec.from_dict({"scenario": "saturate"})
     b = a.with_(name="same experiment, different label")
@@ -300,57 +318,27 @@ def test_equivalent_documents_share_one_digest():
 
 
 # ----------------------------------------------------------------------
-# Loaders: v1 + every legacy shape
+# Loader
 # ----------------------------------------------------------------------
 
 
-def test_load_spec_accepts_v1_documents():
-    spec = load_spec({"scenario": "chaos", "workload": {"trials": 2}})
+def test_load_spec_accepts_v1_documents(tmp_path):
+    path = tmp_path / "chaos.json"
+    path.write_text(json.dumps({"scenario": "chaos",
+                                "workload": {"trials": 2}}))
+    spec = load_spec_file(path)
     assert isinstance(spec, ScenarioSpec)
     assert spec.workload["trials"] == 2
 
 
-def test_load_spec_upgrades_a_bare_workload_spec():
-    legacy = {"system": "rio", "layout": "flash", "seed": 3, "streams": 1,
-              "max_points": 4}
-    spec = load_spec(legacy)
-    assert spec.scenario == "check"
-    assert spec.workload["systems"] == ["rio"]
-    assert spec.workload["layouts"] == ["flash"]
-    assert spec.workload["seeds"] == [3]
-    assert spec.workload["streams"] == 1
-    assert spec.oracle["max_points"] == 4
-
-
-def test_load_spec_upgrades_a_bare_fault_plan():
-    spec = load_spec({"seed": 11, "delay_probability": 0.03})
-    assert spec.scenario == "chaos"
-    assert spec.workload["trials"] == 1
-    assert spec.faults["seed"] == 11
-    assert spec.faults["delay_probability"] == pytest.approx(0.03)
-
-
-def test_load_spec_upgrades_a_check_reproducer(tmp_path):
-    from repro.check import WorkloadSpec, check_workload, dump_reproducer
-
-    wspec = WorkloadSpec(system="linux", streams=1, groups_per_stream=2,
-                         writes_per_group=1, depth=1, max_points=4)
-    path = tmp_path / "repro.json"
-    dump_reproducer(path, check_workload(wspec))
-    spec = load_spec_file(path)
-    assert spec.scenario == "check"
-    assert spec.workload["systems"] == ["linux"]
-    assert spec == upgrade_workload_spec(wspec.to_dict())
-
-
 def test_load_spec_rejects_garbage():
-    with pytest.raises(SpecError, match="unrecognized document"):
-        load_spec({"what": "is this"})
+    with pytest.raises(SpecError, match=r"unknown top-level key\(s\) "
+                       r"\['what'\]"):
+        ScenarioSpec.from_dict({"what": "is this"})
     with pytest.raises(SpecError, match="expected an object"):
-        load_spec([1, 2, 3])
-    for payload in ({}, {"spec": [1]}):  # a reproducer without a spec
-        with pytest.raises(SpecError, match='expected a "spec" object'):
-            load_spec({"kind": "repro-check-reproducer", **payload})
+        ScenarioSpec.from_dict([1, 2, 3])
+    with pytest.raises(SpecError, match="spec.scenario"):
+        ScenarioSpec.from_dict({})
 
 
 def test_load_spec_file_wraps_errors_with_the_path(tmp_path):
@@ -362,16 +350,6 @@ def test_load_spec_file_wraps_errors_with_the_path(tmp_path):
     invalid.write_text(json.dumps({"scenario": "warp"}))
     with pytest.raises(SpecError, match="invalid.json"):
         load_spec_file(invalid)
-
-
-def test_upgrade_fault_plan_round_trips_through_faultplan():
-    from repro.sim.faults import FaultPlan
-
-    plan = FaultPlan(seed=5, delay_probability=0.02)
-    plan.target_stall(at=1e-4, target_index=0, duration=5e-5)
-    spec = upgrade_fault_plan(plan.to_dict())
-    rebuilt = FaultPlan.from_dict(spec.faults)
-    assert rebuilt.to_dict() == plan.to_dict()
 
 
 # ----------------------------------------------------------------------

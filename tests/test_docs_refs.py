@@ -12,8 +12,8 @@ and verifies three kinds of reference against the actual repository:
 * **relative links** — ``[text](other.md#anchor)`` targets exist, and the
   ``#anchor`` matches a real heading;
 * **JSON snippets** — every ```` ```json ```` fenced block parses, and
-  any block shaped like a ScenarioSpec (or a legacy shape ``load_spec``
-  upgrades) passes full spec validation;
+  any block shaped like a ScenarioSpec (or like a pre-spec document the
+  loader rejects) passes full spec validation;
 * **CLI invocations** — every ``python -m repro ...`` command, in a fenced
   block or inline code, parses with the CLI's own argument parser
   (parsing only: nothing runs).
@@ -180,12 +180,12 @@ def test_relative_links_and_anchors(doc):
 
 
 def _spec_shaped(data) -> bool:
-    """Would ``repro.spec.load_spec`` accept this document?
+    """Is this document meant as a spec?
 
-    Mirrors the loader's own shape detection: v1 specs carry
-    ``scenario``/``version``, check reproducers carry ``kind``, legacy
-    WorkloadSpec dicts carry ``system``, and bare fault plans are a
-    subset of the fault-plan field set.
+    v1 specs carry ``scenario``/``version``.  The pre-spec shapes count
+    too — check reproducer payloads carry ``kind``, bare WorkloadSpec
+    dicts ``system``, bare fault plans only fault-plan fields — so a doc
+    that still shows one fails validation instead of passing unread.
     """
     if not isinstance(data, dict):
         return False
@@ -198,7 +198,7 @@ def _spec_shaped(data) -> bool:
 
 @pytest.mark.parametrize("doc", DOC_FILES, ids=_doc_ids())
 def test_json_snippets_parse_and_validate(doc):
-    from repro.spec import SpecError, load_spec
+    from repro.spec import ScenarioSpec, SpecError
 
     text = doc.read_text()
     problems = []
@@ -211,7 +211,7 @@ def test_json_snippets_parse_and_validate(doc):
             continue
         if _spec_shaped(data):
             try:
-                load_spec(data)
+                ScenarioSpec.from_dict(data)
             except SpecError as exc:
                 problems.append(f"json block {i}: invalid spec: {exc}")
     assert not problems, (
@@ -274,7 +274,7 @@ def test_cookbook_examples_match_shipped_specs():
     one of ``examples/specs/*.json`` — the cookbook cannot drift from
     what CI actually runs.
     """
-    from repro.spec import load_spec, load_spec_file
+    from repro.spec import ScenarioSpec, load_spec_file
 
     shipped = {
         load_spec_file(path).digest(): path.name
@@ -288,7 +288,7 @@ def test_cookbook_examples_match_shipped_specs():
     spec_snippets = [s for s in snippets if _spec_shaped(s)]
     assert len(spec_snippets) >= 4, "cookbook needs at least 4 worked specs"
     for data in spec_snippets:
-        digest = load_spec(data).digest()
+        digest = ScenarioSpec.from_dict(data).digest()
         assert digest in shipped, (
             f"cookbook snippet {data.get('name')!r} matches no file in "
             f"examples/specs/ (have: {sorted(shipped.values())})"
