@@ -26,29 +26,31 @@ Two seeded scenarios exercise :mod:`repro.robust` end to end:
   while *unordered* flows fail over to the healthy shard, and bystander
   tenants keep their tail latency.
 
-Both scenarios run as independent, seeded cells on the sweep runner
-(:mod:`repro.harness.sweep`), so ``--jobs N`` fans them out and a warm
-cache replays them bit-identically (spec-order reduce, as with
-``repro saturate``).  Entry points: ``repro overload`` (CLI) and
-:func:`overload_sweep`, the sweep of an ``overload``
+Both drive their ordered writes with the one open-loop generator,
+:func:`repro.scale.loadgen.run_open_loop`, and read its goodput (status-0
+completions) and failures by cause.  Both run as independent, seeded
+cells on the sweep runner (:mod:`repro.harness.sweep`), so ``--jobs N``
+fans them out and a warm cache replays them bit-identically (spec-order
+reduce, as with ``repro saturate``).  Entry points: ``repro overload``
+(CLI) and :func:`overload_sweep`, the sweep of an ``overload``
 :class:`~repro.spec.ScenarioSpec` that :func:`repro.spec.run_scenario`
 runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from itertools import chain
+from typing import Dict, List
 
 from repro.harness.experiment import LAYOUTS, FigureResult
 from repro.harness.saturate import WARMUP
 from repro.harness.sweep import RunSpec, Sweep
 from repro.nvmeof.initiator import DriverHardening
 from repro.robust.admission import AdmissionConfig
+from repro.sim.stats import LatencyRecorder
 
 __all__ = [
     "PROTECTIONS",
-    "OverloadRun",
     "probe_overload",
     "overload_sweep",
     "probe_gray",
@@ -107,133 +109,6 @@ def _hardening(protection: str) -> DriverHardening:
     raise ValueError(f"unknown protection {protection!r} (have {PROTECTIONS})")
 
 
-@dataclass
-class OverloadRun:
-    """Measured outcome of one status-aware open-loop run."""
-
-    offered_iops: float
-    elapsed: float
-    good_ops: int = 0
-    failed_ops: int = 0
-    failures_by_cause: Dict[str, int] = None
-    p50_us: float = 0.0
-    p99_us: float = 0.0
-    p999_us: float = 0.0
-
-    @property
-    def goodput_iops(self) -> float:
-        return self.good_ops / self.elapsed if self.elapsed else 0.0
-
-
-def _cause_of(status: int) -> str:
-    from repro.nvmeof.command import (
-        STATUS_BROWNOUT,
-        STATUS_QFULL,
-        STATUS_TIMEOUT,
-    )
-
-    return {
-        STATUS_QFULL: "shed",
-        STATUS_TIMEOUT: "timeout",
-        STATUS_BROWNOUT: "brownout",
-    }.get(status, "error")
-
-
-def _run_status_loop(
-    cluster,
-    stack,
-    offered_iops: float,
-    tenants: int,
-    duration: float,
-    warmup: float,
-    seed: int,
-    next_lba_for=None,
-    per_tenant: Optional[List] = None,
-) -> OverloadRun:
-    """Status-aware open loop: like
-    :func:`repro.scale.loadgen.run_open_loop` but completions are split
-    into goodput (every bio status 0) and failures by cause, so shedding
-    and fast-fails are visible instead of counted as throughput.
-
-    ``next_lba_for(tenant)`` optionally overrides the address generator
-    (the gray scenario pins tenants to shards by LBA congruence);
-    ``per_tenant`` optionally receives one LatencyRecorder per tenant.
-    Goodput and failures count in two measurement windows; neither opens
-    the cluster's CPU window, since no overload output reads busy cores.
-    """
-    from repro.scale.loadgen import (
-        OPEN_LOOP_INFLIGHT_CAP,
-        TENANT_AREA_BLOCKS,
-    )
-    from repro.sim.engine import Environment
-    from repro.sim.resources import IssueWindow
-    from repro.sim.rng import DeterministicRNG
-    from repro.sim.stats import LatencyRecorder, MeasurementWindow
-
-    env: Environment = cluster.env
-    good = MeasurementWindow(env, warmup, duration)
-    failed = MeasurementWindow(env, warmup, duration)
-    per_tenant_rate = offered_iops / tenants
-    run = OverloadRun(offered_iops=offered_iops, elapsed=duration,
-                      failures_by_cause={})
-    recorders = per_tenant if per_tenant is not None else []
-    while len(recorders) < tenants:
-        recorders.append(LatencyRecorder())
-
-    def complete(tenant, arrival, events):
-        statuses = [
-            e.bio.status for e in events if getattr(e, "bio", None) is not None
-        ]
-        bad = next((s for s in statuses if s), 0)
-        if bad:
-            if failed.count():
-                cause = _cause_of(bad)
-                run.failures_by_cause[cause] = (
-                    run.failures_by_cause.get(cause, 0) + 1
-                )
-            return
-        latency = good.complete(arrival)
-        if latency is not None:
-            recorders[tenant].record(latency)
-
-    def tenant_body(tenant: int):
-        rng = DeterministicRNG(seed).fork(f"overload{tenant}")
-        core = cluster.initiator.cpus.pick(tenant)
-        if next_lba_for is not None:
-            next_lba = next_lba_for(tenant)
-        else:
-            lba_rng = rng.fork("lba")
-            base = tenant * TENANT_AREA_BLOCKS
-
-            def next_lba() -> int:
-                slot = lba_rng.randint(0, TENANT_AREA_BLOCKS // 4 - 1)
-                return base + slot * 4
-
-        arrival = 0.0
-        window = IssueWindow(env, OPEN_LOOP_INFLIGHT_CAP, complete)
-        while True:
-            arrival += rng.expovariate(per_tenant_rate)
-            if arrival >= good.end:
-                return
-            if arrival > env.now:
-                yield env.timeout(arrival - env.now)
-            done = yield from stack.write_ordered(
-                core, tenant, lba=next_lba(), nblocks=1, end_of_group=True,
-            )
-            events = [done]
-            yield from window.issue(events, tenant, arrival, events)
-
-    for tenant in range(tenants):
-        env.process(tenant_body(tenant))
-    env.run(until=good.end)
-    run.good_ops = good.ops
-    run.failed_ops = failed.ops
-    run.p50_us = good.latency.p50 * 1e6
-    run.p99_us = good.latency.p99 * 1e6
-    run.p999_us = good.latency.p999 * 1e6
-    return run
-
-
 def _plane_counters(cluster) -> Dict[str, float]:
     """Aggregate robustness-plane counters over targets and drivers."""
     received = sum(t.commands_received for t in cluster.targets)
@@ -266,14 +141,21 @@ def probe_overload(
     duration: float = 2e-3,
     seed: int = 42,
 ) -> Dict[str, float]:
-    """One metastable-overload cell: fresh testbed, one status-aware run,
+    """One metastable-overload cell: fresh testbed, one open-loop run,
     measured for ``duration`` after the saturation cells'
-    :data:`~repro.harness.saturate.WARMUP`.
+    :data:`~repro.harness.saturate.WARMUP`.  Goodput and its latency
+    count status-0 completions only.
 
     Top-level and scalar-valued so the sweep runner can execute it in a
     worker process and key it in the content-addressed result cache.
     """
-    from repro.scale import ScaleOutCluster, ShardedStack
+    from repro.scale import (
+        OpenLoopConfig,
+        ScaleOutCluster,
+        ShardedStack,
+        run_open_loop,
+    )
+    from repro.scale.loadgen import _make_lba_chooser
     from repro.sim.engine import Environment
 
     if layout not in LAYOUTS:
@@ -287,31 +169,23 @@ def probe_overload(
         cluster.install_admission(PROTECTED_ADMISSION)
     stack = ShardedStack(cluster, system, num_streams=max(tenants, 1))
 
-    def _persisted() -> float:
-        return float(sum(
-            ssd.commands_served
-            for target in cluster.targets for ssd in target.ssds
-        ))
-
-    marks: Dict[str, float] = {}
-
-    def persist_window():
-        yield env.timeout(WARMUP)
-        marks["start"] = _persisted()
-
-    env.process(persist_window())
-    run = _run_status_loop(
-        cluster, stack, offered_kiops * 1e3, tenants, duration, WARMUP, seed,
+    run = run_open_loop(
+        cluster, stack,
+        OpenLoopConfig(offered_iops=offered_kiops * 1e3, tenants=tenants,
+                       duration=duration, warmup=WARMUP, seed=seed),
+        rng_label="overload",
+        # Random 4-block-aligned slots of each tenant's private area.
+        next_lba_for=lambda tenant, rng: _make_lba_chooser(tenant, rng, 4),
     )
     # Completed vs persisted separates real goodput from the completion
     # mirage: an unprotected driver's timeout retransmissions get
     # duplicate-acked while the original still queues in the device, so
     # completions can exceed what the media actually persists.
-    persisted_kiops = (_persisted() - marks.get("start", 0.0)) / duration / 1e3
+    persisted_kiops = run.ssd_commands_served / duration / 1e3
     counters = _plane_counters(cluster)
     timeout_fails = run.failures_by_cause.get("timeout", 0)
-    total_ops = run.good_ops + run.failed_ops
     goodput_kiops = run.goodput_iops / 1e3
+    good = LatencyRecorder(chain.from_iterable(run.good_latencies))
     result = {
         "offered_kiops": offered_kiops,
         "goodput_kiops": goodput_kiops,
@@ -319,10 +193,10 @@ def probe_overload(
         "completion_debt_kiops": goodput_kiops - persisted_kiops,
         "good_ops": float(run.good_ops),
         "failed_ops": float(run.failed_ops),
-        "timeout_rate": timeout_fails / total_ops if total_ops else 0.0,
-        "p50_us": run.p50_us,
-        "p99_us": run.p99_us,
-        "p999_us": run.p999_us,
+        "timeout_rate": timeout_fails / run.ops if run.ops else 0.0,
+        "p50_us": good.p50 * 1e6,
+        "p99_us": good.p99 * 1e6,
+        "p999_us": good.p999 * 1e6,
     }
     result.update(counters)
     return result
@@ -471,12 +345,17 @@ def probe_gray(
     breaker on the sick target opens.
     """
     from repro.block.request import BlockRequest
-    from repro.scale import ScaleOutCluster, ShardedStack
+    from repro.scale import (
+        OpenLoopConfig,
+        ScaleOutCluster,
+        ShardedStack,
+        run_open_loop,
+    )
     from repro.scale.loadgen import TENANT_AREA_BLOCKS
     from repro.sim.engine import Environment
     from repro.sim.faults import FaultPlan
     from repro.sim.rng import DeterministicRNG
-    from repro.sim.stats import LatencyRecorder, MeasurementWindow
+    from repro.sim.stats import MeasurementWindow
 
     profiles = LAYOUTS[GRAY_LAYOUT]
     width = sum(len(t) for t in profiles)
@@ -496,7 +375,7 @@ def probe_gray(
 
     sick_member = 0  # target 0 == volume member 0 (one SSD per target)
 
-    def next_lba_for(tenant: int):
+    def next_lba_for(tenant: int, _rng):
         rng = DeterministicRNG(seed).fork(f"gray-lba{tenant}")
         base = tenant * TENANT_AREA_BLOCKS
         member = tenant % width
@@ -508,8 +387,6 @@ def probe_gray(
             return base + slot * 2 * width + member
 
         return next_lba
-
-    per_tenant: List[LatencyRecorder] = []
 
     # ---- unordered flows: health-steered driver-level writes ----
     node = cluster.nodes[0]
@@ -546,10 +423,13 @@ def probe_gray(
     for flow in range(GRAY_UNORDERED_TENANTS):
         env.process(unordered_body(flow))
 
-    run = _run_status_loop(
-        cluster, stack, offered_kiops * 1e3, tenants, duration, warmup, seed,
-        next_lba_for=next_lba_for, per_tenant=per_tenant,
+    run = run_open_loop(
+        cluster, stack,
+        OpenLoopConfig(offered_iops=offered_kiops * 1e3, tenants=tenants,
+                       duration=duration, warmup=warmup, seed=seed),
+        rng_label="overload", next_lba_for=next_lba_for,
     )
+    per_tenant = [LatencyRecorder(samples) for samples in run.good_latencies]
 
     sick = [t for t in range(tenants) if t % width == sick_member]
     bystanders = [t for t in range(tenants) if t % width != sick_member]

@@ -14,17 +14,28 @@ drives any :class:`~repro.systems.base.OrderedStack`, including the
 sharded multi-initiator facade
 (:class:`repro.scale.cluster.ShardedStack`), which routes each tenant's
 stream to its owning initiator host.
+
+It is the one open-loop generator.  ``repro saturate``, the tenant curves
+and storm, and the robustness plane's metastable-overload and gray-target
+cells all run on it.  Next to every completion it reports the goodput
+(completions whose bio status is 0) and the failures by cause, so shedding
+and fast-fails are visible beside the served load.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.nvmeof.command import STATUS_BROWNOUT, STATUS_QFULL, STATUS_TIMEOUT
 from repro.sim.engine import Environment
 from repro.sim.resources import IssueWindow
 from repro.sim.rng import DeterministicRNG
-from repro.sim.stats import LatencyRecorder, MeasurementWindow
+from repro.sim.stats import (
+    LatencyRecorder,
+    MeasurementWindow,
+    ssd_commands_served,
+)
 
 __all__ = [
     "OpenLoopConfig",
@@ -39,6 +50,13 @@ TENANT_AREA_BLOCKS = 16_000_000
 #: offered rate is far past saturation.  Latency is still charged from
 #: the intended arrival time, so the knee remains visible.
 OPEN_LOOP_INFLIGHT_CAP = 256
+
+#: Bio status -> failure cause; any other nonzero status is ``error``.
+_CAUSES = {
+    STATUS_QFULL: "shed",
+    STATUS_TIMEOUT: "timeout",
+    STATUS_BROWNOUT: "brownout",
+}
 
 
 @dataclass(frozen=True)
@@ -68,7 +86,15 @@ class OpenLoopConfig:
 
 @dataclass
 class LoadgenResult:
-    """Measured outcome of one load-generator run."""
+    """Measured outcome of one load-generator run.
+
+    ``ops`` and ``latency`` count every completion inside the window,
+    error completions included.  ``failures_by_cause`` counts the error
+    completions inside the window by the cause of their status, and
+    ``good_latencies`` holds each tenant's sampled status-0 latencies.
+    ``ssd_commands_served`` is what the targets' SSDs served from the
+    window's opening to its end.
+    """
 
     system: str
     tenants: int
@@ -78,10 +104,26 @@ class LoadgenResult:
     latency: LatencyRecorder = field(default_factory=LatencyRecorder)
     initiator_busy_cores: float = 0.0
     target_busy_cores: float = 0.0
+    failures_by_cause: Dict[str, int] = field(default_factory=dict)
+    good_latencies: List[List[float]] = field(default_factory=list)
+    ssd_commands_served: int = 0
 
     @property
     def achieved_iops(self) -> float:
         return self.ops / self.elapsed if self.elapsed else 0.0
+
+    @property
+    def failed_ops(self) -> int:
+        return sum(self.failures_by_cause.values())
+
+    @property
+    def good_ops(self) -> int:
+        """Completions inside the window whose bio status is 0."""
+        return self.ops - self.failed_ops
+
+    @property
+    def goodput_iops(self) -> float:
+        return self.good_ops / self.elapsed if self.elapsed else 0.0
 
     @property
     def iops_per_busy_core(self) -> float:
@@ -91,12 +133,16 @@ class LoadgenResult:
         return self.achieved_iops / self.initiator_busy_cores
 
 
-def _make_lba_chooser(rng: DeterministicRNG, base: int, op_blocks: int):
-    """Random address generator for one tenant (fio's rand idiom)."""
+def _make_lba_chooser(tenant: int, rng: DeterministicRNG, stride: int):
+    """Random address generator for one tenant (fio's rand idiom): a
+    random ``stride``-aligned slot of its private area, drawn from
+    ``rng``'s ``lba`` fork."""
+    lba_rng = rng.fork("lba")
+    base = tenant * TENANT_AREA_BLOCKS
 
     def next_lba() -> int:
-        slot = rng.randint(0, TENANT_AREA_BLOCKS // (op_blocks + 2) - 1)
-        return base + slot * (op_blocks + 2)  # +2: never LBA-consecutive
+        slot = lba_rng.randint(0, TENANT_AREA_BLOCKS // stride - 1)
+        return base + slot * stride
 
     return next_lba
 
@@ -128,8 +174,9 @@ def _tenant_blocks(config: OpenLoopConfig) -> List[int]:
     return list(config.blocks)
 
 
-def run_open_loop(cluster, stack, config: OpenLoopConfig,
-                  plane=None) -> LoadgenResult:
+def run_open_loop(cluster, stack, config: OpenLoopConfig, plane=None,
+                  rng_label: str = "loadgen-open",
+                  next_lba_for=None) -> LoadgenResult:
     """Run a fixed-rate Poisson workload to the end of its window.
 
     ``plane`` (a :class:`repro.tenants.traffic.TenantTrafficPlane` or
@@ -147,7 +194,15 @@ def run_open_loop(cluster, stack, config: OpenLoopConfig,
     :data:`TENANT_AREA_BLOCKS` area.  The run's
     :class:`~repro.sim.stats.MeasurementWindow` counts an op toward
     ``ops`` when it completes inside the window, and records its latency
-    when it also arrived inside it, whatever its status.
+    when it also arrived inside it, whatever its status.  An op whose bio
+    status is nonzero counts in ``failures_by_cause`` instead of in the
+    goodput.
+
+    Tenant ``t`` draws its arrivals from the seed's ``{rng_label}{t}``
+    fork, and its addresses from ``next_lba_for(t, rng)``, a function of
+    the tenant and that fork that returns a ``next_lba()`` callable.  The
+    default chooser strides ``blocks + 2``, so ops are never
+    LBA-consecutive.
     """
     if config.tenants < 1:
         raise ValueError("need at least one tenant")
@@ -160,19 +215,31 @@ def run_open_loop(cluster, stack, config: OpenLoopConfig,
     rates = _tenant_rates(config)
     blocks = _tenant_blocks(config)
     peak = plane.peak_factor() if plane is not None else 1.0
+    failures = result.failures_by_cause
+    good_latencies = result.good_latencies = [[] for _ in blocks]
+    if next_lba_for is None:
+        def next_lba_for(tenant, rng):
+            return _make_lba_chooser(tenant, rng, blocks[tenant] + 2)
 
-    def complete(arrival, who):
+    def complete(arrival, tenant, who, done):
         latency = measured.complete(arrival)
+        bio = getattr(done, "bio", None)
+        status = bio.status if bio is not None else 0
+        if status:
+            if measured.inside():
+                cause = _CAUSES.get(status, "error")
+                failures[cause] = failures.get(cause, 0) + 1
+        elif latency is not None:
+            good_latencies[tenant].append(latency)
         if latency is not None and who is not None:
             plane.record(who, latency)
 
     def tenant_body(tenant: int):
-        rng = DeterministicRNG(config.seed).fork(f"loadgen-open{tenant}")
+        rng = DeterministicRNG(config.seed).fork(f"{rng_label}{tenant}")
         plane_rng = rng.fork("tenant-plane") if plane is not None else None
         core = cluster.initiator.cpus.pick(tenant)
         nblocks = blocks[tenant]
-        next_lba = _make_lba_chooser(
-            rng.fork("lba"), tenant * TENANT_AREA_BLOCKS, nblocks)
+        next_lba = next_lba_for(tenant, rng)
         arrival = 0.0
         window = IssueWindow(env, OPEN_LOOP_INFLIGHT_CAP, complete)
         while True:
@@ -191,7 +258,7 @@ def run_open_loop(cluster, stack, config: OpenLoopConfig,
                 core, tenant, lba=next_lba(), nblocks=nblocks,
                 end_of_group=True, **tag,
             )
-            yield from window.issue([done], arrival, who)
+            yield from window.issue([done], arrival, tenant, who, done)
 
     measured.watch_cpu(cluster)
     for tenant in range(config.tenants):
@@ -202,4 +269,6 @@ def run_open_loop(cluster, stack, config: OpenLoopConfig,
     result.elapsed = config.duration
     result.initiator_busy_cores = cluster.initiator_busy_cores(config.duration)
     result.target_busy_cores = cluster.target_busy_cores(config.duration)
+    result.ssd_commands_served = (ssd_commands_served(cluster)
+                                  - measured.served_at_start)
     return result

@@ -22,18 +22,21 @@ closes a cluster's tracker windows at the window's instants.
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from repro.sim.engine import Environment
 
-__all__ = ["MeasurementWindow", "LatencyRecorder", "BusyTracker"]
+__all__ = ["MeasurementWindow", "LatencyRecorder", "BusyTracker",
+           "ssd_commands_served"]
 
 
 class LatencyRecorder:
     """Collects individual operation latencies (seconds)."""
 
-    def __init__(self) -> None:
+    def __init__(self, samples: Iterable[float] = ()) -> None:
         self._samples: List[float] = []
+        for latency in samples:
+            self.record(latency)
 
     def record(self, latency: float) -> None:
         if latency < 0:
@@ -75,6 +78,12 @@ class LatencyRecorder:
     @property
     def maximum(self) -> float:
         return max(self._samples) if self._samples else 0.0
+
+
+def ssd_commands_served(cluster) -> int:
+    """Commands served by every SSD of ``cluster``'s targets."""
+    return sum(ssd.commands_served
+               for target in cluster.targets for ssd in target.ssds)
 
 
 class BusyTracker:
@@ -156,15 +165,16 @@ class MeasurementWindow:
     sample when it was also issued inside.  Drivers report one of the two
     counts:
 
-    * completed ops (``ops``): fio, the open loop, the overload status
-      loop and the Filebench personalities (Varmail, fileserver);
+    * completed ops (``ops``): fio, the open loop (saturate, tenants,
+      overload and gray) and the Filebench personalities (Varmail,
+      fileserver);
     * issued-and-completed ops (``samples``): the fillsync and OLTP
       databases and the Fig. 13 fsync probe.
 
     :func:`repro.scale.loadgen.run_open_loop` counts and samples every
-    completion, error completions included; the overload status loop
-    keeps its failures in a second window.  One count for every driver,
-    and what an error completion counts as, are ROADMAP open item 4.
+    completion, error completions included, and splits the goodput from
+    the failures beside these counts.  One count for every driver, and
+    what an error completion counts as, are ROADMAP open item 4.
     """
 
     def __init__(self, env: Environment, warmup: float, duration: float):
@@ -176,18 +186,24 @@ class MeasurementWindow:
         self.ops = 0
         self.bytes = 0
         self.latency = LatencyRecorder()
-        #: The initiator driver's ``commands_sent`` when the CPU window
-        #: opened (see :meth:`watch_cpu`).
+        #: The initiator driver's ``commands_sent`` and the cluster's
+        #: :func:`ssd_commands_served` when the CPU window opened (see
+        #: :meth:`watch_cpu`).
         self.commands_at_start = 0
+        self.served_at_start = 0
 
     @property
     def samples(self) -> int:
         return self.latency.count
 
+    def inside(self) -> bool:
+        """True when now is inside the window."""
+        return self.start <= self.env.now <= self.end
+
     def count(self, weight: int = 1, nbytes: int = 0) -> bool:
         """Count ``weight`` ops of ``nbytes`` completing now; True when
         now is inside the window."""
-        if not self.start <= self.env.now <= self.end:
+        if not self.inside():
             return False
         self.ops += weight
         self.bytes += nbytes
@@ -206,12 +222,14 @@ class MeasurementWindow:
 
     def watch_cpu(self, cluster) -> None:
         """Open and close ``cluster``'s CPU window at the window's
-        instants; call it where the window is made."""
+        instants, taking the opening's ``commands_at_start`` and
+        ``served_at_start``; call it where the window is made."""
         self.env.process(self._watch_cpu(cluster))
 
     def _watch_cpu(self, cluster):
         yield self.env.timeout(self.warmup)
         cluster.start_cpu_window()
         self.commands_at_start = cluster.driver.commands_sent
+        self.served_at_start = ssd_commands_served(cluster)
         yield self.env.timeout(self.duration)
         cluster.stop_cpu_window()

@@ -144,13 +144,12 @@ def _run_check(spec: ScenarioSpec):
 def _check_cell_spec(cell) -> ScenarioSpec:
     """One check cell (a :class:`~repro.check.workload.WorkloadSpec`) as
     the single-cell ``check`` spec whose :func:`_check_cells` is
-    ``[cell]``."""
+    ``[cell]``, named after the cell's ``FAIL`` row."""
+    from repro.check.runner import _cell_label
+
     return ScenarioSpec.from_dict({
         "scenario": "check",
-        # The name predates this helper; it stays so that reproducer
-        # files keep their exact bytes.
-        "name": f"upgraded legacy WorkloadSpec ({cell.system}/"
-                f"{cell.layout}/seed{cell.seed})",
+        "name": f"failing check cell {_cell_label(cell)} seed {cell.seed}",
         "topology": {"initiators": cell.initiators},
         "devices": {"prefill": cell.prefill},
         "workload": {

@@ -4,14 +4,19 @@ Every driver counts its ops, latency samples and busy cores over one
 measurement window, so a change to the window's inclusion rule, its
 instants or its CPU process moves these numbers.  The pins cover the
 Filebench personalities, the OLTP and fillsync databases, the Fig. 13
-fsync probe, the open loop with and without a tenant plane, and the
-overload status loop with and without protection, each on a small
-window.  :mod:`tests.apps.test_fio_exact` pins the closed-loop fio
-driver the same way.
+fsync probe, the open loop with and without a tenant plane, the open
+loop as the overload cells drive it (``status_loop``: its goodput,
+failures by cause and status-0 latencies) with and without protection,
+each on a small window, and the full result of one overload cell per
+protection (with timeouts, retries and sheds) and of the gray cell.
+:mod:`tests.apps.test_fio_exact` pins the closed-loop fio driver the same
+way.
 
 ``run_fillsync`` pins its ``puts`` only: its busy cores are checked
 against the initiator's own busy time in ``tests/apps/test_kvstore.py``.
 """
+
+from itertools import chain
 
 import pytest
 
@@ -24,7 +29,8 @@ from repro.harness.figures import probe_fs_fsync
 from repro.harness.overload import (
     PROTECTED_ADMISSION,
     _hardening,
-    _run_status_loop,
+    probe_gray,
+    probe_overload,
 )
 from repro.scale import (
     OpenLoopConfig,
@@ -32,7 +38,9 @@ from repro.scale import (
     ShardedStack,
     run_open_loop,
 )
+from repro.scale.loadgen import _make_lba_chooser
 from repro.sim import Environment
+from repro.sim.stats import LatencyRecorder
 from repro.tenants import DiurnalProfile, TenantDirectory, TenantTrafficPlane
 
 KINDS = ("ext4", "riofs")
@@ -115,15 +123,31 @@ def _status_loop(protection, offered_iops):
     if protection == "full":
         cluster.install_admission(PROTECTED_ADMISSION)
     stack = ShardedStack(cluster, "rio", num_streams=4)
-    per_tenant = []
-    run = _run_status_loop(cluster, stack, offered_iops, 4, 1e-3, 0.2e-3, 7,
-                           per_tenant=per_tenant)
+    run = run_open_loop(cluster, stack, OpenLoopConfig(
+        offered_iops=offered_iops, tenants=4, duration=1e-3, warmup=0.2e-3,
+        seed=7,
+    ), rng_label="overload",
+        next_lba_for=lambda tenant, rng: _make_lba_chooser(tenant, rng, 4))
+    good = LatencyRecorder(chain.from_iterable(run.good_latencies))
     return (
         run.good_ops, run.failed_ops, tuple(sorted(
             run.failures_by_cause.items())),
-        repr(run.p50_us), repr(run.p99_us), repr(run.p999_us),
-        tuple(r.count for r in per_tenant),
+        repr(good.p50 * 1e6), repr(good.p99 * 1e6), repr(good.p999 * 1e6),
+        tuple(len(samples) for samples in run.good_latencies),
     )
+
+
+def _reprs(row):
+    return {key: repr(value) for key, value in row.items()}
+
+
+def _overload(protection):
+    return _reprs(probe_overload("rio", "optane", 1600, protection,
+                                 duration=1e-3))
+
+
+def _gray(seed):
+    return _reprs(probe_gray(seed=seed))
 
 
 DRIVERS = {
@@ -134,6 +158,8 @@ DRIVERS = {
     "fs_fsync": _fs_fsync,
     "open_loop": _open_loop,
     "status_loop": _status_loop,
+    "overload": _overload,
+    "gray": _gray,
 }
 
 CASES = (
@@ -144,10 +170,13 @@ CASES = (
        for system in ("linux", "rio") for plane in (False, True)]
     + [("status_loop", (protection, load))
        for protection in ("off", "full") for load in (150e3, 3000e3)]
+    + [("overload", (protection,)) for protection in ("off", "full")]
+    + [("gray", (42,))]
 )
 
 #: (driver, args) -> the driver's outputs: counts, and the ``repr`` of
-#: latencies and busy cores.
+#: latencies and busy cores; for the overload and gray cells, the
+#: ``repr`` of every key of the result.
 PINS = {
     ('varmail', ('ext4', 1)): (61, 15),
     ('varmail', ('ext4', 4)): (120, 30),
@@ -215,6 +244,74 @@ PINS = {
         513, 0, (), '977.5037579709776', '989.8133742645994',
         '989.8133742645994', (5, 0, 4, 6),
     ),
+    ('overload', ('off',)): {
+        'offered_kiops': '1600',
+        'goodput_kiops': '1019.0',
+        'persisted_kiops': '280.0',
+        'completion_debt_kiops': '739.0',
+        'good_ops': '1019.0',
+        'failed_ops': '13.0',
+        'timeout_rate': '0.012596899224806201',
+        'p50_us': '281.6597642724054',
+        'p99_us': '801.6540458054437',
+        'p999_us': '816.8171436261443',
+        'commands_received': '3620.0',
+        'commands_shed': '0.0',
+        'shed_rate': '0.0',
+        'timeouts': '13.0',
+        'retries': '3648.0',
+        'retries_suppressed': '0.0',
+        'requeues': '0.0',
+        'fast_fails': '0.0',
+        'dead_streams': '0.0',
+    },
+    ('overload', ('full',)): {
+        'offered_kiops': '1600',
+        'goodput_kiops': '512.0',
+        'persisted_kiops': '511.0',
+        'completion_debt_kiops': '1.0',
+        'good_ops': '512.0',
+        'failed_ops': '0.0',
+        'timeout_rate': '0.0',
+        'p50_us': '910.0605606278322',
+        'p99_us': '957.488726388265',
+        'p999_us': '957.488726388265',
+        'commands_received': '1139.0',
+        'commands_shed': '255.0',
+        'shed_rate': '0.22388059701492538',
+        'timeouts': '0.0',
+        'retries': '0.0',
+        'retries_suppressed': '0.0',
+        'requeues': '932.0',
+        'fast_fails': '0.0',
+        'dead_streams': '0.0',
+    },
+    ('gray', (42,)): {
+        'offered_kiops': '120',
+        'goodput_kiops': '93.25',
+        'failed_ops': '108.0',
+        'brownouts': '108.0',
+        'bystander_p999_us': '31.281601266157715',
+        'bystander_samples': '106.0',
+        'sick_tenants_active': '2.0',
+        'breaker_trips': '1.0',
+        'sick_breaker_open': '1.0',
+        'healthy_breakers_closed': '1.0',
+        'failovers': '3.0',
+        'unordered_good': '129.0',
+        'unordered_failed': '0.0',
+        'unordered_on_sick': '47.0',
+        'unordered_on_healthy': '82.0',
+        'commands_received': '662.0',
+        'commands_shed': '0.0',
+        'shed_rate': '0.0',
+        'timeouts': '0.0',
+        'retries': '0.0',
+        'retries_suppressed': '0.0',
+        'requeues': '0.0',
+        'fast_fails': '108.0',
+        'dead_streams': '2.0',
+    },
 }
 
 

@@ -89,3 +89,58 @@ def test_open_loop_rejects_bad_config():
         run_open_loop(cluster, stack, OpenLoopConfig(
             offered_iops=1000, tenants=0,
         ))
+
+
+# ----------------------------------------------------------------------
+# Goodput and failures by cause
+# ----------------------------------------------------------------------
+
+
+def _record_runs(monkeypatch):
+    """Make every probe's ``run_open_loop`` call append its result to the
+    returned list."""
+    import repro.scale
+
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(run_open_loop(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(repro.scale, "run_open_loop", recording)
+    return runs
+
+
+def _assert_accounting(run):
+    assert run.failed_ops > 0  # the failure path ran
+    assert run.good_ops + run.failed_ops == run.ops
+    assert sum(run.failures_by_cause.values()) == run.failed_ops
+    assert len(run.good_latencies) == run.tenants
+    assert sum(map(len, run.good_latencies)) <= run.good_ops
+
+
+def test_overload_cell_splits_every_completion_into_good_or_failed(
+        monkeypatch):
+    from repro.harness.overload import probe_overload
+
+    runs = _record_runs(monkeypatch)
+    row = probe_overload("rio", "optane", 3000, "off")
+    (run,) = runs
+    _assert_accounting(run)
+    assert row["good_ops"] == run.good_ops
+    assert row["failed_ops"] == run.failed_ops
+    assert row["timeout_rate"] == (
+        run.failures_by_cause["timeout"] / run.ops)
+
+
+def test_storm_cell_splits_every_completion_into_good_or_failed(
+        monkeypatch):
+    from repro.harness.tenants import probe_noisy_neighbor
+
+    runs = _record_runs(monkeypatch)
+    # The bench storm cell: its shed bronze ops fail inside the window.
+    row = probe_noisy_neighbor("rio", qos=True, duration=12e-3)
+    (run,) = runs
+    _assert_accounting(run)
+    # The storm's served load still counts its error completions.
+    assert row["achieved_kiops"] == run.ops / run.elapsed / 1e3

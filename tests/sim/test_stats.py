@@ -16,6 +16,7 @@ def test_latency_recorder_statistics():
     assert recorder.percentile(50) == 2.0
     assert recorder.percentile(100) == 4.0
     assert recorder.p99 == 4.0
+    assert LatencyRecorder((4.0, 1.0, 3.0, 2.0)).percentile(50) == 2.0
 
 
 def test_latency_recorder_empty():
@@ -31,6 +32,8 @@ def test_latency_recorder_validation():
         recorder.record(-1.0)
     with pytest.raises(ValueError):
         recorder.percentile(101)
+    with pytest.raises(ValueError):
+        LatencyRecorder([1.0, -1.0])
 
 
 def test_busy_tracker_nested_sections_count_once():
@@ -137,9 +140,17 @@ def test_window_opens_and_closes_the_cpu_window_at_its_instants():
     env = Environment()
     calls = []
 
+    class Ssd:
+        commands_served = 3
+
+    class Target:
+        ssds = [Ssd(), Ssd()]
+
     class Cluster:
         class driver:
             commands_sent = 7
+
+        targets = [Target(), Target()]
 
         def start_cpu_window(self):
             calls.append(("start", env.now))
@@ -152,3 +163,4 @@ def test_window_opens_and_closes_the_cpu_window_at_its_instants():
     env.run(until=4.0)
     assert calls == [("start", 1.0), ("stop", 3.0)]
     assert window.commands_at_start == 7
+    assert window.served_at_start == 12

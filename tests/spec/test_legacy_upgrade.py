@@ -39,6 +39,14 @@ def test_upgrade_preserves_every_workload_field():
     assert _check_cells(spec) == [cell]
 
 
+def test_reproducer_is_named_after_its_fail_row_and_keeps_its_digest():
+    spec = _check_cell_spec(_CELL)
+    assert spec.name == "failing check cell check:linux/optane seed 0"
+    # The name is outside the digest, so renaming moved no cache key.
+    assert spec.digest() == (
+        "cac1f1c071453b4181ff7415dad9a54ecc5b6094c70c6f22a7c2be6782448231")
+
+
 def test_dumped_reproducer_runs_via_the_spec_path(tmp_path):
     spec = _check_cell_spec(_CELL)
     outcome = ScenarioOutcome(spec=spec, result=None, reproducers=[spec])
