@@ -18,6 +18,7 @@ covers.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.block.request import Bio, BlockRequest
@@ -43,6 +44,13 @@ def observe_merge(obs, into: BlockRequest, request: BlockRequest) -> None:
         survivor.attrs["bios"] = tuple(b.bio_id for b in into.bios)
     absorbed = (request.obs or {}).get("queue")
     obs.spans.close(absorbed, merged_into=into.req_id)
+
+
+def _queue_hop(env: Environment, callback) -> None:
+    """Run ``callback`` at the dispatch of a new event due now."""
+    hop = Event(env)
+    hop.callbacks.append(callback)
+    hop.succeed()
 
 
 class Plug:
@@ -269,7 +277,27 @@ class BlockLayer:
     # ------------------------------------------------------------------
 
     def dispatch(self, core: Core, ns: "RemoteNamespace", request: BlockRequest):
-        """Generator: hand one request to the driver; wires completions."""
+        """Generator: hand one request to the driver; wires completions.
+
+        The driver's event completes the request through a callback
+        (:meth:`_complete_request`), not a watcher process.  It runs where
+        a watcher spawned here (waiting once on ``done``) ran its body:
+
+        * ``done`` pending (the usual case): at ``done``'s dispatch, where
+          the watcher resumed too; it registered at its bootstrap, later
+          in this instant.  One other listener registers on ``done``: the
+          driver's command watchdog (``DriverHardening.command_timeout``),
+          whose bootstrap was queued before the watcher's, so the watcher
+          listened after it and this callback listens before it.  The swap
+          cannot be observed: every path that fires ``done`` cancels the
+          command's expiry first, so the watchdog only wakes to find its
+          expiry cancelled and ends.
+        * ``done`` already fired (``InitiatorDriver._fast_fail``): at the
+          watcher's bootstrap the event had been processed, so its body ran
+          at once if nothing else was ready and otherwise one queue hop
+          later.  Two hops queued from here reproduce both: with nothing
+          ready at the first, the second is the next event anyway.
+        """
         if request.qp_index is None:
             request.qp_index = core.index
         for bio in request.bios:
@@ -284,10 +312,20 @@ class BlockLayer:
                             qp=request.qp_index)
         done = yield from self.driver.submit(core, ns, request)
         self.requests_dispatched += 1
-        self.env.process(self._complete_when_done(done, request))
+        complete = partial(self._complete_request, request)
+        if not done.triggered:
+            done.callbacks.append(complete)
+            return
+        env = self.env
+        _queue_hop(env, lambda _hop: _queue_hop(
+            env, lambda _hop: complete(done)))
 
-    def _complete_when_done(self, done: Event, request: BlockRequest):
-        cmd = yield done
+    def _complete_request(self, request: BlockRequest, done: Event) -> None:
+        """Fan the driver's completion (value: the command) out to the
+        request's bios."""
+        if not done.ok:
+            raise done.value
+        cmd = done.value
         if request.op == "read" and cmd is not None and cmd.payload is not None:
             request.payload = cmd.payload
             if len(request.bios) == 1:

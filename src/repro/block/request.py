@@ -69,7 +69,10 @@ class Bio:
     #: the quantity Figure 14's breakdown measures.
     dispatched_at: float = 0.0
     completed_at: float = 0.0
-    #: Completion event, created by the stack that accepts the bio.
+    #: Completion event, created by the stack that accepts the bio.  It
+    #: fires with no value: a bio holds its completion, so a completion
+    #: carrying the bio would make every finished bio cyclic garbage that
+    #: only the cycle collector frees.  Waiters read the bio they hold.
     completion: Optional[Event] = None
     #: Completion status (0 = success).  Non-zero when a covering request
     #: error-completed — e.g. the driver's retry budget ran out
@@ -114,7 +117,7 @@ class Bio:
                 obs.spans.close(self.obs_span, status=self.status)
             self.obs_span = None
         if self.completion is not None and not self.completion.triggered:
-            self.completion.succeed(self)
+            self.completion.succeed()
 
     def __repr__(self) -> str:
         return (

@@ -152,31 +152,36 @@ class RioDevice:
         flush: bool = False,
         kick: Optional[bool] = None,
     ):
-        """Generator (``rio_submit``): submit one ordered write request.
+        """``rio_submit``: submit one ordered write request.
 
-        Returns the ordered completion event.  ``end_of_group`` delimits
-        the group; ``flush`` embeds a FLUSH for durability.  The submission
-        order *is* the storage order of the bio's stream.
+        Returns a generator, for the caller to run at once with ``yield
+        from``; it returns the ordered completion event.  ``end_of_group``
+        delimits the group; ``flush`` embeds a FLUSH for durability.  The
+        submission order *is* the storage order of the bio's stream.
 
         The returned event carries ``event.bio``; after it fires,
         ``event.bio.status`` is nonzero if the write was completed in
         error (e.g. ``STATUS_TIMEOUT`` after the driver's retry budget
         was exhausted under fault injection).
         """
-        release = yield from self.sequencer.submit(
-            core, bio, end_of_group, flush, kick
-        )
         if flush and self._fanout_namespaces:
-            # Durability of a flush group on a multi-device volume: gate
-            # the caller-visible completion behind per-device flushes of
-            # every volatile member (see _fsync_fanout).
-            gate = Event(self.env)
-            gate.bio = bio
-            self.env.process(
-                self._fsync_fanout(core, bio.stream_id, release, gate)
-            )
-            return gate
-        return release
+            return self._submit_gated(core, bio, end_of_group, kick)
+        return self.sequencer.submit(core, bio, end_of_group, flush, kick)
+
+    def _submit_gated(self, core: Core, bio: Bio, end_of_group: bool,
+                      kick: Optional[bool]):
+        """Generator: a flush group on a multi-device volume.  Its
+        durability gates the caller-visible completion behind per-device
+        flushes of every volatile member (see :meth:`_fsync_fanout`)."""
+        release = yield from self.sequencer.submit(
+            core, bio, end_of_group, True, kick
+        )
+        gate = Event(self.env)
+        gate.bio = bio
+        self.env.process(
+            self._fsync_fanout(core, bio.stream_id, release, gate)
+        )
+        return gate
 
     def _fsync_fanout(self, core, stream_local: int, release, gate) -> None:
         """Flush every volatile member device once the group is released.
@@ -225,7 +230,8 @@ class RioDevice:
         ipu: bool = False,
         kick: Optional[bool] = None,
     ):
-        """Generator: convenience wrapper building the bio inline."""
+        """Convenience wrapper building the bio inline; returns the
+        :meth:`submit` generator."""
         bio = Bio(
             op="write",
             lba=lba,
@@ -234,7 +240,7 @@ class RioDevice:
             stream_id=stream_id,
             flags=WriteFlags(ipu=ipu),
         )
-        return (yield from self.submit(core, bio, end_of_group, flush, kick))
+        return self.submit(core, bio, end_of_group, flush, kick)
 
     @staticmethod
     def wait(event):

@@ -20,6 +20,7 @@ W4 until a successful completion response is received").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.block.request import Bio
@@ -62,7 +63,21 @@ class StreamState:
 
 
 class RioSequencer:
-    """Creates ordering attributes and enforces in-order completion."""
+    """Creates ordering attributes and enforces in-order completion.
+
+    Each submitted bio's raw completion reaches the sequencer as a callback
+    registered at submission (:meth:`_complete_one`), not through a
+    watcher process.  A watcher spawned at submission registered the same
+    body on the same event at its bootstrap, later in the same instant.
+    The two give the same order because the completion is fresh and
+    pending at submission, it cannot fire before that bootstrap (the block
+    layer completes a bio from a callback on the driver's event or from a
+    later queue hop, never inside the submitting call), and nothing else
+    registers on it in between.  Only the submitter and the group hold
+    the bio, and recovery's replay, the one other reader of a group's
+    bios, waits on them only after re-enqueueing them, whose CPU charge
+    yields first.
+    """
 
     def __init__(
         self,
@@ -152,8 +167,8 @@ class RioSequencer:
         app_event = Event(self.env)
         app_event.bio = bio  # error/status visibility for callers
         group.app_events.append(app_event)
-        raw = bio.make_completion(self.env)
-        self.env.process(self._watch_completion(stream, group, raw))
+        bio.make_completion(self.env).callbacks.append(
+            partial(self._complete_one, stream, group))
 
         if kick is None:
             kick = end_of_group
@@ -164,8 +179,9 @@ class RioSequencer:
     # In-order completion (§4.1 step ⑨)
     # ------------------------------------------------------------------
 
-    def _watch_completion(self, stream: StreamState, group: GroupState, raw: Event):
-        yield raw
+    def _complete_one(self, stream: StreamState, group: GroupState,
+                      _raw: Event) -> None:
+        """Callback on a bio's raw completion (see the class docstring)."""
         group.completed += 1
         self._release(stream)
 

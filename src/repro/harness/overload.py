@@ -390,18 +390,21 @@ def probe_gray(
 
     # ---- unordered flows: health-steered driver-level writes ----
     node = cluster.nodes[0]
-    unordered_good = MeasurementWindow(env, warmup, duration)
-    unordered_failed = MeasurementWindow(env, warmup, duration)
+    # Every in-window completion counts once in ``unordered.ops``; the
+    # error completions among them are counted beside it.
+    unordered = MeasurementWindow(env, warmup, duration)
+    unordered_failed = 0
     unordered_by_target: Dict[str, int] = {}
 
     def unordered_body(flow: int):
+        nonlocal unordered_failed
         rng = DeterministicRNG(seed).fork(f"gray-unordered{flow}")
         core = node.cpus.pick(tenants + flow)
         rate = (offered_kiops * 1e3) / GRAY_UNORDERED_TENANTS / 4
         arrival = 0.0
         while True:
             arrival += rng.expovariate(rate)
-            if arrival >= unordered_good.end:
+            if arrival >= unordered.end:
                 return
             if arrival > env.now:
                 yield env.timeout(arrival - env.now)
@@ -413,8 +416,9 @@ def probe_gray(
             )
             done = yield from node.driver.submit(core, ns, request)
             yield done
-            measured = unordered_failed if request.status else unordered_good
-            if measured.count():
+            if unordered.count():
+                if request.status:
+                    unordered_failed += 1
                 name = ns.target.name
                 unordered_by_target[name] = (
                     unordered_by_target.get(name, 0) + 1
@@ -466,8 +470,8 @@ def probe_gray(
             for name in healthy
         )),
         "failovers": float(monitor.failovers),
-        "unordered_good": float(unordered_good.ops),
-        "unordered_failed": float(unordered_failed.ops),
+        "unordered_good": float(unordered.ops - unordered_failed),
+        "unordered_failed": float(unordered_failed),
         "unordered_on_sick": float(unordered_by_target.get(sick_name, 0)),
         "unordered_on_healthy": float(sum(
             n for name, n in unordered_by_target.items()

@@ -384,11 +384,13 @@ class ShardedStack:
         flush: bool = False,
         kick: Optional[bool] = None,
     ):
+        """Route ``bio`` to its stream's node; returns that node's submit
+        generator, for the caller to run at once with ``yield from``."""
         node = self.node_for(bio.stream_id)
         bio.stream_id = self.local_stream(bio.stream_id)
         node_core = node.cpus.pick(core.index)
         submit = self._submit_fns[node.index]
-        return (yield from submit(node_core, bio, end_of_group, flush, kick))
+        return submit(node_core, bio, end_of_group, flush, kick)
 
     def write_ordered(
         self,
@@ -412,5 +414,4 @@ class ShardedStack:
             flags=WriteFlags(ipu=ipu),
             tenant=tenant,
         )
-        return (yield from self.submit_ordered(core, bio, end_of_group,
-                                               flush, kick))
+        return self.submit_ordered(core, bio, end_of_group, flush, kick)

@@ -55,7 +55,9 @@ class OrderedStack:
         ipu: bool = False,
         kick: Optional[bool] = None,
     ):
-        """Generator: convenience wrapper building the bio inline."""
+        """Convenience wrapper building the bio inline; returns the
+        :meth:`submit_ordered` generator, for the caller to run at once
+        with ``yield from``."""
         bio = Bio(
             op="write",
             lba=lba,
@@ -64,7 +66,7 @@ class OrderedStack:
             stream_id=stream_id,
             flags=WriteFlags(ipu=ipu),
         )
-        return (yield from self.submit_ordered(core, bio, end_of_group, flush, kick))
+        return self.submit_ordered(core, bio, end_of_group, flush, kick)
 
     def read(self, core: Core, stream_id: int, lba: int, nblocks: int):
         """Generator: orderless read; returns (event, bio)."""

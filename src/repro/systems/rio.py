@@ -53,9 +53,8 @@ class RioStack(OrderedStack):
         flush: bool = False,
         kick: Optional[bool] = None,
     ):
-        return (
-            yield from self.device.submit(core, bio, end_of_group, flush, kick)
-        )
+        """Returns the :meth:`RioDevice.submit` generator."""
+        return self.device.submit(core, bio, end_of_group, flush, kick)
 
     # Recovery passthroughs (§4.4) — used by the recovery benchmark.
 

@@ -135,3 +135,68 @@ def test_split_read_reassembles_payload_across_devices():
 
     payload = env.run_until_event(env.process(proc(env)))
     assert payload == ["a", "b", "c", "d"]
+
+
+class _FastFailDriver:
+    """Driver stub that fails every request locally the way
+    ``InitiatorDriver._fast_fail`` does: ``submit`` sets the request's
+    status and returns an event that has already fired."""
+
+    def __init__(self, env):
+        self.env = env
+
+    def submit(self, core, ns, request):
+        request.status = 7
+        done = self.env.event()
+        done.succeed(None)
+        return done
+        yield  # a generator, like the real driver's submit
+
+
+def _fast_fail_log(busy):
+    """Where a fast-failed request's bio completes relative to the events
+    that are ready around its dispatch (``busy``) or with none ready."""
+    env = Environment()
+    layer = BlockLayer(env, _FastFailDriver(env), volume=None)
+    log = []
+
+    def mark(label):
+        event = env.event()
+        event.callbacks.append(lambda _event: log.append((env.now, label)))
+        event.succeed()
+
+    bio = Bio(op="write", lba=0, nblocks=1)
+    bio.make_completion(env).callbacks.append(
+        lambda _event: log.append((env.now, "bio", bio.status)))
+    request = BlockRequest(op="write", lba=0, nblocks=1, bios=[bio],
+                           qp_index=0)
+
+    def submitter():
+        if busy:
+            mark("before")
+        yield from layer.dispatch(None, None, request)
+        if busy:
+            mark("after")
+            yield env.timeout(0)
+            log.append((env.now, "resumed"))
+            mark("later")
+        else:
+            yield env.timeout(1e-6)
+            log.append((env.now, "resumed"))
+
+    env.process(submitter())
+    env.run()
+    return log
+
+
+@pytest.mark.parametrize("busy,expected", [
+    (False, [(0.0, "bio", 7), (1e-6, "resumed")]),
+    (True, [(0.0, "before"), (0.0, "after"), (0.0, "resumed"),
+            (0.0, "later"), (0.0, "bio", 7)]),
+])
+def test_fast_failed_request_completes_where_the_watcher_did(busy, expected):
+    """An already-fired driver event completes the bio one hop after the
+    dispatch's own instant work, and a second hop later when other events
+    were ready at the first: the order a watcher process spawned at
+    dispatch produced (pinned at that implementation)."""
+    assert _fast_fail_log(busy) == expected
