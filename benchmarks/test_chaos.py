@@ -19,7 +19,6 @@ from repro.harness.chaos import (
     measure_degradation,
     run_chaos_suite,
     run_chaos_trial,
-    run_scale_chaos_trial,
     run_tenant_chaos_trial,
 )
 from repro.sim.faults import FaultPlan
@@ -154,8 +153,9 @@ def test_multi_initiator_qp_breakdown_spares_bystander(benchmark):
     def trials():
         return [
             (
-                run_scale_chaos_trial(system="rio", seed=seed, faults=False),
-                run_scale_chaos_trial(system="rio", seed=seed, faults=True),
+                run_chaos_trial(system="rio", seed=seed, initiators=2),
+                run_chaos_trial(system="rio", seed=seed, initiators=2,
+                                victim=0),
             )
             for seed in seeds
         ]

@@ -56,7 +56,7 @@ def main():
     def writer(stream_id):
         core = cluster.initiator.cpus.pick(stream_id)
         for group in range(GROUPS_PER_STREAM):
-            event = yield from rio.write(
+            event = yield from rio.write_ordered(
                 core, stream_id, lba=stream_id * 1_000_000 + group * 2,
                 nblocks=1, payload=[(stream_id, group)],
             )

@@ -33,7 +33,7 @@ def main():
     def writer(stream_id):
         core = cluster.initiator.cpus.pick(stream_id)
         for i in range(WRITES_PER_STREAM):
-            yield from rio.write(
+            yield from rio.write_ordered(
                 core, stream_id, lba=stream_id * 1_000_000 + i * 2,
                 nblocks=1, payload=[(stream_id, i + 1)],
             )

@@ -34,8 +34,8 @@ def run(transport):
         inflight = []
         for i in range(WRITES):
             started = env.now
-            done = yield from rio.write(core, 0, lba=i * 2, nblocks=1,
-                                        payload=[i])
+            done = yield from rio.write_ordered(core, 0, lba=i * 2, nblocks=1,
+                                                payload=[i])
             env.process(track(env, i, started, done))
             inflight.append(done)
             if len(inflight) >= 16:

@@ -32,14 +32,14 @@ def main():
         # each other, but the whole group persists before group 2.
         # kick=False stages the request in the ORDER queue so it can merge
         # with the commit record that follows (Principle 3).
-        jm_done = yield from rio.write(
+        jm_done = yield from rio.write_ordered(
             core, stream_id=0, lba=0, nblocks=2,
             payload=["journal-desc", "journaled-inode"],
             end_of_group=True, kick=False,
         )
         # Group 2: the commit record; flush=True embeds a FLUSH so the
         # completion also means durability (the fsync contract).
-        jc_done = yield from rio.write(
+        jc_done = yield from rio.write_ordered(
             core, stream_id=0, lba=2, nblocks=1,
             payload=["commit-record"],
             end_of_group=True, flush=True,

@@ -30,15 +30,15 @@ def main():
     def app(env):
         events = []
         # Transaction 1: journal blocks then a flushed commit record.
-        e = yield from rio.write(core, 0, lba=0, nblocks=2,
-                                 end_of_group=True, kick=False)
+        e = yield from rio.write_ordered(core, 0, lba=0, nblocks=2,
+                                         end_of_group=True, kick=False)
         events.append(e)
-        e = yield from rio.write(core, 0, lba=2, nblocks=1,
-                                 end_of_group=True, flush=True)
+        e = yield from rio.write_ordered(core, 0, lba=2, nblocks=1,
+                                         end_of_group=True, flush=True)
         events.append(e)
         # Transaction 2 on another stream, concurrently.
-        e = yield from rio.write(core, 1, lba=100, nblocks=1,
-                                 end_of_group=True)
+        e = yield from rio.write_ordered(core, 1, lba=100, nblocks=1,
+                                         end_of_group=True)
         events.append(e)
         yield env.all_of(events)
 

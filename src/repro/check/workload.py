@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.harness.experiment import build_cluster
+from repro.harness.experiment import LAYOUTS, build_cluster
+from repro.scale import ScaleOutCluster
 from repro.sim.engine import Environment, Event
 from repro.sim.rng import DeterministicRNG
 from repro.systems.base import make_stack
@@ -139,18 +140,14 @@ def build_testbed(spec: WorkloadSpec):
     """
     env = Environment()
     if spec.initiators > 1:
-        from repro.harness.experiment import LAYOUTS
-        from repro.scale import ScaleOutCluster, ShardedStack
-
         cluster = ScaleOutCluster(
             env, LAYOUTS[spec.layout], num_initiators=spec.initiators,
             seed=spec.seed,
         )
-        stack = ShardedStack(cluster, spec.system,
-                             num_streams=max(spec.streams, 1))
-        _prefill_cluster(cluster, spec.prefill)
-        return env, cluster, stack
-    cluster = build_cluster(spec.layout, env=env, seed=spec.seed)
+    else:
+        # Cluster's host name: names seed jitter and key crash-point
+        # restore.
+        cluster = build_cluster(spec.layout, env=env, seed=spec.seed)
     stack = make_stack(spec.system, cluster, num_streams=max(spec.streams, 1))
     _prefill_cluster(cluster, spec.prefill)
     return env, cluster, stack

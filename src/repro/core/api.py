@@ -7,24 +7,30 @@ and applications:
 * ``RioDevice(cluster, num_streams=...)`` — the ``rio_setup`` call:
   configures the streams and associates the networked storage devices
   (a sole SSD, or a logical volume) with them;
-* :meth:`RioDevice.submit` — ``rio_submit``: dispatch an ordered write on a
-  stream, with a flag delimiting the end of its group;
+* :meth:`RioDevice.submit_ordered` — ``rio_submit``: dispatch an ordered
+  write on a stream, with a flag delimiting the end of its group
+  (:meth:`~repro.systems.base.OrderedStack.write_ordered` builds the bio);
 * :meth:`RioDevice.wait` — ``rio_wait``: wait for a submitted request's
   ordered completion (embed ``flush=True`` in the final request for
   durability);
 * :meth:`RioDevice.recovery` — the crash-recovery entry points of §4.4.
 
-Callers push many asynchronous ordered requests through ``submit`` and use
-``wait`` only where durability matters — that is the whole performance
-story of the paper.
+Callers push many asynchronous ordered requests through ``submit_ordered``
+and use ``wait`` only where durability matters — that is the whole
+performance story of the paper.
+
+:class:`RioDevice` is Rio's :class:`~repro.systems.base.OrderedStack`:
+``make_stack("rio", cluster)`` builds one per initiator host, and
+``"rio-nomerge"`` (``merging_enabled=False``) is the paper's "Rio w/o
+merge" ablation (Figure 12); ``qp_affinity=False`` ablates Principle 2.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import List, Optional
 
 from repro.block.mq import BlockLayer
-from repro.block.request import Bio, WriteFlags
+from repro.block.request import Bio
 from repro.block.volume import LogicalVolume
 from repro.cluster import Cluster
 from repro.core.recovery import RioRecovery
@@ -33,11 +39,12 @@ from repro.core.sequencer import RioSequencer
 from repro.core.target import RioTargetPolicy
 from repro.hw.cpu import Core
 from repro.sim.engine import Event
+from repro.systems.base import OrderedStack
 
 __all__ = ["RioDevice"]
 
 
-class RioDevice:
+class RioDevice(OrderedStack):
     """An order-preserving networked block device (the ``librio`` facade)."""
 
     name = "rio"
@@ -53,6 +60,8 @@ class RioDevice:
     ):
         self.cluster = cluster
         self.env = cluster.env
+        if not merging_enabled:
+            self.name = "rio-nomerge"
         self.driver = cluster.driver
         self.volume = volume if volume is not None else cluster.volume()
         num_streams = num_streams or len(cluster.initiator.cpus)
@@ -144,7 +153,7 @@ class RioDevice:
     # rio_submit / rio_wait
     # ------------------------------------------------------------------
 
-    def submit(
+    def submit_ordered(
         self,
         core: Core,
         bio: Bio,
@@ -217,30 +226,6 @@ class RioDevice:
                 continue
         if not gate.triggered:
             gate.succeed(seq)
-
-    def write(
-        self,
-        core: Core,
-        stream_id: int,
-        lba: int,
-        nblocks: int,
-        payload: Optional[List[Any]] = None,
-        end_of_group: bool = True,
-        flush: bool = False,
-        ipu: bool = False,
-        kick: Optional[bool] = None,
-    ):
-        """Convenience wrapper building the bio inline; returns the
-        :meth:`submit` generator."""
-        bio = Bio(
-            op="write",
-            lba=lba,
-            nblocks=nblocks,
-            payload=payload,
-            stream_id=stream_id,
-            flags=WriteFlags(ipu=ipu),
-        )
-        return self.submit(core, bio, end_of_group, flush, kick)
 
     @staticmethod
     def wait(event):

@@ -273,7 +273,7 @@ class RecoveryReport:
 
 
 class RioRecovery:
-    """Drives recovery over a :class:`~repro.systems.rio.RioStack`."""
+    """Drives recovery over a :class:`~repro.core.api.RioDevice`."""
 
     def __init__(self, stack):
         self.stack = stack

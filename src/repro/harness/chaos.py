@@ -16,7 +16,12 @@ reproduced stacks, and audits the outcome:
   must show each ``(stream, position)`` submitted to the SSD exactly once
   and in strictly increasing position order, even though the initiator
   retransmits commands under loss (§4.4's idempotence argument);
-* **no leaks** — the driver's pending tables must be empty after the run.
+* **no leaks** — every host driver's pending tables must be empty after
+  the run.
+
+A trial runs on one initiator host or on several (§4.9), where stream
+``s`` lives on host ``s % N`` and the faults break only a *victim* host's
+queue pairs, so its blast radius can be bounded.
 
 :func:`measure_degradation` runs a timed fault burst only (no
 probabilistic loss) and bins completions into before/during/after windows
@@ -34,6 +39,7 @@ from repro.harness.experiment import LAYOUTS
 from repro.harness.report import Report, Verdict
 from repro.harness.sweep import RunSpec, Sweep
 from repro.nvmeof.initiator import DriverHardening
+from repro.scale import ScaleOutCluster
 from repro.sim.engine import Environment, Event, SimulationError
 from repro.sim.faults import FaultPlan
 from repro.sim.rng import DeterministicRNG
@@ -49,7 +55,6 @@ __all__ = [
     "run_chaos_suite",
     "measure_degradation",
     "build_scale_fault_plan",
-    "run_scale_chaos_trial",
     "run_tenant_chaos_trial",
 ]
 
@@ -111,8 +116,8 @@ class ChaosResult:
     #: value here means commands are leaking armed timers (see
     #: ``Timeout.cancel``).
     heap_live_entries: int = 0
-    #: Multi-initiator trials only: per-node driver reconnect/retry
-    #: counts, indexed by initiator host (empty for single-host trials).
+    #: Per-node driver reconnect/retry counts, indexed by initiator host
+    #: (one entry for a single-host trial).
     node_reconnects: List[int] = field(default_factory=list)
     node_retries: List[int] = field(default_factory=list)
     #: SMART snapshot per device (``"t0/q0"`` keys) at the end of the run:
@@ -320,20 +325,17 @@ def _account_plan(result: ChaosResult, plan: Optional[FaultPlan]) -> None:
         result.messages_delayed = plan.messages_delayed
 
 
-def _account_driver(result: ChaosResult, driver) -> None:
-    result.retries += driver.retries
-    result.rpc_retries += driver.rpc_retries
-    result.reconnects += driver.reconnects
-    result.commands_resubmitted += driver.commands_resubmitted
-    result.commands_timed_out += driver.commands_timed_out
-
-
 def _account_nodes(result: ChaosResult, cluster) -> None:
     """Driver recovery counts per initiator host and summed."""
     for node in cluster.nodes:
-        result.node_reconnects.append(node.driver.reconnects)
-        result.node_retries.append(node.driver.retries)
-        _account_driver(result, node.driver)
+        driver = node.driver
+        result.node_reconnects.append(driver.reconnects)
+        result.node_retries.append(driver.retries)
+        result.retries += driver.retries
+        result.rpc_retries += driver.rpc_retries
+        result.reconnects += driver.reconnects
+        result.commands_resubmitted += driver.commands_resubmitted
+        result.commands_timed_out += driver.commands_timed_out
 
 
 def run_chaos_trial(
@@ -348,8 +350,20 @@ def run_chaos_trial(
     limit: float = 50e-3,
     prefill: float = 0.0,
     plan_spec: Optional[dict] = None,
+    initiators: int = 1,
+    victim: Optional[int] = None,
 ) -> ChaosResult:
     """One seeded trial: build, inject, run, audit.
+
+    ``initiators`` hosts fan in to the layout's targets: one is a
+    :class:`~repro.cluster.Cluster`, more a
+    :class:`~repro.scale.ScaleOutCluster`, and stream ``s`` lives on host
+    ``s % initiators``.  An integer ``victim`` installs a breakdown-only
+    plan confined to that host's queue pairs
+    (:func:`build_scale_fault_plan`).  Without a victim, one host runs
+    ``plan``, ``plan_spec`` or else :func:`build_fault_plan`'s randomized
+    plan, while several hosts run fault-free: the baseline tests bound
+    the bystander hosts' completion times against.
 
     ``prefill`` fills that fraction of each device's logical capacity
     before the workload starts (see :meth:`NvmeSsd.prefill`) so trials on
@@ -362,30 +376,42 @@ def run_chaos_trial(
     :class:`~repro.harness.sweep.RunSpec` encoding, so spec-driven chaos
     sweeps can fan trials out across worker processes and memoize them.
     """
+    if (initiators > 1 or victim is not None) and (
+            plan is not None or plan_spec is not None or prefill):
+        raise ValueError(
+            "plan, plan_spec and prefill apply only to one-initiator "
+            "trials without a victim: a victim trial builds its own "
+            "plan, confined to the victim host's queue pairs"
+        )
     if plan_spec is not None:
         if plan is not None:
             raise ValueError("pass plan or plan_spec, not both")
         plan = FaultPlan.from_dict(plan_spec)
     env = Environment()
-    cluster = Cluster(
-        env,
-        target_ssds=LAYOUTS[layout],
-        initiator_cores=max(threads, 2),
-        target_cores=8,
-        num_qps=max(threads, 2),
-        seed=seed,
-        hardening=CHAOS_HARDENING,
-    )
+    num_qps = max(threads, 2)
+    testbed = dict(initiator_cores=max(threads, 2), target_cores=8,
+                   num_qps=num_qps, seed=seed, hardening=CHAOS_HARDENING)
+    if initiators == 1:
+        cluster = Cluster(env, LAYOUTS[layout], **testbed)
+    else:
+        cluster = ScaleOutCluster(env, LAYOUTS[layout],
+                                  num_initiators=initiators, **testbed)
     if prefill:
         for target in cluster.targets:
             for ssd in target.ssds:
                 ssd.prefill(prefill)
     stack = make_stack(system, cluster, num_streams=threads)
-    if plan is None:
-        plan = build_fault_plan(
-            seed, num_qps=max(threads, 2), num_targets=len(cluster.targets)
+    if victim is not None:
+        qps_per_node = len(cluster.fabric.queue_pairs) // initiators
+        plan = build_scale_fault_plan(
+            seed, (victim * qps_per_node, (victim + 1) * qps_per_node)
         )
-    plan.install(cluster)
+    elif plan is None and initiators == 1:
+        plan = build_fault_plan(
+            seed, num_qps=num_qps, num_targets=len(cluster.targets)
+        )
+    if plan is not None:
+        plan.install(cluster)
 
     result = ChaosResult(
         system=system,
@@ -397,12 +423,13 @@ def run_chaos_trial(
                        limit)
     _audit_targets(result, cluster)
     if not result.deadlocked:
-        try:
-            cluster.driver.assert_no_leaks()
-        except AssertionError as exc:
-            result.leak_error = str(exc)
+        for node in cluster.nodes:
+            try:
+                node.driver.assert_no_leaks()
+            except AssertionError as exc:
+                result.leak_error = f"node {node.index}: {exc}"
     _account_plan(result, plan)
-    _account_driver(result, cluster.driver)
+    _account_nodes(result, cluster)
     return result
 
 
@@ -437,7 +464,7 @@ def chaos_sweep(spec) -> Sweep:
     :class:`ChaosResult`), so the suite fans out across worker processes
     and memoizes like the figure sweeps.  One initiator runs
     :func:`run_chaos_trial` with the spec's prefill and embedded fault
-    plan; more run :func:`run_scale_chaos_trial` against the victim host.
+    plan; more run it against the victim host.
     """
     workload, topology = spec.workload, spec.topology
     initiators = topology["initiators"]
@@ -450,14 +477,15 @@ def chaos_sweep(spec) -> Sweep:
         "limit": workload["limit"],
     }
     if initiators > 1:
-        probe, host = run_scale_chaos_trial, f"/x{initiators}"
+        host = f"/x{initiators}"
         trial.update(initiators=initiators, victim=workload["victim"])
     else:
-        probe, host = run_chaos_trial, ""
+        host = ""
         trial.update(prefill=spec.devices["prefill"], plan_spec=spec.faults)
     first = workload["base_seed"]
     specs = [
-        RunSpec.make(probe, label=f"chaos/{system}{host}/seed{seed}",
+        RunSpec.make(run_chaos_trial,
+                     label=f"chaos/{system}{host}/seed{seed}",
                      system=system, seed=seed, **trial)
         for system in workload["systems"]
         for seed in range(first, first + workload["trials"])
@@ -622,72 +650,4 @@ def run_tenant_chaos_trial(
     _account_nodes(result, cluster)
     # No group structure in an open-loop storm: per-class op counts live
     # in class_latency; `ok` reduces to the target-side audits.
-    return result
-
-
-def run_scale_chaos_trial(
-    system: str = "rio",
-    seed: int = 0,
-    layout: str = "optane",
-    initiators: int = 2,
-    victim: int = 0,
-    threads: int = 4,
-    groups_per_thread: int = 12,
-    writes_per_group: int = 2,
-    depth: int = 4,
-    limit: float = 50e-3,
-    faults: bool = True,
-) -> ChaosResult:
-    """One seeded multi-initiator trial: break QPs on one host only.
-
-    Builds a sharded scale-out cluster (:mod:`repro.scale`) with
-    ``initiators`` hosts fanning in to the layout's targets, runs the
-    usual ordered workload (stream ``s`` lives on host ``s % N``), and —
-    when ``faults`` — installs a breakdown-only plan aimed at the
-    ``victim`` host's queue pairs.  ``faults=False`` runs the identical
-    seeded trial fault-free, giving tests a baseline to bound the
-    bystander hosts' completion times against.  Per-host driver activity
-    lands in ``node_reconnects`` / ``node_retries``.
-    """
-    from repro.scale import ScaleOutCluster, ShardedStack
-
-    env = Environment()
-    num_qps = max(threads, 2)
-    cluster = ScaleOutCluster(
-        env,
-        LAYOUTS[layout],
-        num_initiators=initiators,
-        initiator_cores=max(threads, 2),
-        target_cores=8,
-        num_qps=num_qps,
-        seed=seed,
-        hardening=CHAOS_HARDENING,
-    )
-    stack = ShardedStack(cluster, system, num_streams=threads)
-    plan: Optional[FaultPlan] = None
-    if faults:
-        qps_per_node = len(cluster.fabric.queue_pairs) // initiators
-        plan = build_scale_fault_plan(
-            seed,
-            (victim * qps_per_node, (victim + 1) * qps_per_node),
-        )
-        plan.install(cluster)
-
-    result = ChaosResult(
-        system=system,
-        seed=seed,
-        threads=threads,
-        groups_per_thread=groups_per_thread,
-    )
-    _run_ordered_trial(env, cluster, stack, result, writes_per_group, depth,
-                       limit)
-    _audit_targets(result, cluster)
-    if not result.deadlocked:
-        for node in cluster.nodes:
-            try:
-                node.driver.assert_no_leaks()
-            except AssertionError as exc:
-                result.leak_error = f"node {node.index}: {exc}"
-    _account_plan(result, plan)
-    _account_nodes(result, cluster)
     return result

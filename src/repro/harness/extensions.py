@@ -30,7 +30,6 @@ from repro.scale.cluster import ScaleOutCluster
 from repro.sim.engine import Environment
 from repro.sim.resources import IssueWindow
 from repro.systems import make_stack
-from repro.systems.rio import RioStack
 
 __all__ = [
     "ablation_qp_affinity",
@@ -118,10 +117,11 @@ def ablation_qp_affinity(
     )
     for affinity in (True, False):
         cluster = build_cluster(layout)
-        stack = RioStack(cluster, num_streams=threads, qp_affinity=affinity)
+        stack = make_stack("rio", cluster, num_streams=threads,
+                           qp_affinity=affinity)
         run = run_block_workload(cluster, stack, threads=threads,
                                  duration=duration, queue_depth=queue_depth)
-        policy = stack.device.policies[0]
+        policy = stack.policies[0]
         result.add(
             affinity=affinity,
             kiops=run.iops / 1e3,
@@ -257,7 +257,7 @@ def multi_initiator_scaling(
             windows.append(window)
             i = 0
             while env.now < duration:
-                event = yield from rio.write(
+                event = yield from rio.write_ordered(
                     core, stream, lba=area + i * 2, nblocks=1,
                 )
                 i += 1

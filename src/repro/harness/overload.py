@@ -48,6 +48,7 @@ from repro.harness.sweep import RunSpec, Sweep
 from repro.nvmeof.initiator import DriverHardening
 from repro.robust.admission import AdmissionConfig
 from repro.sim.stats import LatencyRecorder
+from repro.systems.base import make_stack
 
 __all__ = [
     "PROTECTIONS",
@@ -152,7 +153,6 @@ def probe_overload(
     from repro.scale import (
         OpenLoopConfig,
         ScaleOutCluster,
-        ShardedStack,
         run_open_loop,
     )
     from repro.scale.loadgen import _make_lba_chooser
@@ -167,7 +167,7 @@ def probe_overload(
     )
     if protection == "full":
         cluster.install_admission(PROTECTED_ADMISSION)
-    stack = ShardedStack(cluster, system, num_streams=max(tenants, 1))
+    stack = make_stack(system, cluster, num_streams=max(tenants, 1))
 
     run = run_open_loop(
         cluster, stack,
@@ -348,7 +348,6 @@ def probe_gray(
     from repro.scale import (
         OpenLoopConfig,
         ScaleOutCluster,
-        ShardedStack,
         run_open_loop,
     )
     from repro.scale.loadgen import TENANT_AREA_BLOCKS
@@ -367,7 +366,7 @@ def probe_gray(
     )
     cluster.install_admission(PROTECTED_ADMISSION)
     monitors = cluster.attach_health()
-    stack = ShardedStack(cluster, GRAY_SYSTEM, num_streams=tenants)
+    stack = make_stack(GRAY_SYSTEM, cluster, num_streams=tenants)
     plan = FaultPlan(seed=seed).degrade(
         at=warmup + GRAY_DEGRADE_AT, target_index=0, factor=degrade_factor,
     )

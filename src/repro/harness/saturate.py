@@ -31,6 +31,7 @@ from typing import Dict, List, Optional
 
 from repro.harness.experiment import LAYOUTS, FigureResult
 from repro.harness.sweep import RunSpec, Sweep
+from repro.systems.base import make_stack
 
 __all__ = [
     "probe_saturation",
@@ -67,7 +68,6 @@ def probe_saturation(
     from repro.scale import (
         OpenLoopConfig,
         ScaleOutCluster,
-        ShardedStack,
         run_open_loop,
     )
     from repro.sim.engine import Environment
@@ -79,7 +79,7 @@ def probe_saturation(
         env, LAYOUTS[layout], num_initiators=initiators, seed=seed,
         steering=steering,
     )
-    stack = ShardedStack(cluster, system, num_streams=max(tenants, 1))
+    stack = make_stack(system, cluster, num_streams=max(tenants, 1))
     run = run_open_loop(
         cluster, stack,
         OpenLoopConfig(

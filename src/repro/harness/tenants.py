@@ -31,6 +31,7 @@ from repro.harness.experiment import LAYOUTS, FigureResult
 from repro.harness.report import Verdict
 from repro.harness.saturate import WARMUP, knee_point, saturation_sweep
 from repro.harness.sweep import RunSpec, Sweep
+from repro.systems.base import make_stack
 
 __all__ = [
     "probe_tenants",
@@ -107,7 +108,6 @@ def probe_tenants(
     from repro.scale import (
         OpenLoopConfig,
         ScaleOutCluster,
-        ShardedStack,
         run_open_loop,
     )
     from repro.sim.engine import Environment
@@ -125,7 +125,7 @@ def probe_tenants(
         steering=steering,
         hardening=PROTECTED_HARDENING if qos else None,
     )
-    stack = ShardedStack(cluster, system, num_streams=max(streams, 1))
+    stack = make_stack(system, cluster, num_streams=max(streams, 1))
     directory = TenantDirectory(
         num_tenants=num_tenants, num_streams=max(streams, 1), seed=seed,
         zipf_alpha=zipf_alpha,
@@ -327,7 +327,6 @@ def _run_storm(system: str, qos: bool, quantum: float, duration: float,
     from repro.scale import (
         OpenLoopConfig,
         ScaleOutCluster,
-        ShardedStack,
         run_open_loop,
     )
     from repro.sim.engine import Environment
@@ -341,7 +340,7 @@ def _run_storm(system: str, qos: bool, quantum: float, duration: float,
         hardening=PROTECTED_HARDENING if qos else None,
     )
     lanes = 1 + STORM_AGGRESSOR_LANES
-    stack = ShardedStack(cluster, system, num_streams=lanes)
+    stack = make_stack(system, cluster, num_streams=lanes)
     if qos:
         tenant_qos = TenantQos(
             (

@@ -10,14 +10,14 @@ exercised on:
   :class:`ScaleNode` with its own CPU set, NVMe-oF driver and
   connections, fanning into M shared targets over one fabric, with
   per-core connection sharding and IRQ/completion steering; the
-  single-initiator :class:`repro.cluster.Cluster` is its N=1 subclass),
-  :class:`StreamDirectory` (§4.9's "distributed sequencer service":
-  disjoint global stream-id ranges per initiator) and
-  :class:`ShardedStack` (one ordered-stack facade over the per-node
-  stacks, routing global streams to their owning node).
+  single-initiator :class:`repro.cluster.Cluster` is its N=1 subclass)
+  and :class:`StreamDirectory` (§4.9's "distributed sequencer service":
+  disjoint global stream-id ranges per initiator).  Stacks go on it
+  through :func:`repro.systems.base.make_stack`, which routes global
+  streams to their owning node when N > 1.
 * :mod:`repro.scale.loadgen` — the open-loop (fixed-rate Poisson)
-  per-tenant load generator that drives a :class:`ShardedStack` and
-  records completion latencies.  Fixed-depth closed loops are
+  per-tenant load generator that drives any ordered stack and records
+  completion latencies.  Fixed-depth closed loops are
   :func:`repro.apps.fio.run_block_workload`.
 
 The saturation experiment over this plane lives in
@@ -27,7 +27,6 @@ The saturation experiment over this plane lives in
 from repro.scale.cluster import (
     ScaleNode,
     ScaleOutCluster,
-    ShardedStack,
     StreamDirectory,
 )
 from repro.scale.loadgen import (
@@ -39,7 +38,6 @@ from repro.scale.loadgen import (
 __all__ = [
     "ScaleNode",
     "ScaleOutCluster",
-    "ShardedStack",
     "StreamDirectory",
     "OpenLoopConfig",
     "LoadgenResult",

@@ -16,18 +16,19 @@ each node's :class:`~repro.core.api.RioDevice` a disjoint global
 wire-stream range, into which the device translates its *local* stream
 ids.  Streams are fully independent (§4.5), and the targets' submission
 gates, PMR attribute logs and recovery key by global stream id, so two
-initiators never couple::
+initiators never couple.
+
+:func:`repro.systems.base.make_stack` puts any compared system on every
+node and, at N > 1, shards by *congruence* through a
+:class:`~repro.systems.base.ShardedStack`: global stream ``s`` is owned
+by node ``s % N``, so each node's stack only sees its own residue class.
+Rio's sequencer indexes streams densely, so each Rio node gets its own
+stream count and directory range, the router maps ``s`` to the
+node-local index ``s // N``, and the node's device translates to the
+wire::
 
     cluster = ScaleOutCluster(env, target_ssds=((OPTANE_905P,),))
-    devices = [RioDevice(node, num_streams=4,
-                         stream_base=cluster.directory.allocate(4))
-               for node in cluster.nodes]
-
-:class:`ShardedStack` puts any compared system on every node and shards
-by *congruence*: global stream ``s`` is owned by node ``s % N``, so each
-node's stack only sees its own residue class.  Rio's sequencer indexes
-streams densely, so for Rio the facade maps ``s`` to the node-local
-index ``s // N`` and the node's device translates to the wire.
+    stack = make_stack("rio", cluster, num_streams=8)
 
 Recovery after a full-cluster crash runs once, from node 0: the PMR logs
 are keyed by global wire stream id, so the coordinator's scan covers
@@ -40,9 +41,8 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence
 
-from repro.block.request import Bio, WriteFlags
 from repro.block.volume import LogicalVolume
-from repro.hw.cpu import Core, CpuSet
+from repro.hw.cpu import CpuSet
 from repro.hw.nic import Nic
 from repro.hw.pmr import PersistentMemoryRegion
 from repro.hw.ssd import NvmeSsd, SsdProfile
@@ -58,14 +58,10 @@ from repro.nvmeof.target import TargetServer
 from repro.sim.engine import Environment
 from repro.sim.rng import DeterministicRNG
 
-__all__ = ["DEFAULT_CORES", "ScaleNode", "ScaleOutCluster", "ShardedStack",
-           "StreamDirectory"]
+__all__ = ["DEFAULT_CORES", "ScaleNode", "ScaleOutCluster", "StreamDirectory"]
 
 #: 2 × 18 cores per server, as in the paper's testbed.
 DEFAULT_CORES = 36
-
-#: Systems whose per-node stack is a RioDevice with dense local streams.
-_RIO_SYSTEMS = ("rio", "rio-nomerge")
 
 
 class StreamDirectory:
@@ -308,110 +304,3 @@ class ScaleOutCluster:
 
     def target_busy_cores(self, elapsed: float) -> float:
         return sum(t.cpus.busy_cores(elapsed) for t in self.targets)
-
-
-class ShardedStack:
-    """One ordered-stack facade over per-node stacks of a scale cluster.
-
-    Looks like an :class:`~repro.systems.base.OrderedStack` (so the crash
-    oracle's workloads and the load generators drive it unchanged) but
-    routes every submission to the owning node: global stream ``s`` goes
-    to node ``s % N``, on that node's core of the caller's core index, so
-    CPU work lands on — and is accounted to — the host that actually
-    issues the I/O.
-    """
-
-    def __init__(
-        self,
-        cluster: ScaleOutCluster,
-        system: str,
-        num_streams: int,
-    ):
-        # Imported here: repro.core.api and repro.systems import
-        # repro.cluster, which imports this module.
-        from repro.core.api import RioDevice
-        from repro.systems.base import make_stack
-
-        if num_streams < 1:
-            raise ValueError("need at least one stream")
-        self.cluster = cluster
-        self.env = cluster.env
-        self.system = system
-        self.num_streams = num_streams
-        self.name = f"sharded-{system}"
-        n = cluster.num_initiators
-        self.stacks: List[Any] = []
-        self._submit_fns: List[Any] = []
-        for node in cluster.nodes:
-            if system in _RIO_SYSTEMS:
-                # Dense local stream indices 0..k-1; the directory hands
-                # the node a disjoint wire-stream range.
-                owned = len(range(node.index, num_streams, n))
-                stream_base = cluster.directory.allocate(max(owned, 1))
-                device = RioDevice(
-                    node,
-                    num_streams=max(owned, 1),
-                    stream_base=stream_base,
-                    merging_enabled=(system != "rio-nomerge"),
-                )
-                self.stacks.append(device)
-                self._submit_fns.append(device.submit)
-            else:
-                stack = make_stack(system, node,
-                                   num_streams=num_streams)
-                self.stacks.append(stack)
-                self._submit_fns.append(stack.submit_ordered)
-        self.volume = cluster.nodes[0].volume()
-        if hasattr(self.stacks[0], "recovery"):
-            # Coordinator recovery (node 0) covers all global streams:
-            # the targets' PMR logs are keyed by wire stream id.
-            self.recovery = self.stacks[0].recovery
-
-    def node_for(self, stream_id: int) -> ScaleNode:
-        return self.cluster.nodes[stream_id % self.cluster.num_initiators]
-
-    def local_stream(self, stream_id: int) -> int:
-        """The stream id the owning node's stack sees."""
-        if self.system in _RIO_SYSTEMS:
-            return stream_id // self.cluster.num_initiators
-        return stream_id
-
-    def submit_ordered(
-        self,
-        core: Core,
-        bio: Bio,
-        end_of_group: bool = True,
-        flush: bool = False,
-        kick: Optional[bool] = None,
-    ):
-        """Route ``bio`` to its stream's node; returns that node's submit
-        generator, for the caller to run at once with ``yield from``."""
-        node = self.node_for(bio.stream_id)
-        bio.stream_id = self.local_stream(bio.stream_id)
-        node_core = node.cpus.pick(core.index)
-        submit = self._submit_fns[node.index]
-        return submit(node_core, bio, end_of_group, flush, kick)
-
-    def write_ordered(
-        self,
-        core: Core,
-        stream_id: int,
-        lba: int,
-        nblocks: int,
-        payload: Optional[List[Any]] = None,
-        end_of_group: bool = True,
-        flush: bool = False,
-        ipu: bool = False,
-        kick: Optional[bool] = None,
-        tenant: Optional[int] = None,
-    ):
-        bio = Bio(
-            op="write",
-            lba=lba,
-            nblocks=nblocks,
-            payload=payload,
-            stream_id=stream_id,
-            flags=WriteFlags(ipu=ipu),
-            tenant=tenant,
-        )
-        return self.submit_ordered(core, bio, end_of_group, flush, kick)

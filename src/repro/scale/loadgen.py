@@ -11,8 +11,8 @@ Each tenant issues random, never LBA-consecutive ordered writes (fio's
 ``rand`` idiom) on a private LBA area and a private stream — one tenant,
 one ordered stream, as the paper's per-thread streams.  The generator
 drives any :class:`~repro.systems.base.OrderedStack`, including the
-sharded multi-initiator facade
-(:class:`repro.scale.cluster.ShardedStack`), which routes each tenant's
+sharded multi-initiator router
+(:class:`repro.systems.base.ShardedStack`), which routes each tenant's
 stream to its owning initiator host.
 
 It is the one open-loop generator.  ``repro saturate``, the tenant curves

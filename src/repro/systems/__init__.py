@@ -12,16 +12,19 @@ What differs is *how* order is enforced:
 * :class:`~repro.systems.horae.HoraeStack` — HORAE [OSDI'20] extended to
   NVMe-oF: a synchronous control path persists ordering metadata in PMR
   before the data path runs asynchronously.
-* :class:`~repro.systems.rio.RioStack` — Rio: fully asynchronous I/O
-  pipeline with ordering attributes (adapter over
-  :class:`repro.core.api.RioDevice`).
+* :class:`repro.core.api.RioDevice` — Rio: fully asynchronous I/O
+  pipeline with ordering attributes (``"rio"``; ``"rio-nomerge"`` turns
+  merging off).
+
+:func:`~repro.systems.base.make_stack` builds any of them by name on any
+cluster: the node's stack on one initiator host, a
+:class:`~repro.systems.base.ShardedStack` routing streams over N hosts.
 """
 
 from repro.systems.base import OrderedStack, make_stack
 from repro.systems.horae import HoraeStack
 from repro.systems.linux import LinuxOrderedStack
 from repro.systems.orderless import OrderlessStack
-from repro.systems.rio import RioStack
 
 __all__ = [
     "OrderedStack",
@@ -29,5 +32,4 @@ __all__ = [
     "OrderlessStack",
     "LinuxOrderedStack",
     "HoraeStack",
-    "RioStack",
 ]

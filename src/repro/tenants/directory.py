@@ -218,7 +218,8 @@ class TenantDirectory:
     # -- placement ---------------------------------------------------------
 
     def stream_of(self, tenant: int) -> int:
-        """The global ShardedStack stream carrying ``tenant``'s I/O."""
+        """The global stream (as :func:`~repro.systems.base.make_stack`
+        routes it) carrying ``tenant``'s I/O."""
         self._check(tenant)
         return (self._a * tenant + self._b) % self.num_streams
 

@@ -35,12 +35,12 @@ from repro.harness.overload import (
 from repro.scale import (
     OpenLoopConfig,
     ScaleOutCluster,
-    ShardedStack,
     run_open_loop,
 )
 from repro.scale.loadgen import _make_lba_chooser
 from repro.sim import Environment
 from repro.sim.stats import LatencyRecorder
+from repro.systems.base import make_stack
 from repro.tenants import DiurnalProfile, TenantDirectory, TenantTrafficPlane
 
 KINDS = ("ext4", "riofs")
@@ -91,7 +91,7 @@ def _open_loop(system, plane):
     env = Environment()
     cluster = ScaleOutCluster(env, LAYOUTS["optane"], num_initiators=1,
                               seed=7)
-    stack = ShardedStack(cluster, system, num_streams=4)
+    stack = make_stack(system, cluster, num_streams=4)
     tenant_plane = None
     if plane:
         tenant_plane = TenantTrafficPlane(
@@ -122,7 +122,7 @@ def _status_loop(protection, offered_iops):
                               seed=7, hardening=_hardening(protection))
     if protection == "full":
         cluster.install_admission(PROTECTED_ADMISSION)
-    stack = ShardedStack(cluster, "rio", num_streams=4)
+    stack = make_stack("rio", cluster, num_streams=4)
     run = run_open_loop(cluster, stack, OpenLoopConfig(
         offered_iops=offered_iops, tenants=4, duration=1e-3, warmup=0.2e-3,
         seed=7,

@@ -28,7 +28,7 @@ def test_rio_wait_returns_event_value():
     holder = {}
 
     def proc(env):
-        done = yield from rio.write(core, 0, lba=0, nblocks=1)
+        done = yield from rio.write_ordered(core, 0, lba=0, nblocks=1)
         holder["seq"] = yield from rio.wait(done)
 
     env.run_until_event(env.process(proc(env)))
@@ -48,7 +48,7 @@ def test_submit_rejects_read_bios():
 
     def proc(env):
         bio = Bio(op="read", lba=0, nblocks=1)
-        yield from rio.submit(core, bio)
+        yield from rio.submit_ordered(core, bio)
 
     with pytest.raises(ValueError):
         env.run_until_event(env.process(proc(env)))
@@ -59,7 +59,7 @@ def test_ipu_flag_reaches_the_attribute():
     core = cluster.initiator.cpus.pick(0)
 
     def proc(env):
-        done = yield from rio.write(core, 0, lba=0, nblocks=1, ipu=True)
+        done = yield from rio.write_ordered(core, 0, lba=0, nblocks=1, ipu=True)
         yield done
 
     env.run_until_event(env.process(proc(env)))
@@ -79,8 +79,8 @@ def test_two_devices_on_disjoint_volumes():
     core = cluster.initiator.cpus.pick(0)
 
     def proc(env):
-        e1 = yield from rio_a.write(core, 0, lba=0, nblocks=1, payload=["a"])
-        e2 = yield from rio_b.write(core, 0, lba=0, nblocks=1, payload=["b"])
+        e1 = yield from rio_a.write_ordered(core, 0, lba=0, nblocks=1, payload=["a"])
+        e2 = yield from rio_b.write_ordered(core, 0, lba=0, nblocks=1, payload=["b"])
         yield env.all_of([e1, e2])
 
     env.run_until_event(env.process(proc(env)))

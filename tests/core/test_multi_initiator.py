@@ -52,7 +52,7 @@ def test_concurrent_initiators_preserve_per_stream_order():
         core = node.cpus.pick(0)
         events = []
         for i in range(25):
-            done = yield from devices[node.index].write(
+            done = yield from devices[node.index].write_ordered(
                 core, 0, lba=node.index * 1_000_000 + i * 2, nblocks=1,
                 payload=[(node.index, i + 1)],
             )
@@ -78,7 +78,7 @@ def test_attributes_carry_global_stream_ids():
     core = cluster.nodes[1].cpus.pick(0)
 
     def proc(env):
-        done = yield from devices[1].write(core, 2, lba=0, nblocks=1)
+        done = yield from devices[1].write_ordered(core, 2, lba=0, nblocks=1)
         yield done
 
     env.run_until_event(env.process(proc(env)))
@@ -95,7 +95,7 @@ def test_both_initiators_write_durably():
         core = node.cpus.pick(0)
         events = []
         for i in range(10):
-            done = yield from devices[node.index].write(
+            done = yield from devices[node.index].write_ordered(
                 core, 0, lba=node.index * 100 + i, nblocks=1,
                 payload=[(node.index, i)],
             )
@@ -118,7 +118,7 @@ def test_crash_recovery_with_two_initiators():
     def writer(node):
         core = node.cpus.pick(0)
         for i in range(50):
-            yield from devices[node.index].write(
+            yield from devices[node.index].write_ordered(
                 core, 0, lba=node.index * 1_000_000 + i * 2, nblocks=1,
                 payload=[(node.index, i + 1)],
             )

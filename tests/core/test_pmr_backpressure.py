@@ -20,8 +20,8 @@ def test_tiny_pmr_throttles_but_everything_completes():
     def writer(env):
         events = []
         for i in range(n):
-            done = yield from rio.write(core, 0, lba=i * 2, nblocks=1,
-                                        payload=[i])
+            done = yield from rio.write_ordered(core, 0, lba=i * 2, nblocks=1,
+                                                payload=[i])
             events.append(done)
         yield env.all_of(events)
 
@@ -53,9 +53,9 @@ def test_tiny_pmr_never_overwrites_live_entries():
 
     def writer(core, stream):
         for i in range(60):
-            done = yield from rio.write(core, stream,
-                                        lba=stream * 10_000 + i * 2,
-                                        nblocks=1)
+            done = yield from rio.write_ordered(core, stream,
+                                                lba=stream * 10_000 + i * 2,
+                                                nblocks=1)
             if i % 8 == 7:
                 yield done  # periodic waits let acks flow
 

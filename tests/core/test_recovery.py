@@ -229,7 +229,7 @@ def run_crash_recovery(profiles, nwrites=40, crash_at=400e-6, flush_every=1):
         events = []
         for i in range(nwrites):
             flush = (i % flush_every) == flush_every - 1
-            done = yield from rio.write(
+            done = yield from rio.write_ordered(
                 core, 0, lba=i * 2, nblocks=1, payload=[("g", i + 1)],
                 flush=flush,
             )
@@ -315,8 +315,8 @@ def test_recovery_with_no_crashed_writes_discards_nothing():
     def writer(env):
         events = []
         for i in range(10):
-            done = yield from rio.write(core, 0, lba=i * 2, nblocks=1,
-                                        payload=[("g", i + 1)])
+            done = yield from rio.write_ordered(core, 0, lba=i * 2, nblocks=1,
+                                                payload=[("g", i + 1)])
             events.append(done)
         yield env.all_of(events)
 

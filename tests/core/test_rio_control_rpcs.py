@@ -17,8 +17,8 @@ def setup_with_writes(n=6):
     def writer(env):
         events = []
         for i in range(n):
-            done = yield from rio.write(core, 0, lba=i * 2, nblocks=1,
-                                        payload=[i])
+            done = yield from rio.write_ordered(core, 0, lba=i * 2, nblocks=1,
+                                                payload=[i])
             events.append(done)
         yield env.all_of(events)
 
@@ -70,8 +70,8 @@ def test_clear_log_wipes_pmr():
     rio.scheduler_reset_target(cluster.targets[0])
     # The device remains usable for new ordered writes afterwards.
     def more(env):
-        done = yield from rio.write(core, 0, lba=100, nblocks=1,
-                                    payload=["post-clear"])
+        done = yield from rio.write_ordered(core, 0, lba=100, nblocks=1,
+                                            payload=["post-clear"])
         yield done
 
     env.run_until_event(env.process(more(env)))

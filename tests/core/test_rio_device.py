@@ -21,8 +21,8 @@ def test_single_ordered_write_completes_and_persists():
     core = cluster.initiator.cpus.pick(0)
 
     def proc(env):
-        done = yield from rio.write(core, stream_id=0, lba=5, nblocks=1,
-                                    payload=["v"])
+        done = yield from rio.write_ordered(core, stream_id=0, lba=5, nblocks=1,
+                                            payload=["v"])
         yield done
 
     env.run_until_event(env.process(proc(env)))
@@ -39,8 +39,8 @@ def test_completions_are_released_in_order():
     def proc(env):
         events = []
         for i in range(10):
-            done = yield from rio.write(core, stream_id=0, lba=100 + 2 * i,
-                                        nblocks=1)
+            done = yield from rio.write_ordered(core, stream_id=0, lba=100 + 2 * i,
+                                                nblocks=1)
             events.append((i, done))
         for i, done in events:
             env.process(watch(env, i, done))
@@ -62,9 +62,9 @@ def test_groups_complete_at_group_granularity():
     def proc(env):
         # Group 1: two requests (journal description + metadata), then the
         # commit record as group 2 — the motivation workload's pattern.
-        e1 = yield from rio.write(core, 0, lba=0, nblocks=2, end_of_group=False)
-        e2 = yield from rio.write(core, 0, lba=10, nblocks=1, end_of_group=True)
-        e3 = yield from rio.write(core, 0, lba=20, nblocks=1, end_of_group=True)
+        e1 = yield from rio.write_ordered(core, 0, lba=0, nblocks=2, end_of_group=False)
+        e2 = yield from rio.write_ordered(core, 0, lba=10, nblocks=1, end_of_group=True)
+        e3 = yield from rio.write_ordered(core, 0, lba=20, nblocks=1, end_of_group=True)
         for tag, event in (("g1a", e1), ("g1b", e2), ("g2", e3)):
             env.process(watch(env, tag, event))
         yield env.all_of([e1, e2, e3])
@@ -86,7 +86,7 @@ def test_streams_are_independent():
 
     def writer(env, core, stream, base):
         for i in range(5):
-            done = yield from rio.write(core, stream, lba=base + i * 2, nblocks=1)
+            done = yield from rio.write_ordered(core, stream, lba=base + i * 2, nblocks=1)
             done_events.append(done)
             yield done
 
@@ -101,10 +101,10 @@ def test_flush_in_final_request_gives_durability_on_flash():
     core = cluster.initiator.cpus.pick(0)
 
     def proc(env):
-        e1 = yield from rio.write(core, 0, lba=0, nblocks=2,
-                                  payload=["jd", "jm"], end_of_group=False)
-        e2 = yield from rio.write(core, 0, lba=2, nblocks=1, payload=["jc"],
-                                  end_of_group=True, flush=True)
+        e1 = yield from rio.write_ordered(core, 0, lba=0, nblocks=2,
+                                          payload=["jd", "jm"], end_of_group=False)
+        e2 = yield from rio.write_ordered(core, 0, lba=2, nblocks=1, payload=["jc"],
+                                          end_of_group=True, flush=True)
         yield env.all_of([e1, e2])
 
     env.run_until_event(env.process(proc(env)))
@@ -122,7 +122,7 @@ def test_ordered_writes_on_flash_skip_per_request_flush():
     def proc(env):
         events = []
         for i in range(20):
-            done = yield from rio.write(core, 0, lba=i, nblocks=1)
+            done = yield from rio.write_ordered(core, 0, lba=i, nblocks=1)
             events.append(done)
         yield env.all_of(events)
 
@@ -140,8 +140,8 @@ def test_consecutive_ordered_writes_merge():
         events = []
         for i in range(8):  # sequential LBAs: mergeable
             last = i == 7
-            done = yield from rio.write(core, 0, lba=i, nblocks=1, payload=[i],
-                                        kick=last)
+            done = yield from rio.write_ordered(core, 0, lba=i, nblocks=1, payload=[i],
+                                                kick=last)
             events.append(done)
         yield env.all_of(events)
 
@@ -159,8 +159,8 @@ def test_multi_request_group_merges_without_explicit_kick():
     core = cluster.initiator.cpus.pick(0)
 
     def proc(env):
-        e1 = yield from rio.write(core, 0, lba=0, nblocks=2, end_of_group=False)
-        e2 = yield from rio.write(core, 0, lba=2, nblocks=1, end_of_group=True)
+        e1 = yield from rio.write_ordered(core, 0, lba=0, nblocks=2, end_of_group=False)
+        e2 = yield from rio.write_ordered(core, 0, lba=2, nblocks=1, end_of_group=True)
         yield env.all_of([e1, e2])
 
     env.run_until_event(env.process(proc(env)))
@@ -175,7 +175,7 @@ def test_merging_can_be_disabled():
     def proc(env):
         events = []
         for i in range(8):
-            done = yield from rio.write(core, 0, lba=i, nblocks=1)
+            done = yield from rio.write_ordered(core, 0, lba=i, nblocks=1)
             events.append(done)
         yield env.all_of(events)
 
@@ -191,7 +191,7 @@ def test_random_lbas_do_not_merge():
     def proc(env):
         events = []
         for i in range(8):
-            done = yield from rio.write(core, 0, lba=i * 100, nblocks=1)
+            done = yield from rio.write_ordered(core, 0, lba=i * 100, nblocks=1)
             events.append(done)
         yield env.all_of(events)
 
@@ -211,7 +211,7 @@ def test_stream_qp_affinity_reduces_submission_stalls():
         def proc(env):
             events = []
             for i in range(100):
-                done = yield from rio.write(core, 1, lba=i * 10, nblocks=1)
+                done = yield from rio.write_ordered(core, 1, lba=i * 10, nblocks=1)
                 events.append(done)
             yield env.all_of(events)
 
@@ -231,8 +231,8 @@ def test_ordered_write_targets_multiple_servers():
     def proc(env):
         events = []
         for i in range(8):
-            done = yield from rio.write(core, 0, lba=i, nblocks=1,
-                                        payload=[f"b{i}"])
+            done = yield from rio.write_ordered(core, 0, lba=i, nblocks=1,
+                                                payload=[f"b{i}"])
             events.append(done)
         yield env.all_of(events)
 
@@ -247,8 +247,8 @@ def test_split_request_carries_split_attributes():
     core = cluster.initiator.cpus.pick(0)
 
     def proc(env):
-        done = yield from rio.write(core, 0, lba=0, nblocks=4,
-                                    payload=["a", "b", "c", "d"])
+        done = yield from rio.write_ordered(core, 0, lba=0, nblocks=4,
+                                            payload=["a", "b", "c", "d"])
         yield done
 
     env.run_until_event(env.process(proc(env)))
@@ -268,7 +268,7 @@ def test_attribute_log_recycles_space():
 
     def proc(env):
         for i in range(50):
-            done = yield from rio.write(core, 0, lba=i * 3, nblocks=1)
+            done = yield from rio.write_ordered(core, 0, lba=i * 3, nblocks=1)
             yield done  # released immediately -> ack piggybacked later
 
     env.run_until_event(env.process(proc(env)))
@@ -292,7 +292,7 @@ def test_throughput_tracks_orderless_on_optane():
             inflight = []
             lba = 0
             while env.now < 10e-3:
-                done = yield from rio.write(core, 0, lba=lba * 7, nblocks=1)
+                done = yield from rio.write_ordered(core, 0, lba=lba * 7, nblocks=1)
                 lba += 1
                 inflight.append(done)
                 if len(inflight) >= 32:

@@ -206,8 +206,8 @@ def test_writers_on_different_cores_share_one_stream():
         core = cluster.initiator.cpus.pick(w)
         inflight = []
         for i in range(64):
-            done = yield from rio.write(core, 0, w * 1_000_000 + i, 1,
-                                        end_of_group=True)
+            done = yield from rio.write_ordered(core, 0, w * 1_000_000 + i, 1,
+                                                end_of_group=True)
             inflight.append(done)
             if len(inflight) == 8:
                 yield inflight.pop(0)

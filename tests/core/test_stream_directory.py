@@ -91,7 +91,7 @@ def test_local_stream_ids_reach_the_wire_translated():
     def writer(node):
         core = node.cpus.pick(0)
         # Both initiators use *local* stream 1.
-        done = yield from devices[node.index].write(
+        done = yield from devices[node.index].write_ordered(
             core, 1, lba=node.index * 1_000_000, nblocks=1,
             payload=[("node", node.index)],
         )

@@ -18,7 +18,7 @@ def crash_one_target_mid_run(profiles, nwrites=30, crash_at=50e-6,
 
     def writer(env):
         for i in range(nwrites):
-            done = yield from rio.write(
+            done = yield from rio.write_ordered(
                 core, 0, lba=i, nblocks=1, payload=[("w", i + 1)],
             )
             app_events.append(done)
@@ -95,7 +95,7 @@ def test_replay_with_two_targets_only_one_crashed():
 
     def writer(env):
         for i in range(40):
-            done = yield from rio.write(
+            done = yield from rio.write_ordered(
                 core, 0, lba=i, nblocks=1, payload=[("w", i + 1)],
             )
             events.append(done)
@@ -126,7 +126,7 @@ def test_ordered_writes_resume_after_recovery():
 
     def resume(env):
         for i in range(10):
-            done = yield from rio.write(
+            done = yield from rio.write_ordered(
                 core, 0, lba=1000 + i, nblocks=1, payload=[("post", i)],
             )
             more.append(done)

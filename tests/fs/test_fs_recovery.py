@@ -8,7 +8,6 @@ from repro.fs.filesystem import SimFileSystem, make_filesystem
 from repro.fs.recovery import recover_filesystem
 from repro.hw.ssd import FLASH_PM981, OPTANE_905P
 from repro.sim import Environment
-from repro.systems.rio import RioStack
 
 
 def make_riofs(profiles=((OPTANE_905P,),), num_journals=2):

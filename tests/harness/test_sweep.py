@@ -199,9 +199,32 @@ def test_chaos_sweep_runs_scale_trials_across_initiators():
     cells = chaos_sweep(spec).specs
     assert [c.label for c in cells] == ["chaos/rio/x2/seed1000",
                                         "chaos/rio/x2/seed1001"]
-    assert all(c.fn == "repro.harness.chaos:run_scale_chaos_trial"
-               for c in cells)
+    assert all(c.fn == "repro.harness.chaos:run_chaos_trial" for c in cells)
     assert dict(cells[0].kwargs)["victim"] == 1
+
+
+def test_single_host_chaos_cells_keep_their_digests():
+    """One-initiator cells pass the merged trial only the kwargs they
+    always passed, so their cache keys survive the merge (the default
+    suite's 90 cells are pinned in ``DEFAULT_SPEC_DIGESTS``)."""
+    spec = ScenarioSpec.from_dict({
+        "scenario": "chaos",
+        "workload": {"systems": ["rio"], "trials": 2, "threads": 2,
+                     "groups_per_thread": 6},
+        "faults": {
+            "seed": 7, "message_loss": 0.02, "delay_probability": 0.05,
+            "timed": [
+                {"kind": "qp_breakdown", "at": 0.0002, "qp_index": 0},
+                {"kind": "target_stall", "at": 0.0003, "target_index": 0,
+                 "duration": 0.0001},
+            ],
+        },
+    })
+    cells = chaos_sweep(spec).specs
+    assert [(c.label, c.digest()[:16]) for c in cells] == [
+        ("chaos/rio/seed1000", "93885d0eddb411c1"),
+        ("chaos/rio/seed1001", "572ac608de6d4138"),
+    ]
 
 
 # ----------------------------------------------------------------------

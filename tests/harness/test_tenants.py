@@ -246,15 +246,15 @@ def _mini_run(**config_kwargs):
     from repro.scale import (
         OpenLoopConfig,
         ScaleOutCluster,
-        ShardedStack,
         run_open_loop,
     )
     from repro.sim.engine import Environment
+    from repro.systems.base import make_stack
 
     env = Environment()
     cluster = ScaleOutCluster(env, LAYOUTS["optane"], num_initiators=1,
                               seed=7)
-    stack = ShardedStack(cluster, "rio", num_streams=2)
+    stack = make_stack("rio", cluster, num_streams=2)
     run = run_open_loop(cluster, stack, OpenLoopConfig(
         offered_iops=40e3, tenants=2, duration=5e-4, warmup=1e-4, seed=7,
         **config_kwargs))

@@ -238,7 +238,7 @@ def test_duplicate_suppression_single_apply_under_response_loss():
     holder = {}
 
     def proc(env):
-        event = yield from rio.write(core, 0, lba=0, nblocks=1)
+        event = yield from rio.write_ordered(core, 0, lba=0, nblocks=1)
         yield event
         holder["done"] = True
 

@@ -107,8 +107,8 @@ def test_rio_preserves_order_over_tcp():
     def proc(env):
         events = []
         for i in range(20):
-            done = yield from rio.write(core, 0, lba=i * 3, nblocks=1,
-                                        payload=[i])
+            done = yield from rio.write_ordered(core, 0, lba=i * 3, nblocks=1,
+                                                payload=[i])
             events.append(done)
             env.process(track(env, i, done))
         yield env.all_of(events)

@@ -141,7 +141,7 @@ def test_in_order_completion_for_any_plan(plan):
         for stream, nblocks, end, flush, kick in plan:
             lba = next_lba[0]
             next_lba[0] += nblocks + 1
-            done = yield from rio.write(
+            done = yield from rio.write_ordered(
                 core, stream, lba=lba, nblocks=nblocks,
                 end_of_group=end, flush=flush, kick=kick,
             )
@@ -153,8 +153,8 @@ def test_in_order_completion_for_any_plan(plan):
             if is_open:
                 lba = next_lba[0]
                 next_lba[0] += 2
-                done = yield from rio.write(core, stream, lba=lba, nblocks=1,
-                                            end_of_group=True, kick=True)
+                done = yield from rio.write_ordered(core, stream, lba=lba, nblocks=1,
+                                                    end_of_group=True, kick=True)
                 events.append(done)
                 env.process(track(env, stream, done))
             else:

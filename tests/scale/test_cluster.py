@@ -1,10 +1,11 @@
-"""ScaleOutCluster + ShardedStack: topology, sharding, steering knobs."""
+"""ScaleOutCluster + make_stack's sharding: topology, routing, steering knobs."""
 
 import pytest
 
 from repro.harness.experiment import LAYOUTS
-from repro.scale import ScaleOutCluster, ShardedStack
+from repro.scale import ScaleOutCluster
 from repro.sim.engine import Environment
+from repro.systems.base import make_stack
 
 SYSTEMS = ("rio", "horae", "linux", "barrier")
 
@@ -69,14 +70,14 @@ def test_qp_ranges_per_host_are_contiguous():
 
 def test_streams_shard_by_residue():
     _env, cluster = build(initiators=3)
-    stack = ShardedStack(cluster, "linux", num_streams=7)
+    stack = make_stack("linux", cluster, num_streams=7)
     for stream in range(7):
         assert stack.node_for(stream) is cluster.nodes[stream % 3]
 
 
 def test_rio_streams_are_dense_per_node_with_disjoint_wire_ranges():
     _env, cluster = build(initiators=2)
-    stack = ShardedStack(cluster, "rio", num_streams=5)
+    stack = make_stack("rio", cluster, num_streams=5)
     # Global streams 0,2,4 -> node 0 locals 0,1,2; 1,3 -> node 1 locals 0,1.
     assert [stack.local_stream(s) for s in range(5)] == [0, 0, 1, 1, 2]
     bases = [device.sequencer.stream_base for device in stack.stacks]
@@ -87,14 +88,14 @@ def test_non_rio_streams_pass_through_globally():
     """Congruence sharding: each node sees only its residue class, so the
     shared targets' per-stream state never collides across hosts."""
     _env, cluster = build(initiators=2)
-    stack = ShardedStack(cluster, "horae", num_streams=4)
+    stack = make_stack("horae", cluster, num_streams=4)
     assert [stack.local_stream(s) for s in range(4)] == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_ordered_writes_complete_on_every_system(system):
     env, cluster = build(initiators=2)
-    stack = ShardedStack(cluster, system, num_streams=4)
+    stack = make_stack(system, cluster, num_streams=4)
     done = []
 
     def writer(stream):
@@ -113,7 +114,7 @@ def test_ordered_writes_complete_on_every_system(system):
 
 def test_submissions_run_on_the_owning_hosts_cores():
     env, cluster = build(initiators=2)
-    stack = ShardedStack(cluster, "linux", num_streams=2)
+    stack = make_stack("linux", cluster, num_streams=2)
 
     def writer(stream):
         core = cluster.initiator.cpus.pick(stream)
@@ -130,12 +131,18 @@ def test_submissions_run_on_the_owning_hosts_cores():
         assert node.cpus.busy_time() > 0
 
 
+def test_a_volume_is_one_hosts_and_rejected_on_several():
+    _env, cluster = build(initiators=2)
+    with pytest.raises(ValueError, match="one-initiator"):
+        make_stack("rio", cluster, cluster.volume(), num_streams=2)
+
+
 def test_recovery_attribute_only_for_recovering_systems():
     _env, cluster = build(initiators=2)
-    assert hasattr(ShardedStack(cluster, "rio", num_streams=2), "recovery")
+    assert hasattr(make_stack("rio", cluster, num_streams=2), "recovery")
     _env, cluster = build(initiators=2)
     assert not hasattr(
-        ShardedStack(cluster, "linux", num_streams=2), "recovery"
+        make_stack("linux", cluster, num_streams=2), "recovery"
     )
 
 
@@ -149,7 +156,7 @@ def test_same_seed_and_steering_is_bit_identical():
     simulation — two fresh builds complete at float-identical times."""
     def run_one(steering):
         env, cluster = build(initiators=2, steering=steering)
-        stack = ShardedStack(cluster, "rio", num_streams=4)
+        stack = make_stack("rio", cluster, num_streams=4)
         times = []
 
         def writer(stream):
@@ -175,7 +182,7 @@ def test_same_seed_and_steering_is_bit_identical():
                          ("round-robin", "least-loaded", "flow-hash"))
 def test_alternate_steering_policies_still_complete_in_order(steering):
     env, cluster = build(initiators=2, steering=steering)
-    stack = ShardedStack(cluster, "rio", num_streams=2)
+    stack = make_stack("rio", cluster, num_streams=2)
     completions = {0: [], 1: []}
 
     def writer(stream):
@@ -211,7 +218,7 @@ def test_qp_steering_rejects_flow_migrating_policies():
 
 def test_busy_core_accounting_sums_over_hosts():
     env, cluster = build(initiators=2)
-    stack = ShardedStack(cluster, "linux", num_streams=2)
+    stack = make_stack("linux", cluster, num_streams=2)
 
     def writer(stream):
         core = cluster.initiator.cpus.pick(stream)

@@ -6,10 +6,10 @@ from repro.harness.experiment import LAYOUTS
 from repro.scale import (
     OpenLoopConfig,
     ScaleOutCluster,
-    ShardedStack,
     run_open_loop,
 )
 from repro.sim.engine import Environment
+from repro.systems.base import make_stack
 
 
 def make_testbed(system="rio", initiators=2, tenants=4, **kwargs):
@@ -17,7 +17,7 @@ def make_testbed(system="rio", initiators=2, tenants=4, **kwargs):
     cluster = ScaleOutCluster(
         env, LAYOUTS["optane"], num_initiators=initiators, seed=11, **kwargs
     )
-    stack = ShardedStack(cluster, system, num_streams=tenants)
+    stack = make_stack(system, cluster, num_streams=tenants)
     return cluster, stack
 
 

@@ -56,8 +56,8 @@ def test_end_to_end_rio_tracing():
     def proc(env):
         events = []
         for i in range(4):
-            done = yield from rio.write(core, 0, lba=i, nblocks=1,
-                                        kick=(i == 3))
+            done = yield from rio.write_ordered(core, 0, lba=i, nblocks=1,
+                                                kick=(i == 3))
             events.append(done)
         yield env.all_of(events)
 

@@ -5,7 +5,9 @@ import pytest
 from repro.cluster import Cluster
 from repro.hw.ssd import FLASH_PM981, OPTANE_905P
 from repro.sim import Environment
+from repro.scale import ScaleOutCluster
 from repro.systems import make_stack
+from repro.systems.base import ShardedStack, stacks
 
 
 def build(stack_name, profiles=((OPTANE_905P,),), num_streams=4):
@@ -172,7 +174,20 @@ def test_relative_throughput_shape_on_optane():
 def test_rio_nomerge_variant():
     env, cluster, stack = build("rio-nomerge")
     assert stack.name == "rio-nomerge"
-    assert stack.device.scheduler.merging_enabled is False
+    assert stack.scheduler.merging_enabled is False
+
+
+@pytest.mark.parametrize("name", ["rio", "linux", "horae", "orderless"])
+def test_one_initiator_make_stack_is_the_node_stack(name):
+    """At N = 1 there is nothing to route: the caller gets the node's
+    stack itself, built on the cluster's one host."""
+    cluster = ScaleOutCluster(Environment(), ((OPTANE_905P,),),
+                              num_initiators=1)
+    stack = make_stack(name, cluster, num_streams=4)
+    assert isinstance(stack, stacks()[name])
+    assert stack.cluster is cluster.nodes[0]
+    assert not isinstance(stack, ShardedStack)
+    assert stack.name == name
 
 
 def test_unknown_stack_rejected():
